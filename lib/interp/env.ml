@@ -111,23 +111,9 @@ let linear_index env name idx =
   | None -> offset (find_iarr env name) name idx
 
 let fill_farray env name f =
-  let a = find_farr env name in
-  let n = Array.length a.dims in
-  let idx = Array.map fst a.dims in
-  let total = Array.length a.data in
-  for off = 0 to total - 1 do
-    a.data.(off) <- f (Array.to_list idx);
-    (* Column-major increment: bump the first dimension first. *)
-    let rec bump k =
-      if k < n then begin
-        idx.(k) <- idx.(k) + 1;
-        if idx.(k) > snd a.dims.(k) then begin
-          idx.(k) <- fst a.dims.(k);
-          bump (k + 1)
-        end
-      end
-    in
-    bump 0
+  let data = (find_farr env name).data in
+  for off = 0 to Array.length data - 1 do
+    data.(off) <- f ()
   done
 
 let farray_data env name = (find_farr env name).data

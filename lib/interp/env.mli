@@ -41,8 +41,9 @@ val has_fscalar : t -> string -> bool
 val linear_index : t -> string -> int list -> int
 (** Column-major element offset of an array element, for tracing. *)
 
-val fill_farray : t -> string -> (int list -> float) -> unit
-(** [fill_farray env name f] sets every element from its index vector. *)
+val fill_farray : t -> string -> (unit -> float) -> unit
+(** [fill_farray env name f] sets every element to a fresh [f ()], in
+    column-major storage order (the first subscript varies fastest). *)
 
 val farray_data : t -> string -> float array
 (** The underlying column-major storage (shared, not a copy). *)

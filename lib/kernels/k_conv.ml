@@ -32,9 +32,8 @@ let setup env ~bindings ~seed =
   Env.add_farray env "F3" [ (0, n3) ];
   Env.set_fscalar env "DT" 0.01;
   let rng = Lcg.create seed in
-  Env.fill_farray env "F1" (fun _ -> Lcg.float rng 1.0);
-  Env.fill_farray env "F2" (fun _ -> Lcg.float rng 1.0);
-  Env.fill_farray env "F3" (fun _ -> 0.0)
+  Lcg.fill rng (Env.farray_data env "F1") ~scale:1.0 ~shift:0.0;
+  Lcg.fill rng (Env.farray_data env "F2") ~scale:1.0 ~shift:0.0
 
 let make name description loop : Kernel_def.t =
   {

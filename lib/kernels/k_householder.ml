@@ -39,8 +39,7 @@ let setup env ~bindings ~seed =
   let m = List.assoc "M" bindings and n = List.assoc "N" bindings in
   Env.add_farray env "A" [ (1, m); (1, n) ];
   Env.add_farray env "V" [ (1, m) ];
-  let rng = Lcg.create seed in
-  Env.fill_farray env "A" (fun _ -> Stdlib.( -. ) (Lcg.float rng 2.0) 1.0)
+  Lcg.fill (Lcg.create seed) (Env.farray_data env "A") ~scale:2.0 ~shift:1.0
 
 let kernel : Kernel_def.t =
   {

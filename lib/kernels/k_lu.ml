@@ -16,15 +16,19 @@ let point_loop : Stmt.loop =
   | Stmt.Loop l -> l
   | Stmt.Assign _ | Stmt.Iassign _ | Stmt.If _ -> assert false
 
+(* Entries uniform in [-0.5, 0.5), then n added to the diagonal: the
+   same draws in the same order, and the same sums, as adding n while
+   filling. *)
+let fill_dominant rng a ~n =
+  Lcg.fill rng a ~scale:1.0 ~shift:0.5;
+  for d = 0 to n - 1 do
+    let k = d * (n + 1) in
+    a.(k) <- Stdlib.( +. ) a.(k) (float_of_int n)
+  done
+
 let fill_matrix env ~n ~seed =
   Env.add_farray env "A" [ (1, n); (1, n) ];
-  let rng = Lcg.create seed in
-  Env.fill_farray env "A" (fun idx ->
-      match idx with
-      | [ r; c ] ->
-          let base = Stdlib.( -. ) (Lcg.float rng 1.0) 0.5 in
-          if r = c then Stdlib.( +. ) base (float_of_int n) else base
-      | _ -> assert false)
+  fill_dominant (Lcg.create seed) (Env.farray_data env "A") ~n
 
 let kernel : Kernel_def.t =
   {

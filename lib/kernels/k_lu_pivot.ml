@@ -41,8 +41,7 @@ let point_loop : Stmt.loop =
 
 let fill_matrix env ~n ~seed =
   Env.add_farray env "A" [ (1, n); (1, n) ];
-  let rng = Lcg.create seed in
-  Env.fill_farray env "A" (fun _ -> Stdlib.( -. ) (Lcg.float rng 2.0) 1.0)
+  Lcg.fill (Lcg.create seed) (Env.farray_data env "A") ~scale:2.0 ~shift:1.0
 
 let kernel : Kernel_def.t =
   {

@@ -22,26 +22,22 @@ let fill env ~n ~freq_pct ~seed =
   Env.add_farray env "B" [ (1, n); (1, n) ];
   Env.add_farray env "C" [ (1, n); (1, n) ];
   let rng = Lcg.create seed in
-  Env.fill_farray env "A" (fun _ -> Lcg.float rng 1.0);
-  Env.fill_farray env "C" (fun _ -> 0.0);
-  (* Column-major fill with run structure along K (the first index). *)
-  let p = Stdlib.( /. ) (float_of_int freq_pct) 100.0 in
+  Lcg.fill rng (Env.farray_data env "A") ~scale:1.0 ~shift:0.0;
+  (* Column-major fill with run structure along K (the first index);
+     B starts zeroed, so only the runs are written. *)
+  let b = Env.farray_data env "B" in
   let run_len = 4 in
+  let p_run = Stdlib.( /. ) (Stdlib.( /. ) (float_of_int freq_pct) 100.0) (float_of_int run_len) in
   for j = 1 to n do
     let k = ref 1 in
     while !k <= n do
-      if Lcg.bool rng (Stdlib.( /. ) p (float_of_int run_len)) then begin
-        (* start a run of nonzeros *)
-        let stop = min n (!k + run_len - 1) in
-        for kk = !k to stop do
-          Env.set_f env "B" [ kk; j ] (Stdlib.( +. ) 0.5 (Lcg.float rng 0.5))
-        done;
-        k := stop + 1
+      if Lcg.bool rng p_run then begin
+        (* a run of nonzeros, each 0.5 + float rng 0.5 *)
+        let len = min run_len (n - !k + 1) in
+        Lcg.fill rng b ~pos:(!k - 1 + ((j - 1) * n)) ~len ~scale:0.5 ~shift:(-0.5);
+        k := !k + len
       end
-      else begin
-        Env.set_f env "B" [ !k; j ] 0.0;
-        incr k
-      end
+      else incr k
     done
   done
 

@@ -24,13 +24,8 @@ let kernel : Kernel_def.t =
         Env.add_farray env "B" [ (1, n) ];
         Env.add_farray env "X" [ (1, n) ];
         let rng = Lcg.create seed in
-        Env.fill_farray env "A" (fun idx ->
-            match idx with
-            | [ r; c ] ->
-                let base = Stdlib.( -. ) (Lcg.float rng 1.0) 0.5 in
-                if r = c then Stdlib.( +. ) base (float_of_int n) else base
-            | _ -> assert false);
-        Env.fill_farray env "B" (fun _ -> Lcg.float rng 1.0));
+        K_lu.fill_dominant rng (Env.farray_data env "A") ~n;
+        Lcg.fill rng (Env.farray_data env "B") ~scale:1.0 ~shift:0.0);
     traced = [ "A"; "B"; "X" ];
     shapes =
       [

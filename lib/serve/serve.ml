@@ -357,18 +357,23 @@ let env_for c ~bindings ~seed =
 
 (* The bitwise-comparison handle: an MD5 of the kernel's traced REAL
    arrays after the run.  Two runs agree on this digest iff they agree
-   bitwise on every result array. *)
+   bitwise on every result array.  Its definition is the MD5 of
+   [Marshal.to_string [(name, array); ...] []], which clients compute;
+   [Marshal_digest] streams those bytes without building the string. *)
 let digest_env entry env =
   let arrays =
     List.map
       (fun a -> (a, Env.farray_data env a))
       entry.Blockability.kernel.Kernel_def.traced
   in
-  Digest.to_hex (Digest.string (Marshal.to_string arrays []))
+  Digest.to_hex (Marshal_digest.float_arrays arrays)
 
+(* Set-up failures are the request's fault: bindings the kernel rejects
+   ([Invalid_argument]) or sizes that declare an empty array
+   ([Env.Error]). *)
 let run_one ?tm c ~bindings ~seed =
   match env_for c ~bindings ~seed with
-  | exception Invalid_argument m -> Error m
+  | exception (Invalid_argument m | Env.Error m) -> Error m
   | env -> (
       let t0 = Unix.gettimeofday () in
       let finish () =

@@ -31,8 +31,12 @@
       compile (or fetch) and run once at the given sizes on the
       requested backend; replies with an MD5 digest of the kernel's
       traced arrays after the run (the bitwise-comparison handle) and
-      the run wall time.  Digests are backend-independent: both code
-      generators are bitwise-checked against the interpreter.
+      the run wall time.  The digest is the hex MD5 of
+      [Marshal.to_string [(name, float array); ...] []], computed
+      without building that string ({!Marshal_digest}).  Digests are
+      backend-independent: both code generators are bitwise-checked
+      against the interpreter.  Bindings the kernel cannot set up
+      (a missing parameter, an empty array) are request errors.
     - [batch
        {"kernel","variant","seed","backend"?,"bindings_list"|"sizes"}] —
       many executions of one blueprint as a single dispatch: compile

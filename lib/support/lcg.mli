@@ -2,7 +2,8 @@
 
     Benchmarks and tests need reproducible inputs; this is a small, fast,
     splittable linear congruential generator so results do not depend on
-    OCaml's [Random] state or its version-to-version changes. *)
+    OCaml's [Random] state or its version-to-version changes.  The state
+    is kept unboxed, so advancing it allocates nothing. *)
 
 type t
 
@@ -23,3 +24,10 @@ val uniform : t -> float
 
 val bool : t -> float -> bool
 (** [bool t p] is true with probability [p]. *)
+
+val fill : t -> ?pos:int -> ?len:int -> float array -> scale:float -> shift:float -> unit
+(** [fill t ~pos ~len a ~scale ~shift] sets [a.(pos)] … [a.(pos+len-1)],
+    in that order, to [float t scale -. shift]: the same draws and the
+    same bits as that loop written out, without boxing a float per
+    element.  [pos] defaults to 0 and [len] to the rest of [a].
+    @raise Invalid_argument if the range is not inside [a]. *)

@@ -218,6 +218,73 @@ let breadth_equiv (n, ks, seed) =
   check K_trisolve.kernel K_trisolve.point_loop
   && check K_cholesky.kernel K_cholesky.point_loop
 
+(* Digests of every registry kernel's environment after
+   [Kernel_def.make_env] and the entry's [extra_setup], recorded before
+   the set-up code was rewritten to fill storage directly: any change to
+   a draw, its order or its arithmetic changes a digest. *)
+let setup_golden =
+  [
+    ("lu", [("N", 24)], 42, "01cb634d4cd889ceef0c18beb33afc13");
+    ("lu", [("N", 24)], 1, "9d475a35036497558c5d406c8967a7c7");
+    ("lu", [("N", 7)], 42, "c794a537302960bfbba23310413f987a");
+    ("lu", [("N", 7)], 1, "aa840d96f07589ed7f315c128cbe9ccb");
+    ("lu_opt", [("N", 24)], 42, "01cb634d4cd889ceef0c18beb33afc13");
+    ("lu_opt", [("N", 24)], 1, "9d475a35036497558c5d406c8967a7c7");
+    ("lu_opt", [("N", 7)], 42, "c794a537302960bfbba23310413f987a");
+    ("lu_opt", [("N", 7)], 1, "aa840d96f07589ed7f315c128cbe9ccb");
+    ("lu_pivot", [("N", 24)], 42, "63c3c1c41309362e766840f9f7bdbfd3");
+    ("lu_pivot", [("N", 24)], 1, "098b06c148ce9313bd16f5423edd7744");
+    ("lu_pivot", [("N", 7)], 42, "4c3661888a9111306d9021b59be64c03");
+    ("lu_pivot", [("N", 7)], 1, "88c356344e99d63fb8fe9a0cf1523d9b");
+    ("lu_pivot_opt", [("N", 24)], 42, "63c3c1c41309362e766840f9f7bdbfd3");
+    ("lu_pivot_opt", [("N", 24)], 1, "098b06c148ce9313bd16f5423edd7744");
+    ("lu_pivot_opt", [("N", 7)], 42, "4c3661888a9111306d9021b59be64c03");
+    ("lu_pivot_opt", [("N", 7)], 1, "88c356344e99d63fb8fe9a0cf1523d9b");
+    ("trisolve", [("N", 24)], 42, "d85aa04046b71ccf82f05c2a966d800c");
+    ("trisolve", [("N", 24)], 1, "2b10ffd15ef959c0fce55456ba4f041a");
+    ("trisolve", [("N", 7)], 42, "c5f58f59a7b7c59b8daef90dc7953e0c");
+    ("trisolve", [("N", 7)], 1, "050cc07d032bc53b2b94c32c0fefbcfd");
+    ("cholesky", [("N", 24)], 42, "75490d49138f5e653ea9b5e4a707dba5");
+    ("cholesky", [("N", 24)], 1, "0c1f1c667a8ce1658180f778072c3ca4");
+    ("cholesky", [("N", 7)], 42, "395f07998e3feff078822f98bb9430ff");
+    ("cholesky", [("N", 7)], 1, "b4cc5122dd1cb2bf2d88d8f81edd0e1e");
+    ("matmul", [("N", 24); ("FREQ_PCT", 10)], 42, "ebda2526ab855838d43468417cb1cacf");
+    ("matmul", [("N", 24); ("FREQ_PCT", 10)], 1, "7eb6bc8212fe4a8a3dd7fc6237d6c877");
+    ("matmul", [("N", 9); ("FREQ_PCT", 60)], 42, "4f89ca1d5cefa1c04edfa4b994e5b2b6");
+    ("matmul", [("N", 9); ("FREQ_PCT", 60)], 1, "4680e910a65b3f1bd7695060750514a7");
+    ("givens", [("M", 16); ("N", 12)], 42, "ae12bb948bea94d04f8093bf0aedac94");
+    ("givens", [("M", 16); ("N", 12)], 1, "bbea3a1cd4e01140a8ac15bbde83a6a3");
+    ("givens", [("M", 7); ("N", 5)], 42, "f6587b9be96f0c485106b64ddd1d84d7");
+    ("givens", [("M", 7); ("N", 5)], 1, "5988a5fe0ed35dd911b8c3575cfe4c4e");
+    ("aconv", [("N1", 40); ("N2", 9); ("N3", 50)], 42, "8c8d74a72f9f398a60334a5b6168e4c0");
+    ("aconv", [("N1", 40); ("N2", 9); ("N3", 50)], 1, "8f8f9cfb386f18d4cbfdc9065ddfe6c3");
+    ("aconv", [("N1", 7); ("N2", 3); ("N3", 5)], 42, "32ba3c98bd9f89f9dc65a973c871a16f");
+    ("aconv", [("N1", 7); ("N2", 3); ("N3", 5)], 1, "ca6f953a8403d82b3763fa686a282240");
+    ("conv", [("N1", 40); ("N2", 9); ("N3", 50)], 42, "8c8d74a72f9f398a60334a5b6168e4c0");
+    ("conv", [("N1", 40); ("N2", 9); ("N3", 50)], 1, "8f8f9cfb386f18d4cbfdc9065ddfe6c3");
+    ("conv", [("N1", 7); ("N2", 3); ("N3", 5)], 42, "32ba3c98bd9f89f9dc65a973c871a16f");
+    ("conv", [("N1", 7); ("N2", 3); ("N3", 5)], 1, "ca6f953a8403d82b3763fa686a282240");
+    ("householder", [("M", 16); ("N", 12)], 42, "ae12bb948bea94d04f8093bf0aedac94");
+    ("householder", [("M", 16); ("N", 12)], 1, "bbea3a1cd4e01140a8ac15bbde83a6a3");
+    ("householder", [("M", 7); ("N", 5)], 42, "f6587b9be96f0c485106b64ddd1d84d7");
+    ("householder", [("M", 7); ("N", 5)], 1, "5988a5fe0ed35dd911b8c3575cfe4c4e");
+  ]
+
+let setup_is_bitwise_stable () =
+  List.iter
+    (fun (kernel, bindings, seed, expected) ->
+      let e = Option.get (Blockability.find kernel) in
+      let env = Kernel_def.make_env e.Blockability.kernel ~bindings ~seed in
+      e.Blockability.extra_setup env ~bindings;
+      let arrays =
+        List.map (fun a -> (a, Env.farray_data env a)) e.Blockability.kernel.Kernel_def.traced
+      in
+      check_string
+        (Printf.sprintf "%s seed %d" kernel seed)
+        expected
+        (Digest.to_hex (Digest.string (Marshal.to_string arrays []))))
+    setup_golden
+
 let suite =
   ( "drivers",
     [
@@ -231,6 +298,7 @@ let suite =
         QCheck2.Gen.(triple (int_range 1 24) (int_range 0 10) (int_range 0 1000))
         matmul_if_equiv;
       case "whole registry verifies" registry_verifies;
+      case "registry set-up golden digests" setup_is_bitwise_stable;
       case "blocking reduces simulated misses" blocking_reduces_misses;
       case "strip-mine-and-interchange driver" strip_mine_and_interchange_driver;
       qcase ~count:30 "trapezoid driver (split + shaped UJ)"

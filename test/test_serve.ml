@@ -36,9 +36,73 @@ let require_native () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "native codegen unavailable: %s" m
 
+(* [Marshal_digest] against its definition, over every length code
+   Marshal picks between: arrays of 0, 1, 255, 256 and 65536 floats
+   (empty atom, 8-bit and 32-bit lengths), names of 1, 31, 32, 255 and
+   256 bytes (small, 8-bit and 32-bit strings), 1 to 3 entries. *)
+let streamed_digest_matches_marshal () =
+  let rng = Lcg.create 5 in
+  let arr n = Array.init n (fun _ -> Lcg.float rng 2.0 -. 1.0) in
+  let name len = String.init len (fun i -> Char.chr (65 + (i mod 26))) in
+  let check what l =
+    check_string what
+      (Digest.to_hex (Digest.string (Marshal.to_string l [])))
+      (Digest.to_hex (Marshal_digest.float_arrays l))
+  in
+  check "no entries" [];
+  List.iter
+    (fun n ->
+      List.iter
+        (fun len ->
+          check (Printf.sprintf "array %d, name %d" n len) [ (name len, arr n) ])
+        [ 1; 31; 32; 255; 256 ])
+    [ 0; 1; 255; 256; 65536 ];
+  check "two entries" [ ("A", arr 256); (name 40, arr 3) ];
+  check "three entries" [ (name 300, arr 255); ("B", arr 1); ("X", arr 65536) ];
+  (* special floats travel as raw bits *)
+  check "nan, infinities, signed zeros"
+    [ ("F", [| nan; infinity; neg_infinity; -0.0; 0.0; Float.min_float |]) ];
+  (* a repeated array is a back-reference in Marshal's output *)
+  let shared = arr 10 in
+  check "shared array" [ ("A", shared); ("B", shared) ];
+  let e = Option.get (Blockability.find "trisolve") in
+  let env = Kernel_def.make_env e.Blockability.kernel ~bindings:[ ("N", 40) ] ~seed:3 in
+  check "trisolve environment"
+    (List.map (fun a -> (a, Env.farray_data env a)) e.Blockability.kernel.Kernel_def.traced)
+
 let suite =
   ( "serve",
     [
+      case "streamed digest equals MD5 of Marshal.to_string"
+        streamed_digest_matches_marshal;
+      case "an empty-array binding is a request error, not internal"
+        (fun () ->
+          Obs.Metrics.set_enabled true;
+          Fun.protect ~finally:(fun () ->
+              Obs.Metrics.set_enabled false;
+              Obs.Metrics.reset ())
+          @@ fun () ->
+          Obs.Metrics.reset ();
+          let labelled cls =
+            Obs.Metrics.count
+              (Obs.Metrics.counter
+                 (Obs.Metrics.labelled "serve.errors" [ ("class", cls) ]))
+          in
+          let r = parsed {|{"op":"execute","kernel":"lu","bindings":{"N":0}}|} in
+          check_bool "execute refused" false (bool_field "ok" r);
+          check_string "execute names the cause" "empty array dimension"
+            (str "error" r);
+          check_bool "execute carries telemetry" true
+            (String.length (str "trace_id" r) > 0);
+          let r =
+            parsed
+              {|{"op":"batch","kernel":"lu","bindings_list":[{"N":0},{"N":4}]}|}
+          in
+          check_bool "batch refused" false (bool_field "ok" r);
+          check_string "batch names the item and the cause"
+            "item 0: empty array dimension" (str "error" r);
+          check_int "both counted as request errors" 2 (labelled "request");
+          check_int "none counted as internal" 0 (labelled "internal"));
       case "ping echoes the id and pongs" (fun () ->
           let r = parsed {|{"id":41,"op":"ping"}|} in
           check_bool "ok" true (bool_field "ok" r);

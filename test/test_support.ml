@@ -108,6 +108,40 @@ let lcg_split_independent () =
   let ys = List.init 20 (fun _ -> Lcg.int b 100) in
   check_bool "split streams differ" true (xs <> ys)
 
+(* The stream as it was when the state was a boxed [int64]: the first
+   8 draws (all 48 bits each) of [create 42] and of its split. *)
+let lcg_golden_stream () =
+  let draws t = List.init 8 (fun _ -> Lcg.int t (1 lsl 48)) in
+  let ints = Alcotest.(list int) in
+  Alcotest.check ints "create 42"
+    [
+      175319072504813; 260315564617587; 32869277821308; 157706396718106;
+      201340447291176; 115863284117990; 149985296185170; 115575942882951;
+    ]
+    (draws (Lcg.create 42));
+  Alcotest.check ints "split (create 42)"
+    [
+      206061716511045; 24790149547242; 184792381089401; 129749526101633;
+      197395984760219; 91693097653406; 235143891487615; 40504362302057;
+    ]
+    (draws (Lcg.split (Lcg.create 42)))
+
+let lcg_fill_matches_draws () =
+  let bits = Array.map Int64.bits_of_float in
+  List.iter
+    (fun (scale, shift) ->
+      let a = Array.make 40 nan in
+      Lcg.fill (Lcg.create 9) a ~pos:3 ~len:30 ~scale ~shift;
+      let rng = Lcg.create 9 in
+      let b =
+        Array.init 40 (fun i ->
+            if i < 3 || i >= 33 then nan else Lcg.float rng scale -. shift)
+      in
+      check_bool "same bits as the loop" true (bits a = bits b))
+    [ (1.0, 0.0); (1.0, 0.5); (2.0, 1.0); (0.5, -0.5) ];
+  Alcotest.check_raises "range outside the array" (Invalid_argument "Lcg.fill")
+    (fun () -> Lcg.fill (Lcg.create 1) (Array.make 4 0.0) ~pos:2 ~len:3 ~scale:1.0 ~shift:0.0)
+
 let suite =
   ( "support",
     [
@@ -118,6 +152,8 @@ let suite =
       case "json_min escapes on output (round-trip)" json_escape_roundtrip;
       case "lcg determinism" lcg_determinism;
       case "lcg split" lcg_split_independent;
+      case "lcg golden stream" lcg_golden_stream;
+      case "lcg fill equals per-element draws" lcg_fill_matches_draws;
       qcase "lcg int in range"
         QCheck2.Gen.(pair (int_range 1 1000) (int_range 0 99999))
         (fun (bound, seed) ->
