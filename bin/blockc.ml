@@ -1221,7 +1221,11 @@ let serve_cmd =
     Arg.(
       value & opt int 2
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Request-handling worker domains (default 2).")
+          ~doc:
+            "Request lanes (default 2): the daemon's domain count.  Each \
+             lane handles one request at a time and, when it has none, \
+             helps with another lane's $(b,batch).  $(b,BLOCKABILITY_DOMAINS) \
+             does not apply.")
   in
   let run socket workers () =
     (match Jit.available () with
@@ -1244,8 +1248,8 @@ let serve_cmd =
          "Run the batched compile/execute request server: newline-delimited \
           JSON requests ($(b,ping), $(b,derive), $(b,compile), $(b,execute), \
           $(b,batch), $(b,profile), $(b,status), $(b,shutdown)) over \
-          stdin/stdout or a Unix socket, distributed across a domain pool \
-          and sharing one blueprint-keyed JIT cache."
+          stdin/stdout or a Unix socket, handled by $(b,--workers) request \
+          lanes sharing one blueprint-keyed JIT cache."
        ~exits)
     (traced Term.(const run $ socket_arg $ workers_arg))
 

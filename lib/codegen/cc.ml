@@ -93,9 +93,11 @@ let invocation_counter =
 
 (* One coarse lock around compile-or-fetch: the C backend has no
    serve-style concurrent-compile workload yet, so single-flighting per
-   key is not worth the machinery Jit needs. *)
+   key is not worth the machinery Jit needs.  The memo keeps each
+   object's vectorization remarks next to its entry point, so a memo
+   hit reads no file. *)
 let mu = Mutex.create ()
-let memo : (string, fn) Hashtbl.t = Hashtbl.create 16
+let memo : (string, fn * string list) Hashtbl.t = Hashtbl.create 16
 
 let invocations () =
   Mutex.lock mu;
@@ -165,134 +167,120 @@ let compile_blueprint ?cc ~name (bp : Blueprint.t) =
               (Digest.string
                  (cc_version compiler ^ "\x00c-backend\x00" ^ bp.Blueprint.key))
           in
-          Mutex.lock mu;
-          let memoized = Hashtbl.find_opt memo key in
-          Mutex.unlock mu;
           let dir = Jit.cache_dir () in
           let base = "bk_" ^ key in
           let so = Filename.concat dir (base ^ ".so") in
           let vecf = Filename.concat dir (base ^ ".vec") in
-          match memoized with
-          | Some fn ->
-              Ok
-                {
-                  key;
-                  so;
-                  cached = true;
-                  disposition = Jit.Memo;
-                  compile_s = 0.0;
-                  vec_remarks = vec_remarks_of vecf;
-                  fn;
-                }
-          | None ->
-              Mutex.lock mu;
-              let finish r =
-                Mutex.unlock mu;
-                r
-              in
-              (* Re-probe under the lock: another thread may have
-                 loaded it while we waited. *)
-              finish
-                (match Hashtbl.find_opt memo key with
-                | Some fn ->
+          let memo_hit (fn, vec_remarks) =
+            Ok
+              {
+                key;
+                so;
+                cached = true;
+                disposition = Jit.Memo;
+                compile_s = 0.0;
+                vec_remarks;
+                fn;
+              }
+          in
+          let build () =
+            mkdirs dir;
+            let on_disk = Sys.file_exists so in
+            let t0 = Unix.gettimeofday () in
+            let built =
+              if on_disk then Ok ()
+              else
+                match
+                  Emit_c.source ~unsafe:bp.Blueprint.unsafe
+                    ~shapes:bp.Blueprint.shapes ~name bp.Blueprint.block
+                with
+                | Error _ as e -> e
+                | Ok src ->
+                    Obs.span ~cat:"jit" "cc.compile"
+                      ~args:[ ("kernel", Obs.Str name); ("key", Obs.Str key) ]
+                    @@ fun () ->
+                    let c = Filename.concat dir (base ^ ".c") in
+                    let tmp = Filename.concat dir (base ^ ".tmp.so") in
+                    let errf = Filename.concat dir (base ^ ".err") in
+                    write_file c src;
+                    let cmd extra =
+                      Printf.sprintf
+                        "%s -std=c99 -O2 -shared -fPIC -ffp-contract=off%s \
+                         -o %s %s -lm 2> %s"
+                        (Filename.quote compiler) extra (Filename.quote tmp)
+                        (Filename.quote c) (Filename.quote errf)
+                    in
+                    incr invocation_count;
+                    Obs.Metrics.incr (Lazy.force invocation_counter);
+                    (* First attempt asks for the vectorization report;
+                       compilers that reject the flag (it is a GCC
+                       spelling) get a clean retry without it. *)
+                    (try Sys.remove vecf with Sys_error _ -> ());
+                    let rc =
+                      match
+                        Sys.command
+                          (cmd (" -fopt-info-vec=" ^ Filename.quote vecf))
+                      with
+                      | 0 -> 0
+                      | _ ->
+                          (try Sys.remove vecf with Sys_error _ -> ());
+                          Sys.command (cmd "")
+                    in
+                    if rc <> 0 then
+                      Error
+                        (Printf.sprintf "%s: cc failed (exit %d): %s" name rc
+                           (first_lines (read_file errf)))
+                    else begin
+                      Sys.rename tmp so;
+                      Jit.prune_disk_cache ~keep:[ base ^ ".so" ] ();
+                      Ok ()
+                    end
+            in
+            let compile_s = Unix.gettimeofday () -. t0 in
+            match built with
+            | Error _ as e -> e
+            | Ok () -> (
+                match cc_load so with
+                | entry ->
+                    let fn = { entry; mf } in
+                    let vec_remarks = vec_remarks_of vecf in
+                    Hashtbl.replace memo key (fn, vec_remarks);
                     Ok
                       {
                         key;
                         so;
-                        cached = true;
-                        disposition = Jit.Memo;
-                        compile_s = 0.0;
-                        vec_remarks = vec_remarks_of vecf;
+                        cached = on_disk;
+                        disposition =
+                          (if on_disk then Jit.Disk else Jit.Compiled);
+                        compile_s;
+                        vec_remarks;
                         fn;
                       }
-                | None -> (
-                    mkdirs dir;
-                    let on_disk = Sys.file_exists so in
-                    let t0 = Unix.gettimeofday () in
-                    let built =
-                      if on_disk then Ok ()
-                      else
-                        match
-                          Emit_c.source ~unsafe:bp.Blueprint.unsafe
-                            ~shapes:bp.Blueprint.shapes ~name
-                            bp.Blueprint.block
-                        with
-                        | Error _ as e -> e
-                        | Ok src ->
-                            Obs.span ~cat:"jit" "cc.compile"
-                              ~args:
-                                [
-                                  ("kernel", Obs.Str name);
-                                  ("key", Obs.Str key);
-                                ]
-                            @@ fun () ->
-                            let c = Filename.concat dir (base ^ ".c") in
-                            let tmp = Filename.concat dir (base ^ ".tmp.so") in
-                            let errf = Filename.concat dir (base ^ ".err") in
-                            write_file c src;
-                            let cmd extra =
-                              Printf.sprintf
-                                "%s -std=c99 -O2 -shared -fPIC \
-                                 -ffp-contract=off%s -o %s %s -lm 2> %s"
-                                (Filename.quote compiler) extra
-                                (Filename.quote tmp) (Filename.quote c)
-                                (Filename.quote errf)
-                            in
-                            incr invocation_count;
-                            Obs.Metrics.incr (Lazy.force invocation_counter);
-                            (* First attempt asks for the vectorization
-                               report; compilers that reject the flag
-                               (it is a GCC spelling) get a clean retry
-                               without it. *)
-                            (try Sys.remove vecf with Sys_error _ -> ());
-                            let rc =
-                              match
-                                Sys.command
-                                  (cmd
-                                     (" -fopt-info-vec="
-                                     ^ Filename.quote vecf))
-                              with
-                              | 0 -> 0
-                              | _ ->
-                                  (try Sys.remove vecf
-                                   with Sys_error _ -> ());
-                                  Sys.command (cmd "")
-                            in
-                            if rc <> 0 then
-                              Error
-                                (Printf.sprintf "%s: cc failed (exit %d): %s"
-                                   name rc
-                                   (first_lines (read_file errf)))
-                            else begin
-                              (try Sys.rename tmp so
-                               with Sys_error m -> failwith m);
-                              Jit.prune_disk_cache ~keep:[ base ^ ".so" ] ();
-                              Ok ()
-                            end
-                    in
-                    let compile_s = Unix.gettimeofday () -. t0 in
-                    match built with
-                    | Error _ as e -> e
-                    | Ok () -> (
-                        match cc_load so with
-                        | entry ->
-                            let fn = { entry; mf } in
-                            Hashtbl.replace memo key fn;
-                            Ok
-                              {
-                                key;
-                                so;
-                                cached = on_disk;
-                                disposition =
-                                  (if on_disk then Jit.Disk else Jit.Compiled);
-                                compile_s;
-                                vec_remarks = vec_remarks_of vecf;
-                                fn;
-                              }
-                        | exception Failure m ->
-                            Error
-                              (Printf.sprintf "%s: dlopen failed: %s" name m)))))
-      )
+                | exception Failure m ->
+                    Error (Printf.sprintf "%s: dlopen failed: %s" name m))
+          in
+          Mutex.lock mu;
+          let memoized = Hashtbl.find_opt memo key in
+          Mutex.unlock mu;
+          match memoized with
+          | Some m -> memo_hit m
+          | None -> (
+              (* The lock is released on every exit, exceptions included
+                 (a cache directory that cannot be written raises), or
+                 every later C lookup would block on it. *)
+              Mutex.lock mu;
+              match
+                Fun.protect
+                  ~finally:(fun () -> Mutex.unlock mu)
+                  (fun () ->
+                    (* Re-probe under the lock: another thread may have
+                       loaded it while we waited. *)
+                    match Hashtbl.find_opt memo key with
+                    | Some m -> memo_hit m
+                    | None -> build ())
+              with
+              | r -> r
+              | exception e -> Error (name ^ ": " ^ Printexc.to_string e))))
 
 (* ---- execution --------------------------------------------------- *)
 

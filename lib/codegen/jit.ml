@@ -405,80 +405,91 @@ let compile_keyed ?ocamlopt ~name ~key (source : unit -> (string, string) result
                 fn;
               }
         | `Ours -> (
+            (* Whatever happens below, the key leaves [in_flight]: a
+               build that raised (say the cache directory cannot be
+               written) would otherwise leave every later request for
+               it waiting on [built_cond] forever. *)
             let release () =
               Mutex.lock mu;
               Hashtbl.remove in_flight key;
               Condition.broadcast built_cond;
               Mutex.unlock mu
             in
-            let dir = cache_dir () in
-            mkdirs dir;
-            let base = "bk_" ^ key in
-            let ml = Filename.concat dir (base ^ ".ml") in
-            let cmxs = Filename.concat dir (base ^ ".cmxs") in
-            let on_disk = Sys.file_exists cmxs in
-            let t0 = Unix.gettimeofday () in
-            let built =
-              if on_disk then Ok ()
-              else
-                match source () with
-                | Error _ as e -> e
-                | Ok source ->
-                    Obs.span ~cat:"jit" "jit.compile"
-                      ~args:[ ("kernel", Obs.Str name); ("key", Obs.Str key) ]
-                    @@ fun () ->
-                    write_file ml source;
-                    let tmp = Filename.concat dir (base ^ ".tmp.cmxs") in
-                    let errf = Filename.concat dir (base ^ ".err") in
-                    let cmd =
-                      Printf.sprintf "%s -shared -w -a -o %s %s 2> %s"
-                        (Filename.quote compiler) (Filename.quote tmp)
-                        (Filename.quote ml) (Filename.quote errf)
-                    in
-                    Mutex.lock mu;
-                    incr invocations;
-                    Mutex.unlock mu;
-                    let rc = Sys.command cmd in
-                    if rc <> 0 then
-                      Error
-                        (Printf.sprintf "%s: ocamlopt failed (exit %d): %s" name
-                           rc
-                           (first_lines (read_file errf)))
-                    else begin
-                      (try Sys.rename tmp cmxs with Sys_error m -> failwith m);
-                      prune_disk_cache ~keep:[ base ^ ".cmxs" ] ();
-                      Ok ()
-                    end
+            let build () =
+              let dir = cache_dir () in
+              mkdirs dir;
+              let base = "bk_" ^ key in
+              let ml = Filename.concat dir (base ^ ".ml") in
+              let cmxs = Filename.concat dir (base ^ ".cmxs") in
+              let on_disk = Sys.file_exists cmxs in
+              let t0 = Unix.gettimeofday () in
+              let built =
+                if on_disk then Ok ()
+                else
+                  match source () with
+                  | Error _ as e -> e
+                  | Ok source ->
+                      Obs.span ~cat:"jit" "jit.compile"
+                        ~args:[ ("kernel", Obs.Str name); ("key", Obs.Str key) ]
+                      @@ fun () ->
+                      write_file ml source;
+                      let tmp = Filename.concat dir (base ^ ".tmp.cmxs") in
+                      let errf = Filename.concat dir (base ^ ".err") in
+                      let cmd =
+                        Printf.sprintf "%s -shared -w -a -o %s %s 2> %s"
+                          (Filename.quote compiler) (Filename.quote tmp)
+                          (Filename.quote ml) (Filename.quote errf)
+                      in
+                      Mutex.lock mu;
+                      incr invocations;
+                      Mutex.unlock mu;
+                      let rc = Sys.command cmd in
+                      if rc <> 0 then
+                        Error
+                          (Printf.sprintf "%s: ocamlopt failed (exit %d): %s"
+                             name rc
+                             (first_lines (read_file errf)))
+                      else begin
+                        Sys.rename tmp cmxs;
+                        prune_disk_cache ~keep:[ base ^ ".cmxs" ] ();
+                        Ok ()
+                      end
+              in
+              let compile_s = Unix.gettimeofday () -. t0 in
+              match built with
+              | Error _ as e -> e
+              | Ok () -> (
+                  match load ~name cmxs with
+                  | Error _ as e -> e
+                  | Ok fn ->
+                      Ok
+                        {
+                          key;
+                          cmxs;
+                          cached = on_disk;
+                          disposition = (if on_disk then Disk else Compiled);
+                          compile_s;
+                          fn;
+                        })
             in
-            let compile_s = Unix.gettimeofday () -. t0 in
-            match built with
+            match build () with
+            | exception e ->
+                release ();
+                Error (name ^ ": " ^ Printexc.to_string e)
             | Error _ as e ->
                 release ();
                 e
-            | Ok () -> (
-                match load ~name cmxs with
-                | Error _ as e ->
-                    release ();
-                    e
-                | Ok fn ->
-                    Mutex.lock mu;
-                    memo_insert key fn;
-                    if on_disk then begin
-                      incr disk_hit_count;
-                      Obs.Metrics.incr (Lazy.force disk_hit_counter)
-                    end;
-                    Hashtbl.remove in_flight key;
-                    Condition.broadcast built_cond;
-                    Mutex.unlock mu;
-                    Ok
-                      {
-                        key;
-                        cmxs;
-                        cached = on_disk;
-                        disposition = (if on_disk then Disk else Compiled);
-                        compile_s;
-                        fn;
-                      })))
+            | Ok l ->
+                Mutex.lock mu;
+                memo_insert key l.fn;
+                if l.cached then begin
+                  incr disk_hit_count;
+                  Obs.Metrics.incr (Lazy.force disk_hit_counter)
+                end;
+                Hashtbl.remove in_flight key;
+                Condition.broadcast built_cond;
+                Mutex.unlock mu;
+                Ok l))
 
 let compile ?ocamlopt ~name source =
   let key =

@@ -42,10 +42,9 @@ type event = {
 (** Trace context: the request-scoped identity that stitches spans
     emitted on different domains into one trace.  A context is
     domain-local and propagated {e explicitly} across hops: the serve
-    reader creates a {!fresh} root per request, {!Jobq.push} captures
-    the submitter's context into the queued item, the worker lane
-    restores it, and {!Parallel.for_} re-installs the caller's context
-    in every lane (each chunk span then forks a child id).  [Obs.span]
+    lane that takes a request line installs a {!fresh} root for it, and
+    {!Parallel.for_} re-installs the caller's context in every lane
+    that runs a chunk (each chunk span then forks a child id).  [Obs.span]
     under an active context forks a child span id automatically, so
     Begin/End events carry their own identity plus their parent's. *)
 module Ctx : sig

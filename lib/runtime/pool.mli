@@ -6,9 +6,17 @@
     spawning a domain costs ~10-100us, far too much to pay per trailing
     update, so the workers park on a condition variable between regions.
 
-    Pools are not reentrant: calling {!run} from inside a running region
-    degrades gracefully to executing the thunk serially on the calling
-    lane. *)
+    {b Nested regions.}  A {!run} called from inside a region of the
+    same pool (by one of its lanes) is {e nested}: the calling lane runs
+    the thunk at once, and every other lane of the pool that is parked
+    in {!await} joins it and runs it too.  Lanes that are busy elsewhere
+    do not join, so a nested region with no idle lane runs serially on
+    the calling lane.  This is how a long-lived region whose lanes wait
+    for outside input (the serve daemon's request lanes) shares one
+    lane's [Parallel.for_] with the lanes that have nothing to do.
+
+    A {!run} from outside the pool while another thread's region is
+    running executes the thunk serially on the calling lane. *)
 
 type t
 
@@ -40,7 +48,22 @@ val run : t -> (unit -> unit) -> unit
     returns when all lanes have finished.  [f] is expected to
     self-schedule its share of the work (see {!Parallel.for_}).  If any
     lane raises, one of the exceptions is re-raised in the caller after
-    all lanes have finished. *)
+    all lanes have finished.  Nested inside a region of [t], [f] runs
+    on the calling lane and on the lanes parked in {!await} instead. *)
+
+val await : t -> (unit -> 'a option) -> 'a
+(** [await t poll] parks the calling lane until [poll ()] returns
+    [Some x], and returns [x].  While parked, the lane joins every
+    nested {!run} another lane of [t] opens, once each.  [poll] runs
+    with the pool's lock held, and the state it reads is changed only
+    through {!wake}, under the same lock.  [poll] must be short and
+    must not call back into [t].
+    @raise Invalid_argument unless the caller is a lane running a
+    region of [t] (or [t] has one lane). *)
+
+val wake : t -> (unit -> bool) -> unit
+(** [wake t f] runs [f] with the pool's lock held; if it returns [true],
+    every lane parked in {!await} runs its [poll] again. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  The pool remains usable: the

@@ -1,4 +1,4 @@
-(* NDJSON compile/execute server on the domain pool: see serve.mli. *)
+(* NDJSON compile/execute server on its request lanes: see serve.mli. *)
 
 module J = Json_min
 
@@ -523,11 +523,6 @@ let batch_items entry req =
 
 let batch_size_metric = Obs.Metrics.histogram "serve.batch_size"
 
-(* [Pool.run] regions on one pool must not overlap, and two request
-   lanes could otherwise dispatch batches concurrently onto the shared
-   default pool — serialize the fan-out, not the compile. *)
-let batch_mu = Mutex.create ()
-
 let handle_batch ~exec_pool ~tm ?id req =
   match (kernel_of req, variant_of req, backend_of req) with
   | Error m, _, _ | _, Error m, _ | _, _, Error m -> errorf ?id "%s" m
@@ -552,29 +547,31 @@ let handle_batch ~exec_pool ~tm ?id req =
                     ("n", Obs.Int n);
                   ]
                 (fun () ->
-                  Mutex.lock batch_mu;
-                  Fun.protect
-                    ~finally:(fun () -> Mutex.unlock batch_mu)
-                    (fun () ->
-                      Parallel.for_ ~pool:exec_pool ~lo:0 ~hi:(n - 1)
-                        (fun clo chi ->
-                          for i = clo to chi do
-                            (* Per-item timing + GC delta, measured on
-                               the executing lane (quick_stat counters
-                               are domain-local; slot i has a single
-                               writer). *)
-                            results.(i) <-
-                              (try
-                                 let g0 = gc_probe () in
-                                 match run_one c ~bindings:items.(i) ~seed with
-                                 | Error _ as e -> e
-                                 | Ok (digest, dt) ->
-                                     let g1 = gc_probe () in
-                                     let itm = new_timing () in
-                                     record_gc_delta itm g0 g1;
-                                     Ok (digest, dt, itm)
-                               with e -> Error (Printexc.to_string e))
-                          done)));
+                  (* Item costs grow as n^3, so equal halves would leave
+                     one lane waiting on the other: lanes claim shrinking
+                     chunks, down to single items.  In the daemon
+                     [exec_pool] is the request lanes' own pool, and the
+                     lanes parked waiting for a line join this region. *)
+                  Parallel.for_ ~pool:exec_pool
+                    ~chunking:(Parallel.Guided { min_chunk = 1 })
+                    ~lo:0 ~hi:(n - 1)
+                    (fun clo chi ->
+                      for i = clo to chi do
+                        (* Per-item timing + GC delta, measured on the
+                           executing lane (quick_stat counters are
+                           domain-local; slot i has a single writer). *)
+                        results.(i) <-
+                          (try
+                             let g0 = gc_probe () in
+                             match run_one c ~bindings:items.(i) ~seed with
+                             | Error _ as e -> e
+                             | Ok (digest, dt) ->
+                                 let g1 = gc_probe () in
+                                 let itm = new_timing () in
+                                 record_gc_delta itm g0 g1;
+                                 Ok (digest, dt, itm)
+                           with e -> Error (Printexc.to_string e))
+                      done));
               let run_s = Unix.gettimeofday () -. t0 in
               (* whole-fan-out wall time: per-item adds would race *)
               tm.t_exec_ns <- tm.t_exec_ns + int_of_float (run_s *. 1e9);
@@ -748,9 +745,9 @@ let handle_dump ?id () =
 
 let handle_request ?(queue_ns = 0) ~exec_pool req =
   let id = request_id req in
-  (* Every request runs under a trace context: the one the reader
-     attached at enqueue time (restored by the Jobq hop), or a fresh
-     root when the handler is driven directly. *)
+  (* Every request runs under a trace context: the fresh root the lane
+     installed when it took the line, or a fresh root when the handler
+     is driven directly. *)
   let ctx =
     match Obs.Ctx.current () with
     | Some _ as c -> c
@@ -837,8 +834,62 @@ let is_shutdown line =
   | Ok req -> str_field req "op" = Some "shutdown"
   | Error _ -> false
 
-let run_channel ~qpool ~exec_pool ic oc =
-  let q = Jobq.create ~name:"serve" () in
+(* Lines read but not yet taken by a lane, stamped with their read
+   time.  The reader thread pushes and closes; lanes take through
+   [Pool.await].  The lanes' pool guards it: [take] polls under the
+   pool's lock, and every change goes through [Pool.wake]. *)
+type inbox = {
+  lines : (int * string) Queue.t;
+  mutable closed : bool; (* no line will be pushed any more *)
+  mutable handling : int; (* lines taken and not yet answered *)
+}
+
+let depth_gauge =
+  Obs.Metrics.gauge
+    ~help:"Items currently enqueued (set on every push and take)"
+    "serve.depth"
+
+let queue_wait_timer =
+  Obs.Metrics.timer ~help:"Time items spent queued before a consumer took them"
+    "serve.queue_wait"
+
+(* [Some (Some line)]: a line to handle; [Some None]: input is over and
+   every line is answered; [None]: nothing yet.  A lane without a line
+   stays parked until the last request is answered, so it can still
+   join that request's batch. *)
+let take inbox () =
+  match Queue.take_opt inbox.lines with
+  | Some l ->
+      inbox.handling <- inbox.handling + 1;
+      Obs.Metrics.set_gauge depth_gauge (Queue.length inbox.lines);
+      Some (Some l)
+  | None -> if inbox.closed && inbox.handling = 0 then Some None else None
+
+(* The reader: a systhread on the calling (lane 0) domain, so it adds no
+   domain to the stop-the-world set.  [input_line] releases the domain
+   lock while it blocks; a line that arrives while lane 0 runs OCaml
+   code waits for lane 0 to yield (at most one tick).  It stops at EOF
+   or after a shutdown line, leaving the rest of the input unread. *)
+let read_lines lanes inbox ic =
+  let close () = Pool.wake lanes (fun () -> inbox.closed <- true; true) in
+  let rec loop () =
+    match input_line ic with
+    | exception (End_of_file | Sys_error _) -> close ()
+    | line ->
+        let line = String.trim line in
+        if line = "" then loop ()
+        else begin
+          Pool.wake lanes (fun () ->
+              Queue.push (Obs.now_ns (), line) inbox.lines;
+              Obs.Metrics.set_gauge depth_gauge (Queue.length inbox.lines);
+              true);
+          if is_shutdown line then close () else loop ()
+        end
+  in
+  loop ()
+
+let run_channel lanes ic oc =
+  let inbox = { lines = Queue.create (); closed = false; handling = 0 } in
   let out_mu = Mutex.create () in
   let stopping = Atomic.make false in
   let respond s =
@@ -848,37 +899,13 @@ let run_channel ~qpool ~exec_pool ic oc =
     flush oc;
     Mutex.unlock out_mu
   in
-  let reader =
-    Domain.spawn (fun () ->
-        let rec loop () =
-          match input_line ic with
-          | exception End_of_file -> Jobq.close q
-          | line ->
-              let line = String.trim line in
-              if line = "" then loop ()
-              else begin
-                (* Each request line gets a fresh root trace context;
-                   [Jobq.push] captures it, the worker lane restores it,
-                   so the queue hop stays on the request's trace.  The
-                   payload carries the enqueue stamp for the response's
-                   queue_ns. *)
-                Obs.Ctx.with_ctx
-                  (Some (Obs.Ctx.fresh ()))
-                  (fun () -> Jobq.push q (Obs.now_ns (), line));
-                (* Stop reading past a shutdown so the pipe's remaining
-                   bytes (if any) are left alone and the lanes drain
-                   out. *)
-                if is_shutdown line then Jobq.close q else loop ()
-              end
-        in
-        loop ())
-  in
-  (* Lane utilization: each lane of this connection accumulates its
-     request-handling wall time into a cumulative per-lane gauge, so a
-     scraper can diff successive values against wall clock.  Lane ids
-     come from a dispenser — Pool lanes have no public index here. *)
+  let reader = Thread.create (read_lines lanes inbox) ic in
+  (* Lane utilization: each lane accumulates its request-handling wall
+     time into a cumulative per-lane gauge, so a scraper can diff
+     successive values against wall clock.  Lane ids come from a
+     dispenser — Pool lanes have no public index. *)
   let lane_ids = Atomic.make 0 in
-  Pool.run qpool (fun () ->
+  Pool.run lanes (fun () ->
       let lane = Atomic.fetch_and_add lane_ids 1 in
       let busy_gauge =
         Obs.Metrics.gauge
@@ -886,15 +913,34 @@ let run_channel ~qpool ~exec_pool ic oc =
           (Obs.Metrics.labelled "serve.lane_busy_ns"
              [ ("lane", string_of_int lane) ])
       in
-      Jobq.drain q (fun (enqueued_ns, line) ->
-          let queue_ns = max 0 (Obs.now_ns () - enqueued_ns) in
-          let t0 = Obs.now_ns () in
-          let resp, stop = handle_line ~queue_ns ~exec_pool line in
-          Obs.Metrics.set_gauge busy_gauge
-            (Obs.Metrics.gauge_value busy_gauge + (Obs.now_ns () - t0));
-          if stop then Atomic.set stopping true;
-          respond resp));
-  Domain.join reader;
+      let rec loop () =
+        match Pool.await lanes (take inbox) with
+        | None -> ()
+        | Some (read_ns, line) ->
+            (* the last answer releases the parked lanes, even if
+               writing it failed *)
+            Fun.protect
+              ~finally:(fun () ->
+                Pool.wake lanes (fun () ->
+                    inbox.handling <- inbox.handling - 1;
+                    inbox.closed && inbox.handling = 0))
+              (fun () ->
+                let t0 = Obs.now_ns () in
+                let queue_ns = max 0 (t0 - read_ns) in
+                Obs.Metrics.record_ns queue_wait_timer queue_ns;
+                let resp, stop =
+                  Obs.Ctx.with_ctx
+                    (Some (Obs.Ctx.fresh ()))
+                    (fun () -> handle_line ~queue_ns ~exec_pool:lanes line)
+                in
+                Obs.Metrics.set_gauge busy_gauge
+                  (Obs.Metrics.gauge_value busy_gauge + (Obs.now_ns () - t0));
+                if stop then Atomic.set stopping true;
+                respond resp);
+            loop ()
+      in
+      loop ());
+  Thread.join reader;
   Atomic.get stopping
 
 (* The daemon always serves with metrics on (the metrics op is useless
@@ -912,11 +958,9 @@ let enable_telemetry () =
 
 let run_stdio ?(workers = 2) () =
   enable_telemetry ();
-  let qpool = Pool.create ~name:"serve" ~domains:(max 1 workers) () in
-  let (_ : bool) =
-    run_channel ~qpool ~exec_pool:(Pool.default ()) stdin stdout
-  in
-  Pool.shutdown qpool
+  let lanes = Pool.create ~name:"serve" ~domains:workers () in
+  let (_ : bool) = run_channel lanes stdin stdout in
+  Pool.shutdown lanes
 
 (* A leftover socket file from a crashed daemon would make every
    restart fail with EADDRINUSE, but blindly unlinking would silently
@@ -946,13 +990,12 @@ let run_socket ?(workers = 2) path =
   enable_telemetry ();
   claim_socket_path path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let qpool = Pool.create ~name:"serve" ~domains:(max 1 workers) () in
-  let exec_pool = Pool.default () in
+  let lanes = Pool.create ~name:"serve" ~domains:workers () in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
       (try Sys.remove path with Sys_error _ -> ());
-      Pool.shutdown qpool)
+      Pool.shutdown lanes)
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 8;
@@ -960,7 +1003,7 @@ let run_socket ?(workers = 2) path =
         let fd, _ = Unix.accept sock in
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
-        let stopped = run_channel ~qpool ~exec_pool ic oc in
+        let stopped = run_channel lanes ic oc in
         (try close_out oc with Sys_error _ -> ());
         if not stopped then accept_loop ()
       in

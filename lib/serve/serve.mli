@@ -1,13 +1,14 @@
-(** [blockc serve]: a batched compile/execute request server on the
-    domain pool.
+(** [blockc serve]: a batched compile/execute request server on a
+    fixed set of request lanes.
 
     The protocol is newline-delimited JSON: one request object per
     line, one response object per line.  Responses carry the request's
     ["id"] verbatim (any JSON value) and may arrive out of order —
-    requests are distributed over a {!Pool} of worker domains through a
-    {!Jobq}, so concurrent clients match responses by id, not by
-    position.  Every response has ["ok"]: [true] plus op-specific
-    fields, or [false] plus ["error"].
+    requests are taken by whichever of the {!Pool}'s lanes is free, so
+    concurrent clients match responses by id, not by position.  With
+    one lane, responses come in request order.  Every response has
+    ["ok"]: [true] plus op-specific fields, or [false] plus
+    ["error"].
 
     Requests select an operation with ["op"]:
 
@@ -40,10 +41,12 @@
     - [batch
        {"kernel","variant","seed","backend"?,"bindings_list"|"sizes"}] —
       many executions of one blueprint as a single dispatch: compile
-      once, then fan the items out across the default pool's domains
-      ({!Parallel.for_}).  ["bindings_list"] is an array of binding
-      objects; ["sizes"] is shorthand binding every kernel parameter to
-      the given integer.  Replies with one digest per item, in request
+      once, then fan the items out over the execution pool
+      ({!Parallel.for_}, guided chunks down to one item; in the daemon
+      that pool is the request lanes, and idle lanes join the
+      fan-out).  ["bindings_list"] is an array of binding objects;
+      ["sizes"] is shorthand binding every kernel parameter to the
+      given integer.  Replies with one digest per item, in request
       order (results are deterministic: each item runs in its own
       environment), plus an ["items"] array giving each item's wall
       time (["ns"]) and GC deltas (["minor_gcs"], ["major_gcs"],
@@ -80,11 +83,11 @@
     ["trace_id"] (the request's trace context in hex — the same id its
     spans carry in any installed sink, so a Chrome trace of a [batch]
     fan-out connects to the response that triggered it) and a
-    ["server"] timing breakdown: ["queue_ns"] (time queued between the
-    reader and a worker lane), ["compile_ns"] (blueprint normalize +
+    ["server"] timing breakdown: ["queue_ns"] (time between reading the
+    line and a lane taking it), ["compile_ns"] (blueprint normalize +
     JIT, ~0 on memo hits), ["exec_ns"] (native run / batch fan-out
     wall), ["total_ns"] (queue + handling), and the request's GC
-    deltas captured around handling on the worker lane:
+    deltas captured around handling on the request lane:
     ["minor_gcs"], ["major_gcs"], ["promoted_words"],
     ["allocated_words"] (collection counts from [Gc.quick_stat], word
     counts from [Gc.counters] — the variant that stays exact in native
@@ -112,10 +115,11 @@
     v}
 
     Observability: each request runs under its own {!Obs.Ctx} trace
-    (created by the reader, carried across the {!Jobq} hop, re-installed
-    in {!Parallel.for_} lanes) inside a ["serve.request"] span; queue
-    wait is the [serve.queue_wait] timer / [serve.depth] gauge (from
-    the {!Jobq}); request latency lands in the [serve.request.ns]
+    (a fresh root installed by the lane that takes the line,
+    re-installed in every {!Parallel.for_} lane) inside a
+    ["serve.request"] span; lines read but not yet taken are the
+    [serve.depth] gauge, and their wait is the [serve.queue_wait]
+    timer; request latency lands in the [serve.request.ns]
     log-linear histograms (overall and per op); failures increment the
     labelled [serve.errors] counters ([class="parse" | "missing_op" |
     "unknown_op" | "request" | "internal"]); batch fan-out sizes land
@@ -138,14 +142,19 @@ val handle_line : ?queue_ns:int -> exec_pool:Pool.t -> string -> string * bool
     newline).  Malformed JSON yields an ["ok":false] response, never an
     exception. *)
 
-val run_channel : qpool:Pool.t -> exec_pool:Pool.t -> in_channel -> out_channel -> bool
-(** Serve one connection: a reader domain feeds a {!Jobq} drained by
-    [qpool]'s lanes, responses are written mutex-serialized.  Returns
-    when the input reaches EOF or a [shutdown] request was processed
-    (then [true]). *)
+val run_channel : Pool.t -> in_channel -> out_channel -> bool
+(** Serve one connection on the pool's lanes, which are the only
+    domains it uses.  A reader thread on the calling domain reads lines
+    and stops at EOF or after a [shutdown] line; each lane takes the
+    next line read ({!Pool.await}) and, while there is none, joins the
+    batch fan-out another lane opened — the pool is also the batch
+    [exec_pool].  Responses are written mutex-serialized.  Returns once
+    every line read is answered: [true] if a [shutdown] was processed. *)
 
 val run_stdio : ?workers:int -> unit -> unit
-(** Serve stdin/stdout with [workers] (default 2) request lanes. *)
+(** Serve stdin/stdout on [workers] (default 2) request lanes: the
+    calling domain plus [workers - 1] spawned domains.
+    [BLOCKABILITY_DOMAINS] plays no part. *)
 
 val run_socket : ?workers:int -> string -> unit
 (** Bind a Unix-domain socket at the given path and serve connections

@@ -32,6 +32,29 @@ let with_private_cache f =
   Unix.putenv "BLOCKC_JIT_CACHE" tmp;
   Fun.protect ~finally:(fun () -> Unix.putenv "BLOCKC_JIT_CACHE" saved) f
 
+(* [f ()] on another thread, failing the test if it has not returned
+   within [s] seconds: a compile that blocks forever fails the test
+   instead of hanging the suite. *)
+let within ~s what f =
+  let result = Atomic.make None in
+  let (_ : Thread.t) =
+    Thread.create
+      (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. s in
+  let rec wait () =
+    match Atomic.get result with
+    | Some (Ok v) -> v
+    | Some (Error e) -> raise e
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "%s: still blocked after %.0f s" what s;
+        Thread.delay 0.01;
+        wait ()
+  in
+  wait ()
+
 (* Fresh kernel-shaped environments for hand-rolled blocks. *)
 let simple_env ~n =
   let env = Env.create () in
@@ -422,6 +445,64 @@ let suite =
                 (Filename.check_suffix l1.Cc.so ".so");
               check_bool "disk stats count .so" true
                 ((Jit.disk_stats ()).Jit.entries >= 1)));
+      case "C memo hits keep the vectorization remarks" (fun () ->
+          require_cc ();
+          with_private_cache (fun () ->
+              (* two scalar results: their write-back is one vector store *)
+              let bp =
+                Blueprint.of_block
+                  [ B.setf "S" (B.fc 13.0625); B.setf "T" (B.fc 14.0625) ]
+              in
+              let compile () =
+                ok_or_fail "compile" (Cc.compile_blueprint ~name:"remarks" bp)
+              in
+              let l1 = compile () in
+              check_bool "the compiler reported vectorized code" true
+                (l1.Cc.vec_remarks <> []);
+              Sys.remove
+                (Filename.concat (Jit.cache_dir ())
+                   ("bk_" ^ l1.Cc.key ^ ".vec"));
+              let l2 = compile () in
+              check_bool "memo hit" true (l2.Cc.disposition = Jit.Memo);
+              check_bool "same remarks without the .vec file" true
+                (l2.Cc.vec_remarks = l1.Cc.vec_remarks)));
+      case "a build that raises leaves no backend wedged" (fun () ->
+          require_native ();
+          require_cc ();
+          let saved = Jit.cache_dir () in
+          (* a cache directory below a regular file: writing the source
+             raises Sys_error *)
+          let file = Filename.temp_file "blockc-wedge-test" "" in
+          Unix.putenv "BLOCKC_JIT_CACHE" (Filename.concat file "cache");
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.putenv "BLOCKC_JIT_CACHE" saved;
+              try Sys.remove file with Sys_error _ -> ())
+          @@ fun () ->
+          let bp =
+            Blueprint.of_block [ Stmt.Assign ("S", [], B.fc 11.0625) ]
+          in
+          let ocaml () =
+            Result.map ignore (Jit.compile_blueprint ~name:"wedge" bp)
+          in
+          let c () =
+            Result.map ignore (Cc.compile_blueprint ~name:"wedge" bp)
+          in
+          List.iter
+            (fun (what, compile) ->
+              for i = 1 to 2 do
+                let what = Printf.sprintf "%s call %d" what i in
+                check_bool (what ^ " is an Error") true
+                  (Result.is_error (within ~s:10.0 what compile))
+              done)
+            [ ("ocaml", ocaml); ("c", c) ];
+          (* fixed: the same directory can now be created *)
+          Sys.remove file;
+          List.iter
+            (fun (what, compile) ->
+              check_bool (what ^ " compiles once fixed") true
+                (Result.is_ok (within ~s:60.0 what compile)))
+            [ ("ocaml", ocaml); ("c", c) ]);
       case "backend registry resolves tags" (fun () ->
           check_bool "ocaml" true (Option.is_some (Backend.of_tag "ocaml"));
           check_bool "c" true (Option.is_some (Backend.of_tag "c"));

@@ -181,58 +181,62 @@ let default_pool_respects_env () =
   check_int "explicit size respected" 3 (Pool.size (Pool.create ~domains:3 ()));
   check_int "non-positive clamped" 1 (Pool.size (Pool.create ~domains:0 ()))
 
-(* Jobq observability wiring: the [<name>.depth] gauge must agree with
-   [Queue.length] at every quiescent point (pushes and takes both set
-   it under the queue mutex), and [<name>.queue_wait] must record one
-   non-negative sample per consumed item even when producers and
-   consumers sit on different domains. *)
-let jobq_metrics_wiring () =
-  Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Obs.Metrics.reset ())
-  @@ fun () ->
-  Obs.Metrics.reset ();
-  let q = Jobq.create ~name:"testq" () in
-  let depth = Obs.Metrics.gauge "testq.depth" in
-  let wait = Obs.Metrics.timer "testq.queue_wait" in
-  for i = 1 to 5 do
-    Jobq.push q i;
-    check_bool "depth gauge matches length after push" true
-      (Obs.Metrics.gauge_value depth = Jobq.length q)
-  done;
-  check_bool "peak saw the high-water mark" true
-    (Obs.Metrics.gauge_peak depth = 5);
-  for _ = 1 to 2 do
-    ignore (Jobq.pop q);
-    check_bool "depth gauge matches length after take" true
-      (Obs.Metrics.gauge_value depth = Jobq.length q)
-  done;
-  (* concurrent push/drain: 2 producer and 2 consumer domains *)
-  let total = 400 in
-  let consumed = Atomic.make 0 in
-  let producers =
-    List.init 2 (fun p ->
-        Domain.spawn (fun () ->
-            for i = 1 to total / 2 do
-              Jobq.push q ((p * total) + i)
-            done))
+(* A nested [Parallel.for_], opened by one lane of a region, is joined
+   by the other lanes parked in [Pool.await] — the serve daemon's shape
+   — and computes bitwise what the serial loop does.  The opener's
+   chunks hold until another lane has run one, so the join is observed
+   rather than raced; the deadline turns a missing join into a failure,
+   not a hang. *)
+let nested_for_joined_by_idle_lanes () =
+  let n = 96 in
+  let body out s e =
+    for i = s to e do
+      let x = ref (float_of_int i) in
+      for _ = 1 to 40 do
+        x := (sin !x *. 1.5) +. 0.25
+      done;
+      out.(i) <- !x
+    done
   in
-  let consumers =
-    List.init 2 (fun _ ->
-        Domain.spawn (fun () -> Jobq.drain q (fun _ -> Atomic.incr consumed)))
-  in
-  List.iter Domain.join producers;
-  Jobq.close q;
-  List.iter Domain.join consumers;
-  check_bool "every item consumed" true (Atomic.get consumed = total + 3);
-  check_bool "queue empty after the drain" true (Jobq.length q = 0);
-  check_bool "depth gauge settles at 0 with the queue" true
-    (Obs.Metrics.gauge_value depth = 0);
-  check_bool "one queue_wait sample per consumed item" true
-    (Obs.Metrics.calls wait = total + 5);
-  check_bool "waits are non-negative across domains" true
-    (Obs.Metrics.total_ns wait >= 0)
+  let serial = Array.make n 0.0 in
+  body serial 0 (n - 1);
+  List.iter
+    (fun d ->
+      with_pool d (fun pool ->
+          let out = Array.make n 0.0 in
+          let opener = Atomic.make (-1) in
+          let helped = Atomic.make false in
+          let finished = ref false in
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          Pool.run pool (fun () ->
+              let me = (Domain.self () :> int) in
+              if Atomic.compare_and_set opener (-1) me then begin
+                Parallel.for_ ~pool
+                  ~chunking:(Parallel.Guided { min_chunk = 1 })
+                  ~lo:0 ~hi:(n - 1)
+                  (fun s e ->
+                    if (Domain.self () :> int) <> me then Atomic.set helped true
+                    else if d > 1 then
+                      while
+                        (not (Atomic.get helped))
+                        && Unix.gettimeofday () < deadline
+                      do
+                        Domain.cpu_relax ()
+                      done;
+                    body out s e);
+                Pool.wake pool (fun () -> finished := true; true)
+              end
+              else
+                Pool.await pool (fun () ->
+                    if !finished then Some () else None));
+          check_bool
+            (Printf.sprintf "nested for_ bitwise equals serial (%d lanes)" d)
+            true (out = serial);
+          if d > 1 then
+            check_bool
+              (Printf.sprintf "an awaiting lane joined (%d lanes)" d)
+              true (Atomic.get helped)))
+    domain_counts
 
 let pool_lane_busy_accounting () =
   Obs.Metrics.set_enabled true;
@@ -282,6 +286,7 @@ let suite =
         gen_chunk_cfg chunks_partition;
       case "pool survives exceptions" pool_reusable_after_exception;
       case "pool sizing" default_pool_respects_env;
-      case "jobq depth gauge and wait timer wiring" jobq_metrics_wiring;
+      case "nested for_ is joined by lanes in Pool.await"
+        nested_for_joined_by_idle_lanes;
       case "pool per-lane busy accounting" pool_lane_busy_accounting;
     ] )

@@ -70,9 +70,169 @@ let streamed_digest_matches_marshal () =
   check "trisolve environment"
     (List.map (fun a -> (a, Env.farray_data env a)) e.Blockability.kernel.Kernel_def.traced)
 
+(* Serve [lines] with [Serve.run_channel] on a [lanes]-lane pool over
+   Unix pipes, as the daemon does stdin/stdout; returns the response
+   lines in the order they were written and whether a shutdown was
+   processed.  A thread drains the responses, so none can block on a
+   full pipe. *)
+let serve_over_pipes ~lanes lines =
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  let requests = Unix.out_channel_of_descr in_w in
+  List.iter (fun l -> output_string requests (l ^ "\n")) lines;
+  close_out requests;
+  let responses = Unix.in_channel_of_descr out_r in
+  let collected = ref [] in
+  let collector =
+    Thread.create
+      (fun () ->
+        try
+          while true do
+            collected := input_line responses :: !collected
+          done
+        with End_of_file -> ())
+      ()
+  in
+  let ic = Unix.in_channel_of_descr in_r in
+  let oc = Unix.out_channel_of_descr out_w in
+  let pool = Pool.create ~name:"lanes-test" ~domains:lanes () in
+  let stopped =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () -> Serve.run_channel pool ic oc)
+  in
+  close_out oc;
+  Thread.join collector;
+  close_in ic;
+  close_in responses;
+  (List.rev_map (fun l -> ok_or_fail "response parses" (Json_min.parse l))
+     !collected,
+   stopped)
+
+let id_of r =
+  match field "id" r with
+  | Some (Json_min.Number n) -> int_of_float n
+  | _ -> Alcotest.fail "response without a numeric id"
+
+let with_metrics f =
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ())
+  @@ fun () ->
+  Obs.Metrics.reset ();
+  f ()
+
+let lane_tests =
+  [
+    case "lanes: a ping after a cold compile is answered first" (fun () ->
+        require_native ();
+        (match Cc.available () with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "C backend unavailable: %s" m);
+        (* a private cache, and a (kernel, variant, backend) no other
+           test compiles: the compile runs cc *)
+        let saved = Jit.cache_dir () in
+        let tmp = Filename.temp_file "blockc-lanes-test" "" in
+        Sys.remove tmp;
+        Unix.putenv "BLOCKC_JIT_CACHE" tmp;
+        Fun.protect ~finally:(fun () -> Unix.putenv "BLOCKC_JIT_CACHE" saved)
+        @@ fun () ->
+        let resps, stopped =
+          serve_over_pipes ~lanes:2
+            [
+              {|{"id":1,"op":"compile","kernel":"cholesky","variant":"transformed","backend":"c"}|};
+              {|{"id":2,"op":"ping"}|};
+            ]
+        in
+        check_bool "no shutdown" false stopped;
+        check_bool "both answered, ping first" true
+          (List.map id_of resps = [ 2; 1 ]);
+        check_string "the compile was cold" "compiled"
+          (str "disposition" (List.nth resps 1)));
+    case "lanes: a batch runs on both lanes, digests as sequential" (fun () ->
+        require_native ();
+        with_metrics @@ fun () ->
+        let mem, events = Obs.memory () in
+        Obs.set_sink mem;
+        Fun.protect ~finally:(fun () -> Obs.set_sink Obs.null) @@ fun () ->
+        let sizes = [ 160; 96; 150; 100; 140; 110; 130; 120; 155; 105; 145;
+                      115; 135; 125; 158; 98 ] in
+        let sizes_json = String.concat "," (List.map string_of_int sizes) in
+        let resps, stopped =
+          serve_over_pipes ~lanes:2
+            [
+              Printf.sprintf {|{"id":1,"op":"batch","kernel":"lu","sizes":[%s]}|}
+                sizes_json;
+              {|{"id":2,"op":"shutdown"}|};
+            ]
+        in
+        check_bool "shutdown processed" true stopped;
+        (* lines read but not yet taken: the depth gauge and the wait
+           timer *)
+        let depth = Obs.Metrics.gauge "serve.depth" in
+        let wait = Obs.Metrics.timer "serve.queue_wait" in
+        check_bool "depth saw a queued line" true
+          (Obs.Metrics.gauge_peak depth >= 1);
+        check_int "depth settles at 0" 0 (Obs.Metrics.gauge_value depth);
+        check_int "one queue_wait sample per line" 2 (Obs.Metrics.calls wait);
+        check_bool "waits are non-negative across domains" true
+          (Obs.Metrics.total_ns wait >= 0);
+        let batch = List.find (fun r -> id_of r = 1) resps in
+        check_bool "batch ok" true (bool_field "ok" batch);
+        (* every domain that ran a chunk has a par.lane_busy_ns gauge *)
+        let busy_domains =
+          String.split_on_char '\n' (Obs.Metrics.prometheus ())
+          |> List.filter (fun l ->
+                 String.starts_with ~prefix:"blockc_par_lane_busy_ns{" l
+                 && not (String.ends_with ~suffix:" 0" l))
+        in
+        check_bool "two domains ran batch chunks" true
+          (List.length busy_domains >= 2);
+        (* the joining lane ran its chunks on the batch's trace *)
+        let trace = str "trace_id" batch in
+        let chunks =
+          List.filter
+            (fun (e : Obs.event) ->
+              e.kind = Obs.Begin && e.name = "par.chunk"
+              && Obs.Ctx.id_hex e.trace = trace)
+            (events ())
+        in
+        check_bool "chunk spans on two domain tracks" true
+          (List.length
+             (List.sort_uniq compare
+                (List.map (fun (e : Obs.event) -> e.track) chunks))
+          >= 2);
+        let sequential =
+          List.map
+            (fun n ->
+              str "digest"
+                (parsed
+                   (Printf.sprintf
+                      {|{"op":"execute","kernel":"lu","bindings":{"N":%d}}|} n)))
+            sizes
+        in
+        match field "digests" batch with
+        | Some (Json_min.Array ds) ->
+            List.iter2 (check_string "digest") sequential
+              (List.map (function Json_min.String s -> s | _ -> "?") ds)
+        | _ -> Alcotest.fail "no digests array");
+    case "lanes: a line after shutdown gets no answer" (fun () ->
+        let resps, stopped =
+          serve_over_pipes ~lanes:2
+            [
+              {|{"id":1,"op":"ping"}|};
+              {|{"id":2,"op":"shutdown"}|};
+              {|{"id":3,"op":"ping"}|};
+            ]
+        in
+        check_bool "shutdown processed" true stopped;
+        check_bool "ids before the shutdown answered once each" true
+          (List.sort compare (List.map id_of resps) = [ 1; 2 ]));
+  ]
+
 let suite =
   ( "serve",
-    [
+    lane_tests @ [
       case "streamed digest equals MD5 of Marshal.to_string"
         streamed_digest_matches_marshal;
       case "an empty-array binding is a request error, not internal"
