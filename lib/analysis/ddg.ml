@@ -15,6 +15,7 @@ let body_stmt_of_path (path : Stmt.path) =
   | _ -> None
 
 let build ~ctx (l : Stmt.loop) =
+  let w0 = Symbolic.work () in
   let deps = Dependence.all ~ctx [ Stmt.Loop l ] in
   let n = List.length l.body in
   let edges =
@@ -45,7 +46,8 @@ let build ~ctx (l : Stmt.loop) =
       edges
   in
   let sccs = Scc.compute ~n ~succ in
-  if Obs.enabled () then
+  if Obs.enabled () then begin
+    let w = Symbolic.work_since w0 in
     Obs.instant ~cat:"analysis" "ddg"
       ~args:
         [
@@ -56,7 +58,12 @@ let build ~ctx (l : Stmt.loop) =
           ( "recurrences",
             Obs.Int (List.length (List.filter (fun c -> List.length c > 1) sccs))
           );
-        ];
+          ("queries", Obs.Int w.Symbolic.queries);
+          ("cache_hits", Obs.Int w.cache_hits);
+          ("searches", Obs.Int w.searches);
+          ("search_steps", Obs.Int w.search_steps);
+        ]
+  end;
   { loop = l; n; edges; sccs }
 
 let scc_index g v =

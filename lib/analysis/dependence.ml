@@ -282,7 +282,11 @@ let between ~ctx (src : Ir_util.access) (snk : Ir_util.access) =
             :: !deps;
         List.rev !deps
 
+(* One proof session per graph: [between] rebuilds the same loop
+   context for every access pair, and the session lets those equal
+   contexts share their answers. *)
 let all ?(include_input = false) ~ctx block =
+  Symbolic.with_session @@ fun () ->
   let accs = Array.of_list (Ir_util.accesses block) in
   let n = Array.length accs in
   let deps = ref [] in

@@ -45,7 +45,8 @@ val between :
 
 val all :
   ?include_input:bool -> ctx:Symbolic.t -> Stmt.t list -> t list
-(** Dependences between all access pairs of the block. *)
+(** Dependences between all access pairs of the block, in one
+    {!Symbolic.with_session}. *)
 
 val carried_by : t -> Stmt.loop -> bool
 (** Is the dependence carried by this loop (physical identity against

@@ -1,6 +1,23 @@
-type t = { facts : Affine.t list; cache : (string, bool) Hashtbl.t }
+module Atbl = Hashtbl.Make (struct
+  type t = Affine.t
 
-let empty = { facts = []; cache = Hashtbl.create 64 }
+  let equal = Affine.equal
+  let hash = Affine.hash
+end)
+
+(* A context's proof cache: the answers proved under its fact list,
+   tagged with the domain that made it.  Only that domain reads or
+   writes the table; the tag and the table change together in one
+   field write. *)
+type cache = Unmade | Made of int * bool Atbl.t
+
+type t = {
+  facts : Affine.t list;  (* newest first: the search tries them in order *)
+  key : int;  (* hash of [facts], in order *)
+  mutable cache : cache;  (* made by the first query *)
+}
+
+let empty = { facts = []; key = 0; cache = Unmade }
 
 let add_fact t f =
   match Affine.is_const f with
@@ -10,7 +27,12 @@ let add_fact t f =
       t
   | None ->
       if List.exists (Affine.equal f) t.facts then t
-      else { facts = f :: t.facts; cache = Hashtbl.create 64 }
+      else
+        {
+          facts = f :: t.facts;
+          key = ((t.key * 65599) + Affine.hash f) land max_int;
+          cache = Unmade;
+        }
 
 let assume_nonneg t f = add_fact t f
 let assume_ge t a b = add_fact t (Affine.sub a b)
@@ -147,42 +169,183 @@ let with_loops_cases init loops =
 
 let of_loop_context loops = with_loops empty loops
 
+(* ---- Proof caches and sessions ------------------------------------ *)
+
+(* Contexts with equal fact lists, in order, answer every query alike:
+   the search below reads nothing else.  A session shares one cache
+   between such contexts — [Dependence.between] rebuilds the same
+   loop context for every access pair. *)
+module Ctbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let hash t = t.key
+  let equal a b = a.key = b.key && List.equal Affine.equal a.facts b.facts
+end)
+
+type work = {
+  queries : int;
+  cache_hits : int;
+  searches : int;
+  search_steps : int;
+}
+
+(* Per-domain prover state: the open session, if any, and cumulative
+   work counts.  Nothing here is reachable from another domain. *)
+type domain_state = {
+  domain : int;
+  mutable session : bool Atbl.t Ctbl.t option;
+  mutable queries : int;
+  mutable cache_hits : int;
+  mutable searches : int;
+  mutable search_steps : int;
+}
+
+let state =
+  Domain.DLS.new_key (fun () ->
+      {
+        domain = (Domain.self () :> int);
+        session = None;
+        queries = 0;
+        cache_hits = 0;
+        searches = 0;
+        search_steps = 0;
+      })
+
+let with_session f =
+  let st = Domain.DLS.get state in
+  match st.session with
+  | Some _ -> f ()
+  | None ->
+      st.session <- Some (Ctbl.create 16);
+      Fun.protect ~finally:(fun () -> st.session <- None) f
+
+let work () =
+  let st = Domain.DLS.get state in
+  {
+    queries = st.queries;
+    cache_hits = st.cache_hits;
+    searches = st.searches;
+    search_steps = st.search_steps;
+  }
+
+let work_since (w0 : work) =
+  let w = work () in
+  {
+    queries = w.queries - w0.queries;
+    cache_hits = w.cache_hits - w0.cache_hits;
+    searches = w.searches - w0.searches;
+    search_steps = w.search_steps - w0.search_steps;
+  }
+
+let queries_counter =
+  Obs.Metrics.counter ~help:"Prover queries (prove_nonneg calls)"
+    "symbolic.queries"
+
+let cache_hits_counter =
+  Obs.Metrics.counter ~help:"Prover queries answered from a proof cache"
+    "symbolic.cache_hits"
+
+let searches_counter =
+  Obs.Metrics.counter ~help:"Prover queries that ran the search"
+    "symbolic.searches"
+
+let search_steps_counter =
+  Obs.Metrics.counter ~help:"Residuals visited by prover searches"
+    "symbolic.search_steps"
+
+(* The cache [t]'s queries use on this domain: its own once made here;
+   else the session's table for its fact list, or a fresh table, which
+   becomes its own if it had none.  A cache made on another domain is
+   never touched. *)
+let answers st t =
+  match t.cache with
+  | Made (d, a) when d = st.domain -> a
+  | cache ->
+      let a =
+        match st.session with
+        | None -> Atbl.create 8
+        | Some s -> (
+            match Ctbl.find_opt s t with
+            | Some a -> a
+            | None ->
+                let a = Atbl.create 8 in
+                Ctbl.add s t a;
+                a)
+      in
+      (match cache with Unmade -> t.cache <- Made (st.domain, a) | Made _ -> ());
+      a
+
 (* Prove [e >= 0] by searching for a representation
    [e = c + sum(lambda_i * f_i)] with [c >= 0] and positive integer
    multipliers.  The search is variable-directed: it picks the first
    variable with a nonzero coefficient and considers only facts whose
    coefficient on that variable has the same sign (so subtraction
    reduces it), scaling to cancel the variable completely when the
-   coefficients divide.  Sound but incomplete; results are memoized per
-   context. *)
-let prove_nonneg t e =
+   coefficients divide.  Sound but incomplete.
+
+   [go] is monotone in depth ([go d e] implies [go (d+1) e], by
+   induction on [d]), so a residual that failed at depth [d] fails at
+   every smaller depth: [failed] keeps the largest failed depth of each
+   residual and prunes repeats.  The pruned calls would have returned
+   false, so the answer is the one the unpruned search gives. *)
+let search st facts e =
+  let failed = Atbl.create 16 in
+  let steps = ref 0 in
   let rec go depth e =
+    incr steps;
     match Affine.vars e with
     | [] -> Affine.constant e >= 0
     | v :: _ ->
         depth > 0
         &&
-        let ce = Affine.coeff e v in
-        List.exists
-          (fun f ->
-            let cf = Affine.coeff f v in
-            if cf = 0 || cf * ce < 0 then false
-            else
-              let lam =
-                if ce mod cf = 0 && ce / cf > 0 then ce / cf
-                else if abs cf <= abs ce then 1
-                else 0
-              in
-              lam > 0 && go (depth - 1) (Affine.sub e (Affine.scale lam f)))
-          t.facts
+        match Atbl.find_opt failed e with
+        | Some d when d >= depth -> false
+        | _ ->
+            let ce = Affine.coeff e v in
+            let r =
+              List.exists
+                (fun f ->
+                  let cf = Affine.coeff f v in
+                  if cf = 0 || cf * ce < 0 then false
+                  else
+                    let lam =
+                      if ce mod cf = 0 && ce / cf > 0 then ce / cf
+                      else if abs cf <= abs ce then 1
+                      else 0
+                    in
+                    lam > 0
+                    && go (depth - 1) (Affine.sub e (Affine.scale lam f)))
+                facts
+            in
+            if not r then Atbl.replace failed e depth;
+            r
   in
-  let key = Affine.to_string e in
-  match Hashtbl.find_opt t.cache key with
-  | Some r -> r
-  | None ->
-      let r = go 8 e in
-      Hashtbl.add t.cache key r;
-      r
+  let r = go 8 e in
+  st.searches <- st.searches + 1;
+  st.search_steps <- st.search_steps + !steps;
+  Obs.Metrics.incr searches_counter;
+  Obs.Metrics.add search_steps_counter !steps;
+  r
+
+let prove_nonneg t e =
+  let st = Domain.DLS.get state in
+  st.queries <- st.queries + 1;
+  Obs.Metrics.incr queries_counter;
+  match t.facts with
+  | [] ->
+      (* With no facts the search is one constant test: nothing to cache. *)
+      search st [] e
+  | facts -> (
+      let a = answers st t in
+      match Atbl.find_opt a e with
+      | Some r ->
+          st.cache_hits <- st.cache_hits + 1;
+          Obs.Metrics.incr cache_hits_counter;
+          r
+      | None ->
+          let r = search st facts e in
+          Atbl.add a e r;
+          r)
 
 let prove_ge t a b = prove_nonneg t (Affine.sub a b)
 let prove_gt t a b = prove_nonneg t (Affine.sub (Affine.sub a b) (Affine.const 1))

@@ -4,7 +4,15 @@
     where [IS] and [N] are symbolic.  A context carries facts of the form
     [affine >= 0]; queries are decided by expressing the query as a
     nonnegative combination of facts (searched to a small depth).  The
-    answer [Unknown] is always sound: callers treat it conservatively. *)
+    answer [Unknown] is always sound: callers treat it conservatively.
+
+    Answers depend only on the context's facts and the query, and are
+    cached: per context, and — inside a {!with_session} — per fact
+    list, shared by every context of the session that holds the same
+    facts in the same order.  Caches are domain-local: a context
+    queried from a domain other than the one that first queried it
+    answers without touching that domain's cache.  They are not
+    thread-local: two threads of one domain must not prove at once. *)
 
 type t
 (** A conjunction of facts [f >= 0]. *)
@@ -48,6 +56,11 @@ val with_loops_cases : t -> Stmt.loop list -> t list
     context when the case count explodes. *)
 
 val prove_nonneg : t -> Affine.t -> bool
+(** [prove_nonneg t e] searches for [e = c + sum(lambda_i * f_i)] with
+    [c >= 0], positive integer multipliers and facts [f_i] of [t]
+    (depth 8, facts tried newest first).  [true] is a proof; [false] is
+    "not proved". *)
+
 val prove_ge : t -> Affine.t -> Affine.t -> bool
 val prove_gt : t -> Affine.t -> Affine.t -> bool
 val prove_le : t -> Affine.t -> Affine.t -> bool
@@ -59,5 +72,29 @@ type order = Lt | Le | Eq | Ge | Gt | Unknown
 val compare_ : t -> Affine.t -> Affine.t -> order
 (** Strongest provable relation between two affine forms. *)
 
+val with_session : (unit -> 'a) -> 'a
+(** [with_session f] runs [f] with a proof-sharing session open on the
+    calling domain: contexts with equal fact lists share one proof
+    cache, dropped when [f] returns (or raises).  Inside an open
+    session, [f] joins it.  Answers are the same with or without a
+    session; only the work to reach them changes. *)
+
+type work = {
+  queries : int;  (** {!prove_nonneg} calls *)
+  cache_hits : int;  (** queries answered from a proof cache *)
+  searches : int;  (** queries that ran the search *)
+  search_steps : int;  (** residuals the searches visited *)
+}
+
+val work : unit -> work
+(** The calling domain's prover work so far.  The same counts feed the
+    process-wide [symbolic.*] {!Obs.Metrics} counters while metrics are
+    on. *)
+
+val work_since : work -> work
+(** [work_since w0] is the calling domain's work since [w0 = work ()]. *)
+
 val facts : t -> Affine.t list
+(** The facts, newest first. *)
+
 val pp : Format.formatter -> t -> unit

@@ -60,13 +60,16 @@ let givens_scratch env ~bindings =
    register block; verification and benchmarks bind N2 accordingly. *)
 let conv_factor = 4
 
-let conv_ctx =
+(* A fresh context per derivation: a context's proof cache belongs to
+   the domain that first queried it, and serve lanes derive
+   concurrently. *)
+let conv_ctx () =
   let ctx = Symbolic.empty in
   let ctx = List.fold_left Symbolic.assume_pos ctx [ "N1"; "N2"; "N3" ] in
   Symbolic.assume_ge ctx (Affine.var "N2") (Affine.const (conv_factor - 1))
 
 let split_derive loop () =
-  match Blocker.block_trapezoid ~ctx:conv_ctx ~factor:conv_factor loop with
+  match Blocker.block_trapezoid ~ctx:(conv_ctx ()) ~factor:conv_factor loop with
   | Error _ as e -> e
   | Ok { result = [ s ]; steps } -> Ok { Blocker.result = s; steps }
   | Ok { result = block; steps } ->

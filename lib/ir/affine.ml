@@ -61,6 +61,12 @@ let constant a = a.const
 let vars a = List.map fst (Smap.bindings a.terms)
 let equal a b = a.const = b.const && Smap.equal Int.equal a.terms b.terms
 
+let hash a =
+  Smap.fold
+    (fun v c h -> (((h * 65599) + Hashtbl.hash v) * 65599) + c)
+    a.terms a.const
+  land max_int
+
 let split_on v a = (coeff a v, { a with terms = Smap.remove v a.terms })
 
 let subst v by a =

@@ -37,6 +37,10 @@ val is_const : t -> int option
 
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** A hash consistent with {!equal} (nonnegative), for structural
+    tables keyed by affine forms. *)
+
 val subst : string -> t -> t -> t
 (** [subst v by t] replaces variable [v] with the affine form [by]. *)
 

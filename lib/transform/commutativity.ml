@@ -161,7 +161,11 @@ let derive_commute ~ctx (l : Stmt.loop) a b =
     | Fsa.Unknown why -> (false, why)
   end
 
+(* Shared by every derivation in the process; serve lanes derive
+   concurrently, so every access holds [memo_mu] (never while
+   proving). *)
 let memo : (string, bool * string) Hashtbl.t = Hashtbl.create 16
+let memo_mu = Mutex.create ()
 
 let may_ignore_derived ~ctx (l : Stmt.loop) (dep : Dependence.t) =
   let n = List.length l.body in
@@ -175,11 +179,11 @@ let may_ignore_derived ~ctx (l : Stmt.loop) (dep : Dependence.t) =
           (String.concat ";" (List.map Affine.to_string (Symbolic.facts ctx)))
       in
       let ok, detail =
-        match Hashtbl.find_opt memo key with
+        match Mutex.protect memo_mu (fun () -> Hashtbl.find_opt memo key) with
         | Some r -> r
         | None ->
             let r = derive_commute ~ctx l a b in
-            Hashtbl.add memo key r;
+            Mutex.protect memo_mu (fun () -> Hashtbl.replace memo key r);
             r
       in
       if ok then

@@ -15,10 +15,10 @@ let qcheck_seed =
       Random.self_init ();
       Random.int 1_000_000_000
 
-let qcase ?(count = 100) name gen prop =
+let qcase ?(count = 100) ?print name gen prop =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| qcheck_seed |])
-    (QCheck2.Test.make ~count
+    (QCheck2.Test.make ~count ?print
        ~name:(Printf.sprintf "%s [replay: QCHECK_SEED=%d]" name qcheck_seed)
        gen prop)
 

@@ -285,6 +285,46 @@ let setup_is_bitwise_stable () =
         (Digest.to_hex (Digest.string (Marshal.to_string arrays []))))
     setup_golden
 
+(* Every registry kernel's blueprint keys (point and transformed) and
+   derived IR, captured before the prover gained shared caches and the
+   failed-residual memo.  A proof answer that changes a derivation or
+   a cache key shows up here. *)
+let render_derivation (e : Blockability.entry) =
+  let shapes = e.Blockability.kernel.Kernel_def.shapes in
+  let key block = (Blueprint.of_block ~shapes block).Blueprint.key in
+  Printf.sprintf "== %s\npoint key: %s\n%s" e.Blockability.name
+    (key e.Blockability.kernel.Kernel_def.block)
+    (match Blockability.derive e with
+    | Error m -> Printf.sprintf "transformed: error: %s\n" m
+    | Ok { Blocker.result; _ } ->
+        Printf.sprintf "transformed key: %s\n%s" (key [ result ])
+          (Stmt.block_to_string [ result ]))
+
+let derivations_match_golden () =
+  let golden =
+    In_channel.with_open_bin "derivations.golden" In_channel.input_all
+  in
+  let n = String.length golden in
+  (* one section per kernel: a "== name" line up to the next one *)
+  let rec next_header i =
+    if i + 4 > n then n
+    else if String.sub golden i 4 = "\n== " then i + 1
+    else next_header (i + 1)
+  in
+  let rec sections pos =
+    if pos >= n then []
+    else
+      let stop = next_header pos in
+      String.sub golden pos (stop - pos) :: sections stop
+  in
+  let expected = sections 0 in
+  check_int "one golden section per kernel"
+    (List.length Blockability.entries) (List.length expected);
+  List.iter2
+    (fun (e : Blockability.entry) want ->
+      check_string e.Blockability.name want (render_derivation e))
+    Blockability.entries expected
+
 let suite =
   ( "drivers",
     [
@@ -299,6 +339,8 @@ let suite =
         matmul_if_equiv;
       case "whole registry verifies" registry_verifies;
       case "registry set-up golden digests" setup_is_bitwise_stable;
+      case "registry derivations and keys match the golden"
+        derivations_match_golden;
       case "blocking reduces simulated misses" blocking_reduces_misses;
       case "strip-mine-and-interchange driver" strip_mine_and_interchange_driver;
       qcase ~count:30 "trapezoid driver (split + shaped UJ)"

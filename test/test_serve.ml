@@ -636,4 +636,22 @@ let suite =
              chunk span must name the domain it actually ran on *)
           check_bool "chunk spans carry their domain track" true
             (List.for_all (fun (e : Obs.event) -> e.track >= 0) chunks));
+      case "repeated derive requests keep the live heap flat" (fun () ->
+          (* Proof caches live and die with the contexts and sessions of
+             one derivation: nothing may pile up across requests. *)
+          let line = {|{"op":"derive","kernel":"lu"}|} in
+          let live () =
+            Gc.full_major ();
+            (Gc.stat ()).Gc.live_words
+          in
+          check_bool "first derive ok" true (bool_field "ok" (parsed line));
+          let first = live () in
+          for _ = 2 to 50 do
+            ignore (request line)
+          done;
+          let last = live () in
+          if float_of_int last > 1.05 *. float_of_int first then
+            Alcotest.failf
+              "live heap grew from %d to %d words over 49 more derive requests"
+              first last);
     ] )
