@@ -1655,10 +1655,10 @@ let top_cmd =
     | Some st ->
         Buffer.add_string b
           (Printf.sprintf
-             "jit: memo %.0f entries, %.0f hits, %.0f evictions | disk %.0f \
-              hits, %.0f artifacts, %s, oldest %.0fs | ocamlopt %.0f\n"
+             "jit: memo %.0f entries, %.0f hits | disk %.0f hits, %.0f \
+              artifacts, %s, oldest %.0fs | ocamlopt %.0f\n"
              (jnum0 st "memo_size") (jnum0 st "memo_hits")
-             (jnum0 st "memo_evictions") (jnum0 st "disk_hits")
+             (jnum0 st "disk_hits")
              (jnum0 st "disk_entries")
              (fmt_bytes (jnum0 st "disk_bytes"))
              (jnum0 st "disk_oldest_age_s")

@@ -110,18 +110,6 @@ let hoist_shapes st shapes =
 
 (* ---- the blueprint ------------------------------------------------ *)
 
-let render_shapes shapes =
-  String.concat ";"
-    (List.map
-       (fun (arr, dims) ->
-         arr ^ "("
-         ^ String.concat ","
-             (List.map
-                (fun (lo, hi) -> Expr.to_string lo ^ ":" ^ Expr.to_string hi)
-                dims)
-         ^ ")")
-       shapes)
-
 let of_block ?(unsafe = true) ?(shapes = []) block =
   (* Canonical shape order: the assoc order callers pass is arbitrary
      and must not leak into the key. *)
@@ -132,16 +120,17 @@ let of_block ?(unsafe = true) ?(shapes = []) block =
   let nblock = List.map (hoist_stmt st) block in
   let nshapes = hoist_shapes st shapes in
   let bindings = List.rev_map (fun (k, p) -> (p, k)) st.params in
+  (* The key digests the structure itself, not its printed form: the
+     printer does not show a name's kind, so [Iassign ("FLAG", [], Int
+     0)] and [Assign ("FLAG", [], Of_int (Int 0))] print alike, yet bind
+     through different slots.  Without sharing, [Marshal]'s bytes are a
+     function of the structure alone. *)
   let key =
     Digest.to_hex
       (Digest.string
-         (String.concat "\x00"
-            [
-              "blockc-blueprint-v1";
-              (if unsafe then "unsafe" else "checked");
-              Stmt.block_to_string nblock;
-              render_shapes nshapes;
-            ]))
+         (Marshal.to_string
+            ("blockc-blueprint-v2", unsafe, nblock, nshapes)
+            [ Marshal.No_sharing ]))
   in
   { key; block = nblock; shapes = nshapes; unsafe; bindings }
 

@@ -25,8 +25,10 @@
 
 type t = {
   key : string;
-      (** canonical digest of the normalized structure, the declared
-          shapes and the unsafe flag — the JIT cache key component *)
+      (** canonical digest of the normalized structure (every
+          constructor, so a REAL and an INTEGER store of one name
+          differ), the declared shapes and the unsafe flag — the JIT
+          cache key component *)
   block : Stmt.t list;  (** the normalized block, to be emitted *)
   shapes : Emit.shapes;  (** normalized shapes, sorted by array name *)
   unsafe : bool;  (** whether emission may use proven unchecked accesses *)

@@ -2,10 +2,9 @@
 
    The pipeline is [cc -std=c99 -O2 -shared -fPIC -ffp-contract=off]
    on the {!Emit_c} output, then [dlopen] through the cc_stubs shim.
-   Objects live in the same content-addressed cache as the OCaml
-   plugins ([Jit.cache_dir]), keyed by blueprint digest x backend tag
-   x [cc --version], so a toolchain upgrade invalidates exactly the C
-   half of the cache.  [-ffp-contract=off] is load-bearing: it is what
+   Objects live in the {!Artifact_cache} with the OCaml plugins, keyed
+   by blueprint digest x backend tag x [cc --version], so a toolchain
+   upgrade invalidates exactly the C half of the cache.  [-ffp-contract=off] is load-bearing: it is what
    makes the object bitwise-comparable with the interpreter and the
    OCaml plugin (no FMA contraction of a*b+c). *)
 
@@ -27,7 +26,7 @@ type loaded = {
   key : string;
   so : string;
   cached : bool;
-  disposition : Jit.disposition;
+  disposition : Artifact_cache.disposition;
   compile_s : float;
   vec_remarks : string list;
   fn : fn;
@@ -53,71 +52,50 @@ let available () =
   | Some _ -> Ok ()
   | None -> Error "cc not found on PATH (set BLOCKC_CC)"
 
-(* First line of [cc --version], memoized: part of the cache key, so
-   it must be stable for the life of the process and cheap after the
-   first call. *)
-let version_mu = Mutex.create ()
-let version_memo : (string, string) Hashtbl.t = Hashtbl.create 1
+(* First line of [cc --version]: part of the cache key.  Spawning the
+   compiler costs milliseconds in every new process, so the line is
+   kept in the cache, keyed by the compiler's path and a stat of the
+   file it resolves to: replacing the compiler (or re-pointing a
+   symlink to another one) changes the key. *)
+let probe : string Artifact_cache.kind =
+  Artifact_cache.kind "cc_probe" ~prefix:"cc_" ~ext:".version"
 
 let cc_version compiler =
-  Mutex.lock version_mu;
-  let v =
-    match Hashtbl.find_opt version_memo compiler with
-    | Some v -> v
-    | None ->
-        let v =
-          try
-            let ic =
-              Unix.open_process_in
-                (Filename.quote compiler ^ " --version 2>/dev/null")
-            in
-            let line = try input_line ic with End_of_file -> "" in
-            ignore (Unix.close_process_in ic);
-            line
-          with Unix.Unix_error _ | Sys_error _ -> ""
-        in
-        Hashtbl.replace version_memo compiler v;
-        v
+  let id =
+    match Unix.stat compiler with
+    | st ->
+        Printf.sprintf "%d:%d:%d:%h" st.Unix.st_dev st.Unix.st_ino
+          st.Unix.st_size st.Unix.st_mtime
+    | exception Unix.Unix_error _ -> ""
   in
-  Mutex.unlock version_mu;
-  v
+  let key = Digest.to_hex (Digest.string (compiler ^ "\x00" ^ id)) in
+  let build tmp =
+    let ic =
+      Unix.open_process_args_in compiler [| compiler; "--version" |]
+    in
+    let line = try input_line ic with End_of_file -> "" in
+    ignore (Unix.close_process_in ic);
+    Artifact_cache.write_file
+      (Filename.concat tmp ("cc_" ^ key ^ ".version"))
+      (line ^ "\n");
+    Ok ()
+  in
+  (* a line cut short has lost its newline *)
+  let load path =
+    match String.split_on_char '\n' (Artifact_cache.read_file path) with
+    | [ line; "" ] -> Ok line
+    | _ -> Error "truncated version probe"
+  in
+  match Artifact_cache.get probe ~key ~build ~load with
+  | Ok e -> e.Artifact_cache.value
+  | Error _ -> ""
 
 (* ---- compile + load ---------------------------------------------- *)
 
-let invocation_count = ref 0
+let kind : (fn * string list) Artifact_cache.kind =
+  Artifact_cache.kind "c" ~prefix:"bk_" ~ext:".so" ~keep:[ ".c"; ".vec" ]
 
-let invocation_counter =
-  lazy
-    (Obs.Metrics.counter ~help:"Actual cc runs (C-backend compiles)"
-       "cc.invocations")
-
-(* One coarse lock around compile-or-fetch: the C backend has no
-   serve-style concurrent-compile workload yet, so single-flighting per
-   key is not worth the machinery Jit needs.  The memo keeps each
-   object's vectorization remarks next to its entry point, so a memo
-   hit reads no file. *)
-let mu = Mutex.create ()
-let memo : (string, fn * string list) Hashtbl.t = Hashtbl.create 16
-
-let invocations () =
-  Mutex.lock mu;
-  let n = !invocation_count in
-  Mutex.unlock mu;
-  n
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with Sys_error _ -> ""
+let invocations () = (Artifact_cache.stats kind).builds
 
 let first_lines ?(n = 4) s =
   let lines = String.split_on_char '\n' (String.trim s) in
@@ -134,18 +112,11 @@ let contains_sub s sub =
    survive the filter; an absent or empty file (flag unsupported, or
    nothing vectorized) is just []. *)
 let vec_remarks_of vecf =
-  read_file vecf
+  Artifact_cache.read_file vecf
   |> String.split_on_char '\n'
   |> List.filter_map (fun l ->
          let l = String.trim l in
          if l <> "" && contains_sub l "vectoriz" then Some l else None)
-
-let rec mkdirs p =
-  if not (Sys.file_exists p) then begin
-    let parent = Filename.dirname p in
-    if parent <> p then mkdirs parent;
-    try Sys.mkdir p 0o755 with Sys_error _ -> ()
-  end
 
 let compile_blueprint ?cc ~name (bp : Blueprint.t) =
   Obs.span ~cat:"jit" "cc.compile_blueprint"
@@ -159,128 +130,76 @@ let compile_blueprint ?cc ~name (bp : Blueprint.t) =
   match compiler with
   | None -> Error "cc not found on PATH (set BLOCKC_CC)"
   | Some compiler -> (
-      match Emit_c.manifest bp.Blueprint.block with
-      | Error m -> Error (Printf.sprintf "cannot compile %s: %s" name m)
-      | Ok mf -> (
-          let key =
-            Digest.to_hex
-              (Digest.string
-                 (cc_version compiler ^ "\x00c-backend\x00" ^ bp.Blueprint.key))
-          in
-          let dir = Jit.cache_dir () in
-          let base = "bk_" ^ key in
-          let so = Filename.concat dir (base ^ ".so") in
-          let vecf = Filename.concat dir (base ^ ".vec") in
-          let memo_hit (fn, vec_remarks) =
-            Ok
-              {
-                key;
-                so;
-                cached = true;
-                disposition = Jit.Memo;
-                compile_s = 0.0;
-                vec_remarks;
-                fn;
-              }
-          in
-          let build () =
-            mkdirs dir;
-            let on_disk = Sys.file_exists so in
-            let t0 = Unix.gettimeofday () in
-            let built =
-              if on_disk then Ok ()
-              else
-                match
-                  Emit_c.source ~unsafe:bp.Blueprint.unsafe
-                    ~shapes:bp.Blueprint.shapes ~name bp.Blueprint.block
-                with
-                | Error _ as e -> e
-                | Ok src ->
-                    Obs.span ~cat:"jit" "cc.compile"
-                      ~args:[ ("kernel", Obs.Str name); ("key", Obs.Str key) ]
-                    @@ fun () ->
-                    let c = Filename.concat dir (base ^ ".c") in
-                    let tmp = Filename.concat dir (base ^ ".tmp.so") in
-                    let errf = Filename.concat dir (base ^ ".err") in
-                    write_file c src;
-                    let cmd extra =
-                      Printf.sprintf
-                        "%s -std=c99 -O2 -shared -fPIC -ffp-contract=off%s \
-                         -o %s %s -lm 2> %s"
-                        (Filename.quote compiler) extra (Filename.quote tmp)
-                        (Filename.quote c) (Filename.quote errf)
-                    in
-                    incr invocation_count;
-                    Obs.Metrics.incr (Lazy.force invocation_counter);
-                    (* First attempt asks for the vectorization report;
-                       compilers that reject the flag (it is a GCC
-                       spelling) get a clean retry without it. *)
-                    (try Sys.remove vecf with Sys_error _ -> ());
-                    let rc =
-                      match
-                        Sys.command
-                          (cmd (" -fopt-info-vec=" ^ Filename.quote vecf))
-                      with
-                      | 0 -> 0
-                      | _ ->
-                          (try Sys.remove vecf with Sys_error _ -> ());
-                          Sys.command (cmd "")
-                    in
-                    if rc <> 0 then
-                      Error
-                        (Printf.sprintf "%s: cc failed (exit %d): %s" name rc
-                           (first_lines (read_file errf)))
-                    else begin
-                      Sys.rename tmp so;
-                      Jit.prune_disk_cache ~keep:[ base ^ ".so" ] ();
-                      Ok ()
-                    end
+      let key =
+        Digest.to_hex
+          (Digest.string
+             (cc_version compiler ^ "\x00c-backend\x00" ^ bp.Blueprint.key))
+      in
+      let build tmp =
+        match
+          Emit_c.source ~unsafe:bp.Blueprint.unsafe ~shapes:bp.Blueprint.shapes
+            ~name bp.Blueprint.block
+        with
+        | Error m -> Error (Printf.sprintf "cannot compile %s: %s" name m)
+        | Ok src ->
+            Obs.span ~cat:"jit" "cc.compile"
+              ~args:[ ("kernel", Obs.Str name); ("key", Obs.Str key) ]
+            @@ fun () ->
+            let stem = Filename.concat tmp ("bk_" ^ key) in
+            let errf = stem ^ ".err" in
+            Artifact_cache.write_file (stem ^ ".c") src;
+            let cmd extra =
+              Printf.sprintf
+                "%s -std=c99 -O2 -shared -fPIC -ffp-contract=off%s -o %s %s \
+                 -lm 2> %s"
+                (Filename.quote compiler) extra
+                (Filename.quote (stem ^ ".so"))
+                (Filename.quote (stem ^ ".c"))
+                (Filename.quote errf)
             in
-            let compile_s = Unix.gettimeofday () -. t0 in
-            match built with
-            | Error _ as e -> e
-            | Ok () -> (
-                match cc_load so with
-                | entry ->
-                    let fn = { entry; mf } in
-                    let vec_remarks = vec_remarks_of vecf in
-                    Hashtbl.replace memo key (fn, vec_remarks);
-                    Ok
-                      {
-                        key;
-                        so;
-                        cached = on_disk;
-                        disposition =
-                          (if on_disk then Jit.Disk else Jit.Compiled);
-                        compile_s;
-                        vec_remarks;
-                        fn;
-                      }
-                | exception Failure m ->
-                    Error (Printf.sprintf "%s: dlopen failed: %s" name m))
-          in
-          Mutex.lock mu;
-          let memoized = Hashtbl.find_opt memo key in
-          Mutex.unlock mu;
-          match memoized with
-          | Some m -> memo_hit m
-          | None -> (
-              (* The lock is released on every exit, exceptions included
-                 (a cache directory that cannot be written raises), or
-                 every later C lookup would block on it. *)
-              Mutex.lock mu;
-              match
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock mu)
-                  (fun () ->
-                    (* Re-probe under the lock: another thread may have
-                       loaded it while we waited. *)
-                    match Hashtbl.find_opt memo key with
-                    | Some m -> memo_hit m
-                    | None -> build ())
-              with
-              | r -> r
-              | exception e -> Error (name ^ ": " ^ Printexc.to_string e))))
+            (* First attempt asks for the vectorization report;
+               compilers that reject the flag (it is a GCC spelling) get
+               a clean retry without it. *)
+            let rc =
+              let vec = " -fopt-info-vec=" ^ Filename.quote (stem ^ ".vec") in
+              match Sys.command (cmd vec) with
+              | 0 -> 0
+              | _ ->
+                  (try Sys.remove (stem ^ ".vec") with Sys_error _ -> ());
+                  Sys.command (cmd "")
+            in
+            if rc = 0 then Ok ()
+            else
+              Error
+                (Printf.sprintf "%s: cc failed (exit %d): %s" name rc
+                   (first_lines (Artifact_cache.read_file errf)))
+      in
+      let load so =
+        match Emit_c.manifest bp.Blueprint.block with
+        | Error m -> Error (Printf.sprintf "cannot compile %s: %s" name m)
+        | Ok _ when Artifact_cache.truncated_elf so ->
+            Error (name ^ ": truncated object")
+        | Ok mf -> (
+            match cc_load so with
+            | entry ->
+                Ok
+                  ( { entry; mf },
+                    vec_remarks_of (Filename.remove_extension so ^ ".vec") )
+            | exception Failure m ->
+                Error (Printf.sprintf "%s: dlopen failed: %s" name m))
+      in
+      Artifact_cache.get kind ~key ~build ~load
+      |> Result.map (fun (e : (fn * string list) Artifact_cache.entry) ->
+             let fn, vec_remarks = e.value in
+             {
+               key;
+               so = e.path;
+               cached = e.disposition <> Artifact_cache.Compiled;
+               disposition = e.disposition;
+               compile_s = e.build_s;
+               vec_remarks;
+               fn;
+             }))
 
 (* ---- execution --------------------------------------------------- *)
 

@@ -3,12 +3,12 @@
 
     The pipeline is [cc -std=c99 -O2 -shared -fPIC -ffp-contract=off]
     on the emitted C, then [dlopen] through a small stub.  Objects
-    share the OCaml plugins' content-addressed cache
-    ([Jit.cache_dir], [bk_<key>.so] next to [bk_<key>.cmxs]); the key
-    is the blueprint digest combined with the backend tag and the
-    first line of [cc --version], so switching compilers invalidates
-    exactly the C half of the cache.  The same
-    [BLOCKC_JIT_DISK_CAP] pruning applies after each fresh compile.
+    share the OCaml plugins' {!Artifact_cache} ([bk_<key>.so] next to
+    [bk_<key>.cmxs]); the key is the blueprint digest combined with
+    the backend tag and the first line of [cc --version], so switching
+    compilers invalidates exactly the C half of the cache.  That line
+    is itself cached ([cc_<key>.version], keyed by a [stat] of the
+    compiler), so a process spawns the compiler only to compile.
 
     Execution marshals an {!Env.t} onto the fixed kernel ABI per the
     blueprint's {!Emit_c.manifest}: REAL buffers and scalars are
@@ -24,7 +24,7 @@ type loaded = {
   key : string;  (** full cache key (blueprint x backend x compiler) *)
   so : string;  (** path of the compiled shared object *)
   cached : bool;
-  disposition : Jit.disposition;
+  disposition : Artifact_cache.disposition;
   compile_s : float;
   vec_remarks : string list;
       (** the compiler's vectorization remarks ([-fopt-info-vec]),
@@ -39,8 +39,8 @@ val available : unit -> (unit, string) result
     [BLOCKC_CC]); otherwise a one-line reason. *)
 
 val invocations : unit -> int
-(** Actual [cc] runs so far in this process (mirrored to
-    [Obs.Metrics "cc.invocations"]). *)
+(** [cc] runs so far in this process (builds of the cache's ["c"]
+    kind). *)
 
 val compile_blueprint :
   ?cc:string -> name:string -> Blueprint.t -> (loaded, string) result

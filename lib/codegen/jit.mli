@@ -8,21 +8,16 @@
     closure is pulled out of the exception payload after checking the
     constructor's name.
 
-    Compiled plugins are cached on disk under [_build/.jitcache]
-    (override with [BLOCKC_JIT_CACHE]).  The cache key is the
+    Compiled plugins live in the {!Artifact_cache}, keyed by the
     {!Blueprint} digest xor the compiler version for the
     {!compile_blueprint} path — so one loop structure is one artifact
-    no matter how many problem sizes it runs at — and the raw source
-    digest for the legacy {!compile} path.  An in-process memo avoids
-    even the [Dynlink] load on repeat requests; it is LRU-bounded
-    ([BLOCKC_JIT_MEMO_CAP], default 64) so a long-running daemon cannot
-    grow without limit, with evictions counted in
-    [Obs.Metrics "jit.memo_evictions"].  Concurrent compiles of the
-    same key are single-flighted: one request builds, the rest wait and
-    share the result ([jit.compile_dedup_hits]).
+    no matter how many problem sizes it runs at — and by the raw source
+    digest for the legacy {!compile} path.  Each plugin is loaded once
+    per process and kept: [Dynlink] cannot unload it, and loading it
+    again would re-run its initializer.
 
     Every stage records an Obs span ([jit.emit], [jit.compile],
-    [jit.compile_blueprint], [jit.load], [jit.run]) so [--trace] covers
+    [jit.compile_blueprint], [cache.load], [jit.run]) so [--trace] covers
     the native path. *)
 
 type fn
@@ -30,11 +25,9 @@ type fn
 
 (** How a compile request was satisfied: from the in-process memo, from
     the on-disk artifact cache, or by actually running [ocamlopt]. *)
-type disposition = Memo | Disk | Compiled
+type disposition = Artifact_cache.disposition = Memo | Disk | Compiled
 
 val disposition_name : disposition -> string
-(** ["memo"], ["disk"] or ["compiled"] — the spelling the CLI's
-    [--json] output and the serve protocol use. *)
 
 type loaded = {
   key : string;  (** full cache key (blueprint or source digest) *)
@@ -51,8 +44,6 @@ val available : unit -> (unit, string) result
 (** [Ok ()] when native dynlink works and [ocamlopt] was found (on
     [PATH], or via [BLOCKC_OCAMLOPT]); otherwise a one-line reason —
     callers fall back to the interpreter. *)
-
-val cache_dir : unit -> string
 
 val emit :
   ?unsafe:bool ->
@@ -95,53 +86,6 @@ val run_block :
 (** Blueprint-normalize, compile and run in one step: repeated calls
     with blocks that share a loop structure share one compile. *)
 
-(** {1 Cache introspection}
-
-    Process-wide counters, exact regardless of whether [Obs.Metrics]
-    collection is enabled — the compile-count acceptance tests and the
-    serve daemon's status report read them. *)
-
 val compiler_invocations : unit -> int
-(** Number of actual [ocamlopt] runs so far in this process. *)
-
-val memo_size : unit -> int
-(** Entries currently held by the in-process memo. *)
-
-val memo_evictions : unit -> int
-(** LRU evictions so far (also mirrored to
-    [Obs.Metrics "jit.memo_evictions"] when metrics are on). *)
-
-val dedup_waits : unit -> int
-(** Requests that found their key already being compiled and waited for
-    the in-flight build instead of starting another. *)
-
-val memo_hits : unit -> int
-(** Lookups satisfied by the in-process memo (no Dynlink, no ocamlopt).
-    Mirrored to [Obs.Metrics "jit.memo_hits"] when metrics are on. *)
-
-val disk_hits : unit -> int
-(** Lookups satisfied by an on-disk [.cmxs] artifact (Dynlink load, no
-    ocamlopt).  Mirrored to [Obs.Metrics "jit.disk_hits"]. *)
-
-type disk_cache = {
-  entries : int;  (** [bk_*.cmxs] / [bk_*.so] artifacts in {!cache_dir} *)
-  bytes : int;  (** their total size *)
-  oldest_age_s : float;  (** age of the oldest artifact; 0 when empty *)
-}
-
-val disk_stats : unit -> disk_cache
-(** Scan the on-disk cache ([bk_*.cmxs] plugins and [bk_*.so]
-    C-backend objects).  Advisory (races with concurrent compiles are
-    harmless); an absent cache directory reads as empty. *)
-
-val prune_disk_cache : keep:string list -> unit -> unit
-(** When [BLOCKC_JIT_DISK_CAP] is set (a byte budget), delete
-    artifacts oldest-mtime-first — with their [.ml]/[.c]/[.err]
-    siblings — until the cache fits.  [keep] names basenames that are
-    never deleted (the artifact just written).  Called automatically
-    after every fresh compile on both backends; exposed for tests.
-    No-op when the variable is unset or not a positive integer. *)
-
-val disk_evictions : unit -> int
-(** Artifacts deleted by {!prune_disk_cache} so far in this process
-    (also mirrored to [Obs.Metrics "jit.disk_evictions"]). *)
+(** [ocamlopt] runs so far in this process (builds of the cache's
+    ["ocaml"] kind). *)

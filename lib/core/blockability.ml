@@ -32,27 +32,17 @@ let matmul_scratch env ~bindings =
 
 (* ---- Givens ---- *)
 
-let givens_names = ref None
+let givens_names = Givens_opt.names K_givens.point_loop
 
 let givens_derive () =
-  match Givens_opt.optimize K_givens.point_loop with
-  | Error _ as e -> e
-  | Ok (traced, names) ->
-      givens_names := Some names;
-      Ok traced
+  Result.map fst (Givens_opt.optimize K_givens.point_loop)
 
 let givens_scratch env ~bindings =
-  (match !givens_names with
-  | None -> ignore (givens_derive ())
-  | Some _ -> ());
-  match !givens_names with
-  | None -> ()
-  | Some names ->
-      let m = List.assoc "M" bindings in
-      Env.add_iarray env names.If_inspection.lb [ (1, (m / 2) + 1) ];
-      Env.add_iarray env names.If_inspection.ub [ (1, (m / 2) + 1) ];
-      Env.add_farray env "C" [ (1, m) ];
-      Env.add_farray env "S" [ (1, m) ]
+  let m = List.assoc "M" bindings in
+  Env.add_iarray env givens_names.If_inspection.lb [ (1, (m / 2) + 1) ];
+  Env.add_iarray env givens_names.If_inspection.ub [ (1, (m / 2) + 1) ];
+  Env.add_farray env "C" [ (1, m) ];
+  Env.add_farray env "S" [ (1, m) ]
 
 (* ---- convolutions: MIN/MAX removal + shape-matched unroll-and-jam ---- *)
 

@@ -261,6 +261,7 @@ let variant_of req =
 type compiled = {
   c_entry : Blockability.entry;
   c_variant : variant;
+  c_derivation : Artifact_cache.disposition option;  (** transformed only *)
   c_bp : Blueprint.t;
   c_cm : Backend.compiled;
 }
@@ -278,33 +279,97 @@ let backend_of req =
         (Printf.sprintf "unknown backend \"%s\" (%s)" tag
            (String.concat " | " Backend.names))
 
-(* Derivation is pure and the kernel registry is fixed, so the server
-   derives each kernel once; repeat compile/execute requests go
-   straight to the blueprint lookup.  Duplicate derivations during a
-   race are benign (deterministic result). *)
-let derived_mu = Mutex.create ()
+(* ---- derived IR, from the artifact cache ------------------------ *)
 
-let derived : (string, (Stmt.t list, string) result) Hashtbl.t =
-  Hashtbl.create 8
+(* The executable's identity, from one stat: a rebuilt blockc has
+   another inode, size or mtime, so it never reads what an older build
+   derived.  (An MD5 of the executable would cost a fresh process about
+   as much as the derivations it saves.)  An executable that cannot be
+   stat'ed gets an identity of its own, so its process derives. *)
+let exe_identity =
+  match Unix.stat Sys.executable_name with
+  | st ->
+      Printf.sprintf "%d:%d:%d:%h" st.Unix.st_dev st.Unix.st_ino
+        st.Unix.st_size st.Unix.st_mtime
+  | exception Unix.Unix_error _ ->
+      Printf.sprintf "pid %d at %h" (Unix.getpid ()) (Unix.gettimeofday ())
 
+(* A derivation is kept with its blueprint, which a transformed request
+   would otherwise normalize again every time. *)
+let derivations : (Stmt.t list * Blueprint.t) Artifact_cache.kind =
+  Artifact_cache.kind "derivation" ~prefix:"dv_" ~ext:".ir"
+
+let derivation_name = function
+  | Artifact_cache.Compiled -> "derived"
+  | d -> Artifact_cache.disposition_name d
+
+let derive entry =
+  match Blockability.derive entry with
+  | Error e -> Error ("derivation failed: " ^ e)
+  | Ok { Blocker.result; _ } -> Ok [ result ]
+
+let blueprint entry block =
+  Blueprint.of_block ~shapes:entry.Blockability.kernel.Kernel_def.shapes block
+
+(* A stored derivation is three parts: the MD5 of the payload, the
+   blueprint description (key and hoisted bindings) of the block, and
+   the payload, the [Marshal]led block.  Both are checked before the
+   block is used.  The printed IR would not do: it drops scalar kinds,
+   so an INTEGER flag comes back REAL. *)
+let encode_derivation entry block =
+  let payload = Marshal.to_string block [] in
+  String.concat "\n"
+    [
+      Digest.to_hex (Digest.string payload);
+      Blueprint.describe (blueprint entry block);
+      payload;
+    ]
+
+let decode_derivation entry s =
+  match String.index_opt s '\n' with
+  | None -> Error "no header"
+  | Some i -> (
+      match String.index_from_opt s (i + 1) '\n' with
+      | None -> Error "no header"
+      | Some j ->
+          let payload = String.sub s (j + 1) (String.length s - j - 1) in
+          if String.sub s 0 i <> Digest.to_hex (Digest.string payload) then
+            Error "checksum mismatch"
+          else
+            let block : Stmt.t list = Marshal.from_string payload 0 in
+            let bp = blueprint entry block in
+            if Blueprint.describe bp <> String.sub s (i + 1) (j - i - 1) then
+              Error "blueprint mismatch"
+            else Ok (block, bp))
+
+(* The transformed block of a registry kernel: derived once per cache,
+   then read back by every later process of the same executable. *)
 let derived_block entry =
-  let name = entry.Blockability.name in
-  Mutex.lock derived_mu;
-  match Hashtbl.find_opt derived name with
-  | Some r ->
-      Mutex.unlock derived_mu;
-      r
-  | None ->
-      Mutex.unlock derived_mu;
-      let r =
-        match Blockability.derive entry with
-        | Error e -> Error ("derivation failed: " ^ e)
-        | Ok { Blocker.result; _ } -> Ok [ result ]
-      in
-      Mutex.lock derived_mu;
-      Hashtbl.replace derived name r;
-      Mutex.unlock derived_mu;
-      r
+  let key =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\x00"
+            [
+              "blockc-derivation-v1";
+              exe_identity;
+              entry.Blockability.name;
+              Stmt.block_to_string entry.Blockability.kernel.Kernel_def.block;
+              string_of_bool !Commutativity.use_curated;
+            ]))
+  in
+  let build tmp =
+    Result.map
+      (fun block ->
+        Artifact_cache.write_file
+          (Filename.concat tmp ("dv_" ^ key ^ ".ir"))
+          (encode_derivation entry block))
+      (derive entry)
+  in
+  let load path = decode_derivation entry (Artifact_cache.read_file path) in
+  Artifact_cache.get derivations ~key ~build ~load
+  |> Result.map (fun (e : _ Artifact_cache.entry) ->
+         let block, bp = e.value in
+         (block, bp, e.disposition))
 
 let compile_variant ?tm ~backend entry variant =
   let t0 = Obs.now_ns () in
@@ -314,18 +379,16 @@ let compile_variant ?tm ~backend entry variant =
       | Some tm -> tm.t_compile_ns <- tm.t_compile_ns + (Obs.now_ns () - t0)
       | None -> ())
   @@ fun () ->
-  let block =
+  let blueprint =
     match variant with
-    | Point -> Ok entry.Blockability.kernel.Kernel_def.block
-    | Transformed -> derived_block entry
+    | Point ->
+        Ok (blueprint entry entry.Blockability.kernel.Kernel_def.block, None)
+    | Transformed ->
+        Result.map (fun (_, bp, d) -> (bp, Some d)) (derived_block entry)
   in
-  match block with
+  match blueprint with
   | Error _ as e -> e
-  | Ok block -> (
-      let bp =
-        Blueprint.of_block
-          ~shapes:entry.Blockability.kernel.Kernel_def.shapes block
-      in
+  | Ok (bp, derivation) -> (
       let name =
         entry.Blockability.name ^ "_" ^ variant_name variant
       in
@@ -333,7 +396,14 @@ let compile_variant ?tm ~backend entry variant =
       match B.compile_blueprint ~name bp with
       | Error _ as e -> e
       | Ok cm ->
-          Ok { c_entry = entry; c_variant = variant; c_bp = bp; c_cm = cm })
+          Ok
+            {
+              c_entry = entry;
+              c_variant = variant;
+              c_derivation = derivation;
+              c_bp = bp;
+              c_cm = cm;
+            })
 
 (* Environments mirror [Blockability.native_compare]: the kernel's own
    setup, then the entry's scratch arrays ([extra_setup]); the
@@ -395,6 +465,16 @@ let run_one ?tm c ~bindings ~seed =
 
 (* ---- per-op handlers -------------------------------------------- *)
 
+(* Where the artifact came from, and for a transformed variant where
+   its derivation came from. *)
+let disposition_fields c =
+  ( "disposition",
+    jstr (Artifact_cache.disposition_name c.c_cm.Backend.bk_disposition) )
+  ::
+  (match c.c_derivation with
+  | Some d -> [ ("derivation", jstr (derivation_name d)) ]
+  | None -> [])
+
 let compile_fields c =
   [
     ("kernel", jstr c.c_entry.Blockability.name);
@@ -402,8 +482,9 @@ let compile_fields c =
     ("backend", jstr c.c_cm.Backend.bk_tag);
     ("blueprint", jstr c.c_bp.Blueprint.key);
     ("key", jstr c.c_cm.Backend.bk_key);
-    ( "disposition",
-      jstr (Jit.disposition_name c.c_cm.Backend.bk_disposition) );
+  ]
+  @ disposition_fields c
+  @ [
     ("compile_s", J.Number c.c_cm.Backend.bk_compile_s);
     ("cached", J.Bool c.c_cm.Backend.bk_cached);
     (* "cmxs" kept for older clients; "artifact" is backend-neutral *)
@@ -482,17 +563,14 @@ let handle_execute ~tm ?id req =
           | Error m -> errorf ?id "%s" m
           | Ok (digest, run_s) ->
               wrap ?id true
-                [
-                  ("kernel", jstr entry.Blockability.name);
-                  ("variant", jstr (variant_name variant));
-                  ("backend", jstr c.c_cm.Backend.bk_tag);
-                  ("digest", jstr digest);
-                  ("run_s", J.Number run_s);
-                  ( "disposition",
-                    jstr
-                      (Jit.disposition_name c.c_cm.Backend.bk_disposition)
-                  );
-                ]))
+                ([
+                   ("kernel", jstr entry.Blockability.name);
+                   ("variant", jstr (variant_name variant));
+                   ("backend", jstr c.c_cm.Backend.bk_tag);
+                   ("digest", jstr digest);
+                   ("run_s", J.Number run_s);
+                 ]
+                @ disposition_fields c)))
 
 let batch_items entry req =
   match (field req "bindings_list", field req "sizes") with
@@ -602,19 +680,18 @@ let handle_batch ~exec_pool ~tm ?id req =
                       ]
                   in
                   wrap ?id true
-                    [
-                      ("kernel", jstr entry.Blockability.name);
-                      ("variant", jstr (variant_name variant));
-                      ("backend", jstr c.c_cm.Backend.bk_tag);
-                      ("n", jint n);
-                      ( "disposition",
-                        jstr
-                          (Jit.disposition_name
-                             c.c_cm.Backend.bk_disposition) );
-                      ("digests", J.Array digests);
-                      ("items", J.Array (List.map item_json oks));
-                      ("run_s", J.Number run_s);
-                    ])))
+                    ([
+                       ("kernel", jstr entry.Blockability.name);
+                       ("variant", jstr (variant_name variant));
+                       ("backend", jstr c.c_cm.Backend.bk_tag);
+                       ("n", jint n);
+                     ]
+                    @ disposition_fields c
+                    @ [
+                        ("digests", J.Array digests);
+                        ("items", J.Array (List.map item_json oks));
+                        ("run_s", J.Number run_s);
+                      ]))))
 
 let handle_profile ?id req =
   match (kernel_of req, bindings_field req) with
@@ -643,20 +720,35 @@ let handle_profile ?id req =
             ])
 
 let handle_status ?id () =
-  let d = Jit.disk_stats () in
+  let module A = Artifact_cache in
+  let d = A.disk_stats () in
+  let kinds = A.all_stats () in
+  let ocaml = List.find (fun (s : A.stats) -> s.A.kind_name = "ocaml") kinds in
+  let kind (s : A.stats) =
+    ( s.A.kind_name,
+      J.Object
+        [
+          ("loaded", jint s.A.loaded);
+          ("memo_hits", jint s.A.memo_hits);
+          ("disk_hits", jint s.A.disk_hits);
+          ("builds", jint s.A.builds);
+          ("corrupt", jint s.A.corrupt);
+          ("dedup_waits", jint s.A.dedup_waits);
+        ] )
+  in
   wrap ?id true
     [
-      ("compiler_invocations", jint (Jit.compiler_invocations ()));
-      ("memo_size", jint (Jit.memo_size ()));
-      ("memo_evictions", jint (Jit.memo_evictions ()));
-      ("memo_hits", jint (Jit.memo_hits ()));
-      ("disk_hits", jint (Jit.disk_hits ()));
-      ("dedup_waits", jint (Jit.dedup_waits ()));
-      ("cache_dir", jstr (Jit.cache_dir ()));
-      ("disk_entries", jint d.Jit.entries);
-      ("disk_bytes", jint d.Jit.bytes);
-      ("disk_oldest_age_s", J.Number d.Jit.oldest_age_s);
-      ("disk_evictions", jint (Jit.disk_evictions ()));
+      ("compiler_invocations", jint ocaml.A.builds);
+      ("memo_size", jint ocaml.A.loaded);
+      ("memo_hits", jint ocaml.A.memo_hits);
+      ("disk_hits", jint ocaml.A.disk_hits);
+      ("dedup_waits", jint ocaml.A.dedup_waits);
+      ("cache", J.Object (List.map kind kinds));
+      ("cache_dir", jstr (A.dir ()));
+      ("disk_entries", jint d.A.entries);
+      ("disk_bytes", jint d.A.bytes);
+      ("disk_oldest_age_s", J.Number d.A.oldest_age_s);
+      ("disk_evictions", jint (A.disk_evictions ()));
       ("cc_invocations", jint (Cc.invocations ()));
       ("cc_available", J.Bool (Result.is_ok (Cc.available ())));
       ("sampler_running", J.Bool (Obs.Sampler.running ()));

@@ -27,7 +27,12 @@
       ["compiled"]), the compile wall time, and the on-disk
       ["artifact"] path (also echoed as ["cmxs"] for older clients).
       Repeat compiles of one loop structure are a hash lookup
-      ({!Jit.compile_blueprint} / {!Cc.compile_blueprint}).
+      ({!Jit.compile_blueprint} / {!Cc.compile_blueprint}).  A
+      transformed variant also reports where its derived IR came
+      from, as ["derivation"]: ["memo"] (this process had it),
+      ["disk"] (stored by an earlier process of the same executable)
+      or ["derived"] (the compiler driver ran); see {!derived_block}.
+      [execute] and [batch] responses carry the same two fields.
     - [execute {"kernel","variant","bindings","seed","backend"?}] —
       compile (or fetch) and run once at the given sizes on the
       requested backend; replies with an MD5 digest of the kernel's
@@ -56,7 +61,11 @@
       variants on the paper's RS/6000-540 model; replies with per-
       variant miss and memory-cycle counts.
     - [status] — process-wide JIT cache counters ([ocamlopt] runs, memo
-      size, hits and evictions, disk hits, single-flight dedup waits),
+      size and hits, disk hits, single-flight dedup waits), the same
+      counters for every kind of {!Artifact_cache} entry under
+      ["cache"] (["ocaml"], ["cc_probe"], ["c"], ["derivation"], each
+      with ["loaded"], ["memo_hits"], ["disk_hits"], ["builds"],
+      ["corrupt"] and ["dedup_waits"]),
       the cache directory plus its on-disk shape (["disk_entries"],
       ["disk_bytes"], ["disk_oldest_age_s"], ["disk_evictions"] — see
       [BLOCKC_JIT_DISK_CAP]), the C backend state (["cc_available"],
@@ -123,10 +132,33 @@
     log-linear histograms (overall and per op); failures increment the
     labelled [serve.errors] counters ([class="parse" | "missing_op" |
     "unknown_op" | "request" | "internal"]); batch fan-out sizes land
-    in the [serve.batch_size] histogram; and compile dedup hits / memo
-    evictions are counted by {!Jit}.  {!run_stdio} / {!run_socket}
+    in the [serve.batch_size] histogram; and the cache's hits, builds,
+    corrupt entries and dedup waits are counted per kind by
+    {!Artifact_cache}.  {!run_stdio} / {!run_socket}
     switch metrics on and install the {!Obs.Recorder} ring as the sink
     when no other sink is active. *)
+
+val derived_block :
+  Blockability.entry ->
+  (Stmt.t list * Blueprint.t * Artifact_cache.disposition, string) result
+(** A registry kernel's transformed block and its blueprint, from the
+    {!Artifact_cache}'s ["derivation"] kind: derived by the first process
+    that asks ([Compiled]) and read back by every later process of the
+    same executable ([Disk]).  The key is the entry's name and source block,
+    {!Commutativity.use_curated}, and the executable's identity from
+    one [stat] (device, inode, size, mtime).  [derive], [explain],
+    [verify] and [native_compare] do not come here: they print or check
+    the derivation itself. *)
+
+val encode_derivation : Blockability.entry -> Stmt.t list -> string
+(** A stored derivation: the MD5 of the [Marshal]led block, the block's
+    {!Blueprint.describe} line, then the [Marshal]led block. *)
+
+val decode_derivation :
+  Blockability.entry -> string -> (Stmt.t list * Blueprint.t, string) result
+(** The inverse of {!encode_derivation}, checking the MD5 before
+    unmarshalling and the blueprint description after; [Error] on any
+    mismatch or a short read. *)
 
 val handle_request :
   ?queue_ns:int -> exec_pool:Pool.t -> Json_min.t -> Json_min.t * bool

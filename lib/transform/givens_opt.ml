@@ -26,6 +26,19 @@ let privatize ~setup ~apply =
       List.map (Stmt.rename_fvar s fresh) apply)
     apply shared
 
+(* The inspector's names depend only on the input loop, so a caller can
+   declare the scratch tables without running the optimization. *)
+let names (l_loop : Stmt.loop) =
+  let prefix =
+    match l_loop.body with [ Stmt.Loop j ] -> j.index | _ -> "J"
+  in
+  let used =
+    Ir_util.index_vars [ Stmt.Loop l_loop ]
+    @ List.map (fun (n, _, _) -> n) (Ir_util.arrays_of [ Stmt.Loop l_loop ])
+    @ Ir_util.symbolic_params [ Stmt.Loop l_loop ]
+  in
+  If_inspection.default_names ~prefix ~used
+
 let optimize (l_loop : Stmt.loop) =
   Obs.span ~cat:"driver" "givens.optimize"
     ~args:[ ("loop", Obs.Str l_loop.index) ]
@@ -107,12 +120,7 @@ let optimize (l_loop : Stmt.loop) =
        j_loop.index)
     [ Stmt.Loop expanded ];
   (* Step 4: fused IF-inspection + distribution of the J sweep. *)
-  let used =
-    Ir_util.index_vars [ Stmt.Loop l_loop ]
-    @ List.map (fun (n, _, _) -> n) (Ir_util.arrays_of [ Stmt.Loop l_loop ])
-    @ Ir_util.symbolic_params [ Stmt.Loop l_loop ]
-  in
-  let names = If_inspection.default_names ~prefix:j_loop.index ~used in
+  let names = names l_loop in
   let ctx =
     List.fold_left Symbolic.assume_pos
       (Symbolic.of_loop_context [ l_loop ])

@@ -22,6 +22,10 @@
 val scratch_arrays : names:If_inspection.names -> string list
 (** Integer scratch the caller must declare: [lb], [ub] tables. *)
 
+val names : Stmt.loop -> If_inspection.names
+(** The inspector names {!optimize} uses for this loop, without running
+    it: what a caller needs to declare the range tables. *)
+
 val optimize :
   Stmt.loop -> (Stmt.t Blocker.traced * If_inspection.names, string) result
 (** Returns the optimized [L] loop and the inspector names used (so the

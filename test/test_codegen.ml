@@ -25,7 +25,7 @@ let require_cc () =
 (* A private cache dir makes the first compile a real compiler run even
    if an earlier test run left artifacts on disk. *)
 let with_private_cache f =
-  let saved = Jit.cache_dir () in
+  let saved = Artifact_cache.dir () in
   let tmp = Filename.temp_file "blockc-cache-test" "" in
   Sys.remove tmp;
   Unix.mkdir tmp 0o700;
@@ -240,7 +240,7 @@ let suite =
             bp28.Blueprint.key;
           (* A private cache dir makes the first compile a real ocamlopt
              run even if an earlier test run left artifacts on disk. *)
-          let saved = Jit.cache_dir () in
+          let saved = Artifact_cache.dir () in
           let tmp = Filename.temp_file "blockc-bp-test" "" in
           Sys.remove tmp;
           Unix.mkdir tmp 0o700;
@@ -279,44 +279,88 @@ let suite =
                   | None -> ()
                   | Some m -> Alcotest.failf "N=%d: %s" n m)
                 [ (24, block24, bp24, l24); (28, block28, bp28, l28) ]));
-      case "blueprint memo is LRU-bounded and counts evictions" (fun () ->
+      case "artifacts load once: A, B, A is one load per path" (fun () ->
+          (* Loading a plugin again would re-run its initializer over
+             static data it already set up (the debug runtime aborts in
+             caml_initialize), so nothing is ever evicted and reloaded. *)
           require_native ();
-          let saved_dir = Jit.cache_dir () in
-          let saved_cap =
-            Option.value
-              (Sys.getenv_opt "BLOCKC_JIT_MEMO_CAP")
-              ~default:"64"
-          in
-          let tmp = Filename.temp_file "blockc-lru-test" "" in
-          Sys.remove tmp;
-          Unix.mkdir tmp 0o700;
-          Unix.putenv "BLOCKC_JIT_CACHE" tmp;
-          Unix.putenv "BLOCKC_JIT_MEMO_CAP" "2";
-          Fun.protect
-            ~finally:(fun () ->
-              Unix.putenv "BLOCKC_JIT_CACHE" saved_dir;
-              Unix.putenv "BLOCKC_JIT_MEMO_CAP" saved_cap)
-            (fun () ->
-              let e0 = Jit.memo_evictions () in
-              (* Three distinct structures (float literals are never
-                 hoisted, so each is its own blueprint key). *)
+          require_cc ();
+          with_private_cache @@ fun () ->
+          let mem, events = Obs.memory () in
+          Obs.set_sink mem;
+          Fun.protect ~finally:(fun () -> Obs.set_sink Obs.null) @@ fun () ->
+          List.iter
+            (fun (module Bk : Backend.S) ->
               List.iter
                 (fun c ->
                   let bp =
-                    Blueprint.of_block
-                      [ Stmt.Assign ("S", [], B.fc c) ]
+                    Blueprint.of_block [ Stmt.Assign ("S", [], B.fc c) ]
                   in
                   ignore
                     (ok_or_fail "compile"
-                       (Jit.compile_blueprint ~name:"lru_probe" bp)))
-                [ 1.125; 2.125; 3.125 ];
-              check_bool "memo stayed within cap" true (Jit.memo_size () <= 2);
-              check_bool "evictions counted" true
-                (Jit.memo_evictions () - e0 >= 1)));
+                       (Bk.compile_blueprint ~name:"once" bp)))
+                [ 1.125; 2.125; 1.125 ])
+            Backend.all;
+          let loads =
+            List.filter_map
+              (fun (e : Obs.event) ->
+                match (e.kind, e.name, e.args) with
+                | ( Obs.Begin,
+                    "cache.load",
+                    [ ("kind", Obs.Str ("ocaml" | "c")); ("path", Obs.Str p) ] )
+                  ->
+                    Some p
+                | _ -> None)
+              (events ())
+          in
+          check_int "two artifacts per backend" 4
+            (List.length (List.sort_uniq compare loads));
+          check_int "each loaded once" 4 (List.length loads));
+      case "blueprint keys see scalar kinds; both kinds run bitwise on C"
+        (fun () ->
+          require_cc ();
+          (* FLAG is INTEGER in one block and REAL in the other; the two
+             print alike. *)
+          let int_flag =
+            [
+              Stmt.Iassign ("FLAG", [], B.i 0);
+              Stmt.Assign
+                ("S", [], Stmt.Fbin (Stmt.FAdd, Stmt.Of_int (B.v "FLAG"), B.fc 1.5));
+            ]
+          and real_flag =
+            [
+              Stmt.Assign ("FLAG", [], Stmt.Of_int (B.i 0));
+              Stmt.Assign
+                ("S", [], Stmt.Fbin (Stmt.FAdd, Stmt.Fvar "FLAG", B.fc 1.5));
+            ]
+          in
+          check_string "they print alike" (Stmt.block_to_string int_flag)
+            (Stmt.block_to_string real_flag);
+          let bp_int = Blueprint.of_block int_flag
+          and bp_real = Blueprint.of_block real_flag in
+          check_bool "different keys" false
+            (String.equal bp_int.Blueprint.key bp_real.Blueprint.key);
+          List.iter
+            (fun (block, (bp : Blueprint.t)) ->
+              let env_i = simple_env ~n:4 and env_c = simple_env ~n:4 in
+              Exec.run env_i block;
+              let l =
+                ok_or_fail "cc compile" (Cc.compile_blueprint ~name:"kinds" bp)
+              in
+              ok_or_fail "cc run"
+                (Cc.run ~bindings:bp.Blueprint.bindings l.Cc.fn env_c);
+              let scalars env =
+                ( Env.has_iscalar env "FLAG",
+                  Env.has_fscalar env "FLAG",
+                  Int64.bits_of_float (Env.fscalar env "S") )
+              in
+              check_bool "FLAG and S as the interpreter leaves them" true
+                (scalars env_i = scalars env_c))
+            [ (int_flag, bp_int); (real_flag, bp_real) ]);
       case "concurrent compiles of one blueprint are single-flighted"
         (fun () ->
           require_native ();
-          let saved = Jit.cache_dir () in
+          let saved = Artifact_cache.dir () in
           let tmp = Filename.temp_file "blockc-flight-test" "" in
           Sys.remove tmp;
           Unix.mkdir tmp 0o700;
@@ -444,7 +488,7 @@ let suite =
               check_bool "so artifact" true
                 (Filename.check_suffix l1.Cc.so ".so");
               check_bool "disk stats count .so" true
-                ((Jit.disk_stats ()).Jit.entries >= 1)));
+                ((Artifact_cache.disk_stats ()).Artifact_cache.entries >= 1)));
       case "C memo hits keep the vectorization remarks" (fun () ->
           require_cc ();
           with_private_cache (fun () ->
@@ -460,7 +504,7 @@ let suite =
               check_bool "the compiler reported vectorized code" true
                 (l1.Cc.vec_remarks <> []);
               Sys.remove
-                (Filename.concat (Jit.cache_dir ())
+                (Filename.concat (Artifact_cache.dir ())
                    ("bk_" ^ l1.Cc.key ^ ".vec"));
               let l2 = compile () in
               check_bool "memo hit" true (l2.Cc.disposition = Jit.Memo);
@@ -469,7 +513,7 @@ let suite =
       case "a build that raises leaves no backend wedged" (fun () ->
           require_native ();
           require_cc ();
-          let saved = Jit.cache_dir () in
+          let saved = Artifact_cache.dir () in
           (* a cache directory below a regular file: writing the source
              raises Sys_error *)
           let file = Filename.temp_file "blockc-wedge-test" "" in
@@ -520,7 +564,7 @@ let suite =
                 ~finally:(fun () ->
                   Unix.putenv "BLOCKC_JIT_DISK_CAP" saved_cap)
                 (fun () ->
-                  let e0 = Jit.disk_evictions () in
+                  let e0 = Artifact_cache.disk_evictions () in
                   let compile c =
                     ok_or_fail "compile"
                       (Jit.compile_blueprint ~name:"cap_probe"
@@ -530,11 +574,11 @@ let suite =
                   let l2 = compile 5.125 in
                   (* The cap (1 byte) forces every artifact but the one
                      just written out of the cache. *)
-                  let stats = Jit.disk_stats () in
+                  let stats = Artifact_cache.disk_stats () in
                   check_int "only the newest artifact remains" 1
-                    stats.Jit.entries;
+                    stats.Artifact_cache.entries;
                   check_bool "evictions counted" true
-                    (Jit.disk_evictions () - e0 >= 1);
+                    (Artifact_cache.disk_evictions () - e0 >= 1);
                   check_bool "survivor is the newest" true
                     (Sys.file_exists l2.Jit.cmxs))));
     ] )

@@ -131,7 +131,7 @@ let lane_tests =
         | Error m -> Alcotest.failf "C backend unavailable: %s" m);
         (* a private cache, and a (kernel, variant, backend) no other
            test compiles: the compile runs cc *)
-        let saved = Jit.cache_dir () in
+        let saved = Artifact_cache.dir () in
         let tmp = Filename.temp_file "blockc-lanes-test" "" in
         Sys.remove tmp;
         Unix.putenv "BLOCKC_JIT_CACHE" tmp;
@@ -461,7 +461,6 @@ let suite =
               "compiler_invocations";
               "memo_size";
               "memo_hits";
-              "memo_evictions";
               "disk_hits";
               "disk_entries";
               "disk_bytes";
@@ -472,6 +471,30 @@ let suite =
               "sampler_hz";
               "sampler_samples";
             ];
+          (match field "cache" r with
+          | Some (Json_min.Object kinds) ->
+              check_bool "one object per kind" true
+                (List.sort compare (List.map fst kinds)
+                = [ "c"; "cc_probe"; "derivation"; "ocaml" ]);
+              List.iter
+                (fun (kind, counters) ->
+                  List.iter
+                    (fun k ->
+                      match field k counters with
+                      | Some (Json_min.Number n) ->
+                          check_bool (kind ^ "." ^ k ^ " non-negative") true
+                            (n >= 0.0)
+                      | _ -> Alcotest.failf "cache.%s.%s is not a number" kind k)
+                    [
+                      "loaded";
+                      "memo_hits";
+                      "disk_hits";
+                      "builds";
+                      "corrupt";
+                      "dedup_waits";
+                    ])
+                kinds
+          | _ -> Alcotest.fail "no cache object");
           (match field "cc_available" r with
           | Some (Json_min.Bool _) -> ()
           | _ -> Alcotest.fail "cc_available is not a bool");
@@ -636,6 +659,26 @@ let suite =
              chunk span must name the domain it actually ran on *)
           check_bool "chunk spans carry their domain track" true
             (List.for_all (fun (e : Obs.event) -> e.track >= 0) chunks));
+      case "every registry derivation round-trips through its stored form"
+        (fun () ->
+          List.iter
+            (fun (e : Blockability.entry) ->
+              match Serve.derived_block e with
+              | Error _ -> () (* householder: nothing is stored *)
+              | Ok (block, _, _) ->
+                  let stored = Serve.encode_derivation e block in
+                  let decode s = Serve.decode_derivation e s in
+                  check_bool (e.name ^ " loads as the derived block") true
+                    (Result.map fst (decode stored) = Ok block);
+                  let n = String.length stored in
+                  let flipped = Bytes.of_string stored in
+                  Bytes.set flipped (n - 1)
+                    (Char.chr (Char.code stored.[n - 1] lxor 1));
+                  check_bool (e.name ^ ": a flipped byte is refused") true
+                    (Result.is_error (decode (Bytes.to_string flipped)));
+                  check_bool (e.name ^ ": a short read is refused") true
+                    (Result.is_error (decode (String.sub stored 0 (n / 2)))))
+            Blockability.entries);
       case "repeated derive requests keep the live heap flat" (fun () ->
           (* Proof caches live and die with the contexts and sessions of
              one derivation: nothing may pile up across requests. *)
