@@ -127,29 +127,16 @@ let setup_trace fmt out =
               at_exit Obs.flush;
               Ok ()))
 
-let curated_arg =
-  Arg.(
-    value & flag
-    & info [ "curated-commutativity" ]
-        ~doc:
-          "Answer commutativity questions from the curated fact table (the \
-           paper's syntactic row-swap/column-update matcher) instead of \
-           deriving a proof with fractal symbolic analysis.  Fallback for \
-           when the prover is too slow or too weak; the default derive path \
-           consumes zero curated facts.")
-
-(* Wrap a command body so --trace/--trace-out (and the global
-   --curated-commutativity prover switch) are honoured and usage errors
-   are reported through cmdliner. *)
+(* Wrap a command body so --trace/--trace-out are honoured and usage
+   errors are reported through cmdliner. *)
 let traced run =
   Term.ret
     Term.(
-      const (fun fmt out curated k ->
-          if curated then Commutativity.use_curated := true;
+      const (fun fmt out k ->
           match setup_trace fmt out with
           | Error m -> `Error (true, m)
           | Ok () -> `Ok (k ()))
-      $ trace_arg $ trace_out_arg $ curated_arg $ run)
+      $ trace_arg $ trace_out_arg $ run)
 
 (* ---- list ---- *)
 
@@ -526,46 +513,37 @@ let print_validation (kp : Blockability.kernel_profile) =
 
 (* JSON emission ----------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let jint i = Json_min.Number (float_of_int i)
+let jstr s = Json_min.String s
+let jobj fields = Json_min.Object fields
+let jarr items = Json_min.Array items
 
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
-let jobj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
-let jarr items = "[" ^ String.concat "," items ^ "]"
+(* A fixed-point figure, read back from its printed digits: the number a
+   reader parses is the one the text shows. *)
+let jfixed digits x =
+  Json_min.Number (float_of_string (Printf.sprintf "%.*f" digits x))
 
 let json_of_stats (s : Cache.stats) =
   jobj
     [
-      ("accesses", string_of_int s.accesses); ("hits", string_of_int s.hits);
-      ("misses", string_of_int s.misses);
-      ("evictions", string_of_int s.evictions);
-      ("cold_misses", string_of_int s.cold_misses);
-      ("capacity_misses", string_of_int s.capacity_misses);
-      ("conflict_misses", string_of_int s.conflict_misses);
+      ("accesses", jint s.accesses); ("hits", jint s.hits);
+      ("misses", jint s.misses);
+      ("evictions", jint s.evictions);
+      ("cold_misses", jint s.cold_misses);
+      ("capacity_misses", jint s.capacity_misses);
+      ("conflict_misses", jint s.conflict_misses);
     ]
 
 let json_of_counts (c : Trace.ref_counts) =
   [
-    ("accesses", string_of_int c.Trace.c_accesses);
-    ("l1_misses", string_of_int c.Trace.c_l1_misses);
-    ("l2_misses", string_of_int c.Trace.c_l2_misses);
-    ("mem", string_of_int c.Trace.c_mem);
-    ("tlb_misses", string_of_int c.Trace.c_tlb_misses);
-    ("cold", string_of_int c.Trace.c_cold);
-    ("capacity", string_of_int c.Trace.c_capacity);
-    ("conflict", string_of_int c.Trace.c_conflict);
+    ("accesses", jint c.Trace.c_accesses);
+    ("l1_misses", jint c.Trace.c_l1_misses);
+    ("l2_misses", jint c.Trace.c_l2_misses);
+    ("mem", jint c.Trace.c_mem);
+    ("tlb_misses", jint c.Trace.c_tlb_misses);
+    ("cold", jint c.Trace.c_cold);
+    ("capacity", jint c.Trace.c_capacity);
+    ("conflict", jint c.Trace.c_conflict);
   ]
 
 let json_of_profile (kp : Blockability.kernel_profile) =
@@ -573,14 +551,14 @@ let json_of_profile (kp : Blockability.kernel_profile) =
     ([
        ("variant", jstr kp.kp_variant);
        ( "block",
-         match kp.kp_block with Some b -> string_of_int b | None -> "null" );
+         match kp.kp_block with Some b -> jint b | None -> Json_min.Null );
        ( "levels",
          jarr
            (List.map
               (fun (name, s) -> jobj [ ("name", jstr name); ("stats", json_of_stats s) ])
               kp.kp_levels) );
        ("tlb", json_of_stats kp.kp_tlb);
-       ("cycles", string_of_int kp.kp_cycles);
+       ("cycles", jint kp.kp_cycles);
        ( "refs",
          jarr
            (List.filter_map
@@ -590,7 +568,7 @@ let json_of_profile (kp : Blockability.kernel_profile) =
                   Some
                     (jobj
                        ([
-                          ("id", string_of_int r.site.Exec.ref_id);
+                          ("id", jint r.site.Exec.ref_id);
                           ("ref", jstr r.site.Exec.ref_text);
                           ("kind", jstr (kind_str r.site.Exec.ref_kind));
                           ("nest", jstr (nest_str r.site));
@@ -607,27 +585,27 @@ let json_of_profile (kp : Blockability.kernel_profile) =
        ( "reuse",
          jobj
            [
-             ("cold", string_of_int kp.kp_cold);
-             ("footprint_lines", string_of_int kp.kp_footprint_lines);
+             ("cold", jint kp.kp_cold);
+             ("footprint_lines", jint kp.kp_footprint_lines);
              ( "histogram",
                jarr
                  (List.map
-                    (fun (d, n) -> jarr [ string_of_int d; string_of_int n ])
+                    (fun (d, n) -> jarr [ jint d; jint n ])
                     kp.kp_hist) );
              ( "miss_curve",
                jarr
                  (List.map
-                    (fun (l, m) -> jarr [ string_of_int l; string_of_int m ])
+                    (fun (l, m) -> jarr [ jint l; jint m ])
                     kp.kp_miss_curve) );
            ] );
        ( "validation",
          let v = kp.kp_validation in
          jobj
            [
-             ("predicted_misses", string_of_int v.Cost.v_predicted);
-             ("simulated_misses", string_of_int v.Cost.v_simulated);
-             ("divergence", Printf.sprintf "%.6f" v.Cost.v_divergence);
-             ("miss_ratio_gap", Printf.sprintf "%.6f" v.Cost.v_ratio_gap);
+             ("predicted_misses", jint v.Cost.v_predicted);
+             ("simulated_misses", jint v.Cost.v_simulated);
+             ("divergence", jfixed 6 v.Cost.v_divergence);
+             ("miss_ratio_gap", jfixed 6 v.Cost.v_ratio_gap);
            ] );
      ])
 
@@ -668,27 +646,31 @@ let profile_cmd =
     in
     if json then
       print_endline
-        (jobj
-           ([
-              ("kernel", jstr e.Blockability.name);
-              ("machine", jstr machine.Arch.name);
-              ("point", json_of_profile point);
-              ("transformed", json_of_profile transformed);
-            ]
-           @
-           if sweep_results = [] then []
-           else
-             [
-               ( "sweep",
-                 jarr (List.map (fun (_, kp) -> json_of_profile kp) sweep_results)
-               );
-               ( "recommended_block",
-                 string_of_int
-                   (Blocker.choose_block_size ~machine
-                      ~sweep:
-                        (List.map (fun (b, kp) -> (b, l1_misses kp)) sweep_results)
-                      ()) );
-             ]))
+        (Json_min.to_string
+           (jobj
+              ([
+                 ("kernel", jstr e.Blockability.name);
+                 ("machine", jstr machine.Arch.name);
+                 ("point", json_of_profile point);
+                 ("transformed", json_of_profile transformed);
+               ]
+              @
+              if sweep_results = [] then []
+              else
+                [
+                  ( "sweep",
+                    jarr
+                      (List.map (fun (_, kp) -> json_of_profile kp) sweep_results)
+                  );
+                  ( "recommended_block",
+                    jint
+                      (Blocker.choose_block_size ~machine
+                         ~sweep:
+                           (List.map
+                              (fun (b, kp) -> (b, l1_misses kp))
+                              sweep_results)
+                         ()) );
+                ])))
     else begin
       Printf.printf "kernel: %s (%s)\nmachine: %s\n\n" e.Blockability.name
         e.Blockability.paper_ref machine.Arch.name;
@@ -844,21 +826,18 @@ let json_of_native (r : Blockability.native_result) =
   jobj
     [
       ("backend", jstr r.nt_backend);
-      ("point_s", Printf.sprintf "%.6f" r.nt_point_s);
-      ("transformed_s", Printf.sprintf "%.6f" r.nt_transformed_s);
-      ("speedup", Printf.sprintf "%.4f" r.nt_speedup);
-      ("point_cached", string_of_bool r.nt_point_cached);
-      ("transformed_cached", string_of_bool r.nt_transformed_cached);
+      ("point_s", jfixed 6 r.nt_point_s);
+      ("transformed_s", jfixed 6 r.nt_transformed_s);
+      ("speedup", jfixed 4 r.nt_speedup);
+      ("point_cached", Json_min.Bool r.nt_point_cached);
+      ("transformed_cached", Json_min.Bool r.nt_transformed_cached);
       ( "model_speedup",
         match r.nt_model_speedup with
-        | None -> "null"
-        | Some x -> Printf.sprintf "%.4f" x );
-      ( "bindings",
-        jobj (List.map (fun (k, v) -> (k, string_of_int v)) r.nt_bindings) );
+        | None -> Json_min.Null
+        | Some x -> jfixed 4 x );
+      ("bindings", jobj (List.map (fun (k, v) -> (k, jint v)) r.nt_bindings));
       ( "verify_bindings",
-        jobj
-          (List.map (fun (k, v) -> (k, string_of_int v)) r.nt_verify_bindings)
-      );
+        jobj (List.map (fun (k, v) -> (k, jint v)) r.nt_verify_bindings) );
     ]
 
 let print_native (r : Blockability.native_result) =
@@ -978,7 +957,9 @@ let compile_cmd =
       | Error m ->
           prerr_endline ("blockc compile: " ^ m);
           exit 1
-      | Ok r -> if json then print_endline (json_of_native r) else print_native r
+      | Ok r ->
+          if json then print_endline (Json_min.to_string (json_of_native r))
+          else print_native r
     end
     else
       let block_stmts, jname =
@@ -1020,21 +1001,22 @@ let compile_cmd =
               in
               if json then
                 print_endline
-                  (jobj
-                     [
-                       ("kernel", jstr e.Blockability.name);
-                       ("variant", jstr jname);
-                       ("backend", jstr c.Backend.bk_tag);
-                       ("blueprint", jstr bp.Blueprint.key);
-                       ("key", jstr c.Backend.bk_key);
-                       ("disposition", jstr disposition);
-                       ("compile_s", Printf.sprintf "%.6f" c.Backend.bk_compile_s);
-                       ("artifact", jstr c.Backend.bk_artifact);
-                       ("cmxs", jstr c.Backend.bk_artifact);
-                       ("cached", string_of_bool c.Backend.bk_cached);
-                       ( "vec_remarks",
-                         jarr (List.map jstr c.Backend.bk_remarks) );
-                     ])
+                  (Json_min.to_string
+                     (jobj
+                        [
+                          ("kernel", jstr e.Blockability.name);
+                          ("variant", jstr jname);
+                          ("backend", jstr c.Backend.bk_tag);
+                          ("blueprint", jstr bp.Blueprint.key);
+                          ("key", jstr c.Backend.bk_key);
+                          ("disposition", jstr disposition);
+                          ("compile_s", jfixed 6 c.Backend.bk_compile_s);
+                          ("artifact", jstr c.Backend.bk_artifact);
+                          ("cmxs", jstr c.Backend.bk_artifact);
+                          ("cached", Json_min.Bool c.Backend.bk_cached);
+                          ( "vec_remarks",
+                            jarr (List.map jstr c.Backend.bk_remarks) );
+                        ]))
               else
                 Printf.printf "compiled %s -> %s (blueprint %s, %s, %.3fs)\n"
                   jname c.Backend.bk_artifact
@@ -1060,34 +1042,33 @@ let compile_cmd =
 let json_of_fuzz (s : Fuzz.summary) =
   jobj
     [
-      ("iters", string_of_int s.iters);
-      ("seed", string_of_int s.seed);
-      ("programs", string_of_int s.programs);
-      ( "depth_counts",
-        jarr (Array.to_list (Array.map string_of_int s.depth_counts)) );
+      ("iters", jint s.iters);
+      ("seed", jint s.seed);
+      ("programs", jint s.programs);
+      ("depth_counts", jarr (Array.to_list (Array.map jint s.depth_counts)));
       ( "coverage",
         jobj
           [
-            ("rect", string_of_int s.rect);
-            ("triangular", string_of_int s.triangular);
-            ("trapezoidal", string_of_int s.trapezoidal);
-            ("guarded", string_of_int s.guarded);
+            ("rect", jint s.rect);
+            ("triangular", jint s.triangular);
+            ("trapezoidal", jint s.trapezoidal);
+            ("guarded", jint s.guarded);
           ] );
       ( "oracle",
         jobj
           [
-            ("checked", string_of_int s.oracle_checked);
-            ("violations", string_of_int s.oracle_violations);
+            ("checked", jint s.oracle_checked);
+            ("violations", jint s.oracle_violations);
           ] );
-      ("reparsed", string_of_int s.reparsed);
+      ("reparsed", jint s.reparsed);
       ( "native",
         jobj
           [
-            ("checked", string_of_int s.native_checked);
-            ("c_checked", string_of_int s.native_c_checked);
-            ("divergences", string_of_int s.native_divergences);
-            ("blueprints", string_of_int s.native_blueprints);
-            ("blueprint_reuses", string_of_int s.native_blueprint_reuses);
+            ("checked", jint s.native_checked);
+            ("c_checked", jint s.native_c_checked);
+            ("divergences", jint s.native_divergences);
+            ("blueprints", jint s.native_blueprints);
+            ("blueprint_reuses", jint s.native_blueprint_reuses);
           ] );
       ( "passes",
         jarr
@@ -1096,13 +1077,13 @@ let json_of_fuzz (s : Fuzz.summary) =
                jobj
                  [
                    ("name", jstr p.ps_name);
-                   ("applied", string_of_int p.ps_applied);
-                   ("rejected", string_of_int p.ps_rejected);
-                   ("diverged", string_of_int p.ps_diverged);
+                   ("applied", jint p.ps_applied);
+                   ("rejected", jint p.ps_rejected);
+                   ("diverged", jint p.ps_diverged);
                  ])
              s.passes) );
       ("failures", jarr (List.map jstr s.failures));
-      ("ok", if Fuzz.ok s then "true" else "false");
+      ("ok", Json_min.Bool (Fuzz.ok s));
     ]
 
 let print_fuzz (s : Fuzz.summary) =
@@ -1184,7 +1165,8 @@ let fuzz_cmd =
         Printf.eprintf "blockc fuzz: %s\n" m;
         exit 2
     | Ok s ->
-        if json then print_endline (json_of_fuzz s) else print_fuzz s;
+        if json then print_endline (Json_min.to_string (json_of_fuzz s))
+        else print_fuzz s;
         if not (Fuzz.ok s) then exit 1
   in
   Cmd.v

@@ -1,13 +1,9 @@
 (* The §3.2 oil-exploration kernels: trapezoidal and rhomboidal iteration
-   spaces.  Shows MIN/MAX index-set splitting on the IR, then times the
-   native variants the transformation sequence produces.
+   spaces.  Shows MIN/MAX index-set splitting on the IR, then compiles
+   the point and derived variants natively, verifies them bitwise
+   against the interpreter and times them (Blockability.native_compare).
 
    Run with:  dune exec examples/convolution.exe *)
-
-let time f =
-  let t0 = Monotonic_clock.now () in
-  f ();
-  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
 
 let () =
   print_endline "== adjoint convolution, point form ==";
@@ -35,20 +31,22 @@ let () =
       print_string (Stmt.block_to_string block));
 
   (* native timing, the T1 experiment in miniature *)
-  let n1 = 400 in
-  let s = N_conv.make ~n1 ~n2:n1 ~n3:(4 * n1 / 3) () in
-  let bench f =
-    time (fun () ->
-        for _ = 1 to 200 do
-          N_conv.reset s;
-          f s
-        done)
-  in
-  let t0 = bench N_conv.aconv and t1 = bench N_conv.aconv_opt in
-  Printf.printf
-    "\naconv n=%d: original %.1fms, split+unroll-and-jam %.1fms (speedup %.2f)\n"
-    n1 (t0 *. 1e3) (t1 *. 1e3) (t0 /. t1);
-  let t0 = bench N_conv.conv and t1 = bench N_conv.conv_opt in
-  Printf.printf
-    "conv  n=%d: original %.1fms, split+unroll-and-jam %.1fms (speedup %.2f)\n"
-    n1 (t0 *. 1e3) (t1 *. 1e3) (t0 /. t1)
+  let n1 = 800 in
+  let bindings = [ ("N1", n1); ("N2", n1); ("N3", 4 * n1 / 3) ] in
+  print_newline ();
+  List.iter
+    (fun name ->
+      match
+        Blockability.native_compare ~bindings
+          (Option.get (Blockability.find name))
+      with
+      | Error m -> Printf.printf "%s: %s\n" name m
+      | Ok r ->
+          Printf.printf
+            "%-5s n=%d: original %.2fms, split+unroll-and-jam %.2fms \
+             (speedup %.2f), verified bitwise\n"
+            name n1
+            (r.Blockability.nt_point_s *. 1e3)
+            (r.Blockability.nt_transformed_s *. 1e3)
+            r.Blockability.nt_speedup)
+    [ "aconv"; "conv" ]

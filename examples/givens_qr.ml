@@ -4,11 +4,6 @@
 
    Run with:  dune exec examples/givens_qr.exe *)
 
-let time f =
-  let t0 = Monotonic_clock.now () in
-  f ();
-  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
-
 let () =
   print_endline "== point Givens QR (Figure 9) ==";
   print_string (Stmt.to_string (Stmt.Loop K_givens.point_loop));
@@ -28,20 +23,15 @@ let () =
 
   (* native timing across sizes: the win grows as the matrix outgrows the
      cache (the paper saw 2.04x at 300 and 5.49x at 500) *)
-  print_endline "\nnative timings:";
+  print_endline "\nnative timings (compiled, verified bitwise):";
   List.iter
     (fun n ->
-      let a0 = Linalg.random ~seed:6 n n in
-      let bench f =
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          let x = Linalg.copy_mat a0 in
-          let t = time (fun () -> f x) in
-          if t < !best then best := t
-        done;
-        !best
-      in
-      let t0 = bench N_givens.point and t1 = bench N_givens.optimized in
-      Printf.printf "  %4dx%-4d point %8.1fms  optimized %8.1fms  speedup %.2f\n"
-        n n (t0 *. 1e3) (t1 *. 1e3) (t0 /. t1))
-    [ 100; 200; 400; 800 ]
+      match Blockability.native_compare ~bindings:[ ("M", n); ("N", n) ] entry with
+      | Error m -> Printf.printf "  %dx%d: %s\n" n n m
+      | Ok r ->
+          Printf.printf "  %4dx%-4d point %8.1fms  optimized %8.1fms  speedup %.2f\n"
+            n n
+            (r.Blockability.nt_point_s *. 1e3)
+            (r.Blockability.nt_transformed_s *. 1e3)
+            r.Blockability.nt_speedup)
+    [ 100; 200; 400 ]

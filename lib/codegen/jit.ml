@@ -111,10 +111,19 @@ let first_lines ?(n = 4) s =
   let lines = String.split_on_char '\n' (String.trim s) in
   String.concat " | " (List.filteri (fun i _ -> i < n) lines)
 
-(* Build (or fetch) the plugin for [key].  [source] is only forced on a
-   build, so the warm path is a hash lookup and nothing else. *)
-let compile_keyed ?ocamlopt ~name ~key (source : unit -> (string, string) result)
-    =
+(* Build (or fetch) the plugin for a blueprint.  Emission only happens
+   on a build, so the warm path is a hash lookup and nothing else.  The
+   plugin's module name comes from its file name (the key), so the
+   emitted text must not vary with the caller's diagnostic name — one
+   blueprint, one source, one artifact. *)
+let compile_blueprint ?ocamlopt ~name (bp : Blueprint.t) =
+  let key =
+    Digest.to_hex
+      (Digest.string (Sys.ocaml_version ^ "\x00blueprint\x00" ^ bp.Blueprint.key))
+  in
+  Obs.span ~cat:"jit" "jit.compile_blueprint"
+    ~args:[ ("kernel", Obs.Str name); ("blueprint", Obs.Str bp.Blueprint.key) ]
+  @@ fun () ->
   let compiler =
     match ocamlopt with Some p -> Some p | None -> find_ocamlopt ()
   in
@@ -123,7 +132,11 @@ let compile_keyed ?ocamlopt ~name ~key (source : unit -> (string, string) result
   | true, None -> Error "ocamlopt not found on PATH (set BLOCKC_OCAMLOPT)"
   | true, Some compiler -> (
       let build tmp =
-        match source () with
+        match
+          emit ~unsafe:bp.Blueprint.unsafe ~shapes:bp.Blueprint.shapes
+            ~name:("bp_" ^ String.sub bp.Blueprint.key 0 12)
+            bp.Blueprint.block
+        with
         | Error _ as e -> e
         | Ok source ->
             Obs.span ~cat:"jit" "jit.compile"
@@ -156,29 +169,6 @@ let compile_keyed ?ocamlopt ~name ~key (source : unit -> (string, string) result
                fn = e.value;
              }))
 
-let compile ?ocamlopt ~name source =
-  let key =
-    Digest.to_hex (Digest.string (Sys.ocaml_version ^ "\x00" ^ source))
-  in
-  compile_keyed ?ocamlopt ~name ~key (fun () -> Ok source)
-
-(* The plugin's module name comes from its file name (the key), so the
-   emitted text must not vary with the caller's diagnostic name — one
-   blueprint, one source, one artifact. *)
-let compile_blueprint ?ocamlopt ~name (bp : Blueprint.t) =
-  let key =
-    Digest.to_hex
-      (Digest.string (Sys.ocaml_version ^ "\x00blueprint\x00" ^ bp.Blueprint.key))
-  in
-  let source () =
-    emit ~unsafe:bp.Blueprint.unsafe ~shapes:bp.Blueprint.shapes
-      ~name:("bp_" ^ String.sub bp.Blueprint.key 0 12)
-      bp.Blueprint.block
-  in
-  Obs.span ~cat:"jit" "jit.compile_blueprint"
-    ~args:[ ("kernel", Obs.Str name); ("blueprint", Obs.Str bp.Blueprint.key) ]
-  @@ fun () -> compile_keyed ?ocamlopt ~name ~key source
-
 (* ---- execution ---------------------------------------------------- *)
 
 let flat_dims dims =
@@ -205,9 +195,3 @@ let run ?(bindings = []) fn env =
   | exception Failure m -> Error m
   | exception Division_by_zero -> Error "division by zero"
   | exception Invalid_argument m -> Error ("out of bounds: " ^ m)
-
-let run_block ?unsafe ?shapes ~name blk env =
-  let bp = Blueprint.of_block ?unsafe ?shapes blk in
-  match compile_blueprint ~name bp with
-  | Error m -> Error m
-  | Ok { fn; _ } -> run ~bindings:bp.Blueprint.bindings fn env

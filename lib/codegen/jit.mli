@@ -9,12 +9,11 @@
     constructor's name.
 
     Compiled plugins live in the {!Artifact_cache}, keyed by the
-    {!Blueprint} digest xor the compiler version for the
-    {!compile_blueprint} path — so one loop structure is one artifact
-    no matter how many problem sizes it runs at — and by the raw source
-    digest for the legacy {!compile} path.  Each plugin is loaded once
-    per process and kept: [Dynlink] cannot unload it, and loading it
-    again would re-run its initializer.
+    {!Blueprint} digest xor the compiler version — so one loop
+    structure is one artifact no matter how many problem sizes it runs
+    at.  Each plugin is loaded once per process and kept: [Dynlink]
+    cannot unload it, and loading it again would re-run its
+    initializer.
 
     Every stage records an Obs span ([jit.emit], [jit.compile],
     [jit.compile_blueprint], [cache.load], [jit.run]) so [--trace] covers
@@ -30,7 +29,7 @@ type disposition = Artifact_cache.disposition = Memo | Disk | Compiled
 val disposition_name : disposition -> string
 
 type loaded = {
-  key : string;  (** full cache key (blueprint or source digest) *)
+  key : string;  (** full cache key (blueprint digest) *)
   cmxs : string;  (** path of the compiled plugin *)
   cached : bool;  (** true when the compile step was skipped *)
   disposition : disposition;
@@ -53,18 +52,15 @@ val emit :
   (string, string) result
 (** {!Emit.source} wrapped in a [jit.emit] span. *)
 
-val compile : ?ocamlopt:string -> name:string -> string -> (loaded, string) result
-(** Compile (or fetch from cache) and load emitted source, keyed by the
-    source digest.  [name] is only for diagnostics and spans.
-    [ocamlopt] overrides compiler discovery — pointing it at a
-    non-compiler is how the fallback path is tested. *)
-
 val compile_blueprint :
   ?ocamlopt:string -> name:string -> Blueprint.t -> (loaded, string) result
-(** Compile (or fetch) the plugin for a normalized blueprint, keyed by
-    [Blueprint.key] xor the compiler version.  Emission only happens on
-    a cache miss: the warm path is a hash lookup.  Run the result with
-    {!run}[ ~bindings:bp.Blueprint.bindings]. *)
+(** Compile (or fetch) and load the plugin for a normalized blueprint,
+    keyed by [Blueprint.key] xor the compiler version.  Emission only
+    happens on a cache miss: the warm path is a hash lookup.  Run the
+    result with {!run}[ ~bindings:bp.Blueprint.bindings].  [name] is
+    only for diagnostics and spans; [ocamlopt] overrides compiler
+    discovery — pointing it at a non-compiler is how the fallback path
+    is tested. *)
 
 val run :
   ?bindings:(string * int) list -> fn -> Env.t -> (unit, string) result
@@ -75,16 +71,6 @@ val run :
     scalars — they close the parameters a {!Blueprint} hoisted.
     Runtime failures (zero step, negative SQRT, out-of-bounds checked
     access) come back as [Error]. *)
-
-val run_block :
-  ?unsafe:bool ->
-  ?shapes:Emit.shapes ->
-  name:string ->
-  Stmt.t list ->
-  Env.t ->
-  (unit, string) result
-(** Blueprint-normalize, compile and run in one step: repeated calls
-    with blocks that share a loop structure share one compile. *)
 
 val compiler_invocations : unit -> int
 (** [ocamlopt] runs so far in this process (builds of the cache's

@@ -135,6 +135,18 @@ val native_compare :
     interpreter is an [Error]: the native path never trades correctness
     for speed. *)
 
+val native_time :
+  Kernel_def.t ->
+  (Env.t -> (unit, string) result) ->
+  bindings:(string * int) list ->
+  seed:int ->
+  reps:int ->
+  (float, string) result
+(** The timing path of {!native_compare}, for any runner: the best of
+    [reps] (at least one) wall-clock runs of [run], each on a fresh
+    {!Kernel_def.make_env} environment built outside the clock.  The
+    first [Error] from [run] is returned. *)
+
 val profile_sweep :
   ?bindings:(string * int) list ->
   ?seed:int ->

@@ -1,7 +1,7 @@
 (** Point Householder QR in the IR (§5.3) — the paper's *non-blockable*
     kernel.
 
-    The block form (compact-WY, see {!N_householder}) computes the
+    The block form (compact-WY, see {!Hand_kernels}) computes the
     triangular factor [T], computation and storage with no counterpart
     in this point code; the paper's point is that no dependence-based
     transformation can derive it.  This IR form exists so the compiler

@@ -2,18 +2,14 @@ type chunking =
   | Static
   | Guided of { min_chunk : int }
 
-let chunks ~lanes ~chunking ~align ~lo ~hi =
+let chunks ~lanes ~chunking ~lo ~hi =
   let total = hi - lo + 1 in
   if total <= 0 then [||]
   else
-    let align = max 1 align in
-    let round_up c = (c + align - 1) / align * align in
     match chunking with
     | Static ->
-        (* lane boundaries at i*total/lanes, pushed up to alignment *)
-        let cut i =
-          if i >= lanes then total else min total (round_up (i * total / lanes))
-        in
+        (* lane boundaries at i*total/lanes *)
+        let cut i = if i >= lanes then total else i * total / lanes in
         let cs = ref [] in
         for i = lanes - 1 downto 0 do
           let s = cut i and e = cut (i + 1) in
@@ -26,19 +22,19 @@ let chunks ~lanes ~chunking ~align ~lo ~hi =
         while !start <= hi do
           let remaining = hi - !start + 1 in
           let c = max min_chunk (remaining / (2 * lanes)) in
-          let c = min (round_up c) remaining in
+          let c = min c remaining in
           cs := (!start, !start + c - 1) :: !cs;
           start := !start + c
         done;
         Array.of_list (List.rev !cs)
 
-let for_ ?pool ?(chunking = Static) ?(align = 1) ~lo ~hi f =
+let for_ ?pool ?(chunking = Static) ~lo ~hi f =
   if hi >= lo then begin
     let pool = match pool with Some p -> p | None -> Pool.default () in
     let lanes = Pool.size pool in
     if lanes = 1 then f lo hi
     else begin
-      let cs = chunks ~lanes ~chunking ~align ~lo ~hi in
+      let cs = chunks ~lanes ~chunking ~lo ~hi in
       let n = Array.length cs in
       if n <= 1 then f lo hi
       else begin

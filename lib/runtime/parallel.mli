@@ -24,17 +24,13 @@ type chunking =
   | Guided of { min_chunk : int }
 
 val chunks :
-  lanes:int -> chunking:chunking -> align:int -> lo:int -> hi:int ->
-  (int * int) array
+  lanes:int -> chunking:chunking -> lo:int -> hi:int -> (int * int) array
 (** The deterministic chunk decomposition of [[lo, hi]] (inclusive):
-    contiguous, disjoint, covering, in increasing order.  Every chunk
-    start is congruent to [lo] modulo [align] (so unroll-and-jam
-    groupings of [align] consecutive iterations fall entirely inside one
-    chunk, keeping parallel results bitwise equal to serial ones).
-    Exposed for tests. *)
+    contiguous, disjoint, covering, in increasing order.  Exposed for
+    tests. *)
 
 val for_ :
-  ?pool:Pool.t -> ?chunking:chunking -> ?align:int ->
+  ?pool:Pool.t -> ?chunking:chunking ->
   lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** [for_ ~lo ~hi f] calls [f clo chi] over chunks of [[lo, hi]], in
     parallel on [pool] (default: {!Pool.default}).  [f] must treat its

@@ -354,7 +354,6 @@ let derived_block entry =
               exe_identity;
               entry.Blockability.name;
               Stmt.block_to_string entry.Blockability.kernel.Kernel_def.block;
-              string_of_bool !Commutativity.use_curated;
             ]))
   in
   let build tmp =

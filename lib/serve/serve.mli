@@ -144,11 +144,11 @@ val derived_block :
 (** A registry kernel's transformed block and its blueprint, from the
     {!Artifact_cache}'s ["derivation"] kind: derived by the first process
     that asks ([Compiled]) and read back by every later process of the
-    same executable ([Disk]).  The key is the entry's name and source block,
-    {!Commutativity.use_curated}, and the executable's identity from
-    one [stat] (device, inode, size, mtime).  [derive], [explain],
-    [verify] and [native_compare] do not come here: they print or check
-    the derivation itself. *)
+    same executable ([Disk]).  The key is the entry's name and source
+    block, and the executable's identity from one [stat] (device,
+    inode, size, mtime).  [derive], [explain], [verify] and
+    [native_compare] do not come here: they print or check the
+    derivation itself. *)
 
 val encode_derivation : Blockability.entry -> Stmt.t list -> string
 (** A stored derivation: the MD5 of the [Marshal]led block, the block's

@@ -68,8 +68,8 @@ val load_trajectory : string -> (Json_min.t list, string) result
 
 val trajectory_entry :
   date:string -> label:string -> tables:Json_min.t -> Json_min.t
-(** One run entry of the trajectory array.  [tables] is a parsed
-    [Table.json_of_tables] dump of the run being recorded. *)
+(** One run entry of the trajectory array.  [tables] is the
+    [Table.json_of_tables] document of the run being recorded. *)
 
 val append_trajectory_entry :
   date:string -> label:string -> tables:Json_min.t -> Json_min.t list -> string

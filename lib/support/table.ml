@@ -57,70 +57,27 @@ let render t =
 
 let print t = print_string (render t)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let add_json_strings buf cells =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape c);
-      Buffer.add_char buf '"')
-    cells;
-  Buffer.add_char buf ']'
-
-let add_json buf t =
-  Buffer.add_string buf "{\"title\":";
-  (match t.title with
-  | Some title ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape title);
-      Buffer.add_char buf '"'
-  | None -> Buffer.add_string buf "null");
-  Buffer.add_string buf ",\"headers\":";
-  add_json_strings buf t.headers;
-  Buffer.add_string buf ",\"rows\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_json_strings buf row)
-    (List.rev t.rows);
-  Buffer.add_string buf "]}"
+let strings cells = Json_min.Array (List.map (fun c -> Json_min.String c) cells)
 
 let to_json t =
-  let buf = Buffer.create 256 in
-  add_json buf t;
-  Buffer.contents buf
+  Json_min.Object
+    [
+      ( "title",
+        match t.title with Some s -> Json_min.String s | None -> Json_min.Null );
+      ("headers", strings t.headers);
+      ("rows", Json_min.Array (List.rev_map strings t.rows));
+    ]
 
 let json_of_tables tables =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"tables\":[";
-  List.iteri
-    (fun i (id, t) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"id\":\"";
-      Buffer.add_string buf (json_escape id);
-      Buffer.add_string buf "\",\"table\":";
-      add_json buf t;
-      Buffer.add_char buf '}')
-    tables;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json_min.Object
+    [
+      ( "tables",
+        Json_min.Array
+          (List.map
+             (fun (id, t) ->
+               Json_min.Object [ ("id", Json_min.String id); ("table", to_json t) ])
+             tables) );
+    ]
 
 let cell_s secs =
   if secs >= 10.0 then Printf.sprintf "%.2fs" secs

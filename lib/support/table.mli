@@ -26,13 +26,13 @@ val cell_s : float -> string
 val cell_f : float -> string
 (** Format a ratio such as a speedup, e.g. "1.80". *)
 
-val to_json : t -> string
+val to_json : t -> Json_min.t
 (** The table as one JSON object:
     [{"title": ..., "headers": [...], "rows": [[...], ...]}].  Cells are
     emitted as strings exactly as rendered, so downstream tooling can
     diff trajectories without reparsing the ASCII layout. *)
 
-val json_of_tables : (string * t) list -> string
+val json_of_tables : (string * t) list -> Json_min.t
 (** [json_of_tables [(id, t); ...]] is
     [{"tables": [{"id": id, "table": ...}, ...]}] — the benchmark
     harness's [--json] payload. *)

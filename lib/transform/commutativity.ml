@@ -1,96 +1,11 @@
-(* ------------------------------------------------------------------ *)
-(* Curated pattern table (the paper's §5.2 matcher)                    *)
-(* ------------------------------------------------------------------ *)
+(* Derived commutativity via fractal symbolic analysis. *)
 
-(* T = A(r1, j); A(r1, j) = A(r2, j); A(r2, j) = T  within DO j. *)
-let swap_body j = function
-  | [
-      Stmt.Assign (t, [], Stmt.Ref (a1, [ r1; Expr.Var j1 ]));
-      Stmt.Assign (a2, [ r1'; Expr.Var j2 ], Stmt.Ref (a3, [ r2; Expr.Var j3 ]));
-      Stmt.Assign (a4, [ r2'; Expr.Var j4 ], Stmt.Fvar t');
-    ] ->
-      String.equal t t'
-      && String.equal a1 a2 && String.equal a2 a3 && String.equal a3 a4
-      && List.for_all (String.equal j) [ j1; j2; j3; j4 ]
-      && Expr.equal r1 r1' && Expr.equal r2 r2'
-      && (not (Expr.mentions j r1))
-      && not (Expr.mentions j r2)
-  | _ -> false
-
-let is_row_swap = function
-  | Stmt.Loop l -> swap_body l.index l.body
-  | Stmt.Assign _ | Stmt.Iassign _ | Stmt.If _ -> false
-
-(* A(i, j) = A(i, j) -/+ A(i, k) * A(k, j), column index [i] being the
-   innermost loop's index. *)
-let update_assign i = function
-  | Stmt.Assign
-      ( a,
-        [ Expr.Var i1; j1 ],
-        Stmt.Fbin
-          ( (Stmt.FSub | Stmt.FAdd),
-            Stmt.Ref (a2, [ Expr.Var i2; j2 ]),
-            Stmt.Fbin
-              (Stmt.FMul, Stmt.Ref (a3, [ Expr.Var i3; k1 ]), Stmt.Ref (a4, [ k2; j3 ]))
-          ) ) ->
-      String.equal a a2 && String.equal a2 a3 && String.equal a3 a4
-      && List.for_all (String.equal i) [ i1; i2; i3 ]
-      && Expr.equal j1 j2 && Expr.equal j2 j3 && Expr.equal k1 k2
-      && (not (Expr.mentions i j1))
-      && not (Expr.mentions i k1)
-  | _ -> false
-
-let rec is_column_update = function
-  | Stmt.Loop l -> (
-      match l.body with
-      | [ (Stmt.Loop _ as inner) ] -> is_column_update inner
-      | [ stmt ] -> update_assign l.index stmt
-      | _ -> false)
-  | Stmt.Assign _ | Stmt.Iassign _ | Stmt.If _ -> false
-
+(* The immediate body statement of the carrying loop a dependence
+   endpoint lies in. *)
 let body_stmt_of_path (path : Stmt.path) =
   match path with
   | Stmt.I 0 :: Stmt.I k :: _ -> Some k
   | _ -> None
-
-let curated_count = ref 0
-let lookups () = !curated_count
-let reset_lookups () = curated_count := 0
-let use_curated = ref false
-
-let may_ignore_curated (l : Stmt.loop) (dep : Dependence.t) =
-  incr curated_count;
-  let body = Array.of_list l.body in
-  match
-    (body_stmt_of_path dep.source.path, body_stmt_of_path dep.sink.path)
-  with
-  | Some a, Some b when a <> b && a < Array.length body && b < Array.length body
-    ->
-      let sa = body.(a) and sb = body.(b) in
-      let ok =
-        (is_row_swap sa && is_column_update sb)
-        || (is_column_update sa && is_row_swap sb)
-      in
-      (* Only positive matches are decisions; every other dependence in
-         the loop is queried too and would flood the trace. *)
-      if ok then
-        Obs.decision ~transform:"commutativity" ~target:l.index ~applied:true
-          ~reason:
-            "curated: row interchange commutes with whole-column updates \
-             (§5.2); the dependence between them may be ignored for \
-             distribution"
-          ~evidence:
-            [
-              ("dependence", Obs.Str (Dependence.to_string dep));
-              ("stmts", Obs.Str (Printf.sprintf "%d <-> %d" a b));
-            ]
-          ();
-      ok
-  | _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Derived commutativity via fractal symbolic analysis                 *)
-(* ------------------------------------------------------------------ *)
 
 let theta_counter = ref 0
 
@@ -167,7 +82,7 @@ let derive_commute ~ctx (l : Stmt.loop) a b =
 let memo : (string, bool * string) Hashtbl.t = Hashtbl.create 16
 let memo_mu = Mutex.create ()
 
-let may_ignore_derived ~ctx (l : Stmt.loop) (dep : Dependence.t) =
+let may_ignore ~ctx (l : Stmt.loop) (dep : Dependence.t) =
   let n = List.length l.body in
   match
     (body_stmt_of_path dep.source.path, body_stmt_of_path dep.sink.path)
@@ -201,7 +116,3 @@ let may_ignore_derived ~ctx (l : Stmt.loop) (dep : Dependence.t) =
           ();
       ok
   | _ -> false
-
-let may_ignore ~ctx l dep =
-  if !use_curated then may_ignore_curated l dep
-  else may_ignore_derived ~ctx l dep

@@ -8,48 +8,16 @@
     locations.  The paper proposes pattern matching to recognize this
     pair of operations and license ignoring the preventing recurrence.
 
-    Two provers answer {!may_ignore}:
+    {!may_ignore} derives the fact instead of looking it up:
+    instantiate the dependence's source and sink statements at two
+    generic iterations [theta1 < theta2] of the carrying loop, recover
+    range facts for the integer scalars each instance reads from its
+    body prefix (e.g. the pivot row after the search), and ask
+    {!Fsa.commute} whether the instances commute — a machine-checked
+    proof, traced as an [Obs] decision with the proof tree as
+    evidence. *)
 
-    - the {e derived} prover (default): instantiate the dependence's
-      source and sink statements at two generic iterations
-      [theta1 < theta2] of the carrying loop, recover range facts for
-      the integer scalars each instance reads from its body prefix
-      (e.g. the pivot row after the search), and ask {!Fsa.commute}
-      whether the instances commute — a machine-checked proof, traced
-      as an [Obs] decision with the proof tree as evidence;
-    - the {e curated} table ({!may_ignore_curated}, the paper's
-      matcher): syntactic row-swap and column-update patterns.  Kept as
-      a fallback behind {!use_curated} (the [--curated-commutativity]
-      CLI flag) and as a cross-check in the tests. *)
-
-val is_row_swap : Stmt.t -> bool
-(** Does this statement (a loop over row elements) perform a row
-    interchange of a 2-D array via a temporary? *)
-
-val is_column_update : Stmt.t -> bool
-(** Is this a (nest of loops around a) whole-column update of the
-    Gaussian-elimination form? *)
-
-val use_curated : bool ref
-(** When set, {!may_ignore} consults the curated table instead of
-    deriving proofs ([--curated-commutativity]).  Default: [false]. *)
-
-val lookups : unit -> int
-(** How many times the curated table has been consulted (a test
-    asserts the default derive path consumes zero curated facts). *)
-
-val reset_lookups : unit -> unit
-
-val may_ignore_curated : Stmt.loop -> Dependence.t -> bool
-(** The curated matcher: true when the dependence connects a row-swap
-    group and a column-update group among the immediate body statements
-    of the loop.  Counts a lookup on every call. *)
-
-val may_ignore_derived :
-  ctx:Symbolic.t -> Stmt.loop -> Dependence.t -> bool
+val may_ignore : ctx:Symbolic.t -> Stmt.loop -> Dependence.t -> bool
 (** The FSA-backed prover.  [ctx] carries the facts valid at the
     loop's execution point (the blocker passes its universal context).
     Proofs are memoized per (loop, statement pair, facts). *)
-
-val may_ignore : ctx:Symbolic.t -> Stmt.loop -> Dependence.t -> bool
-(** Dispatches on {!use_curated}. *)

@@ -67,6 +67,13 @@ let simple_env ~n =
 let emit_ok ?unsafe ?shapes ~name block =
   ok_or_fail "emit" (Emit.source ?unsafe ?shapes ~name block)
 
+(* Blueprint-normalize, compile (or fetch) and run a block natively. *)
+let native_run ?shapes ~name block env =
+  let bp = Blueprint.of_block ?shapes block in
+  match Jit.compile_blueprint ~name bp with
+  | Error m -> Error m
+  | Ok l -> Jit.run ~bindings:bp.Blueprint.bindings l.Jit.fn env
+
 let suite =
   ( "codegen",
     [
@@ -123,7 +130,7 @@ let suite =
           Exec.run env_i e.kernel.Kernel_def.block;
           let env_n = Kernel_def.make_env e.kernel ~bindings ~seed:11 in
           ok_or_fail "native run"
-            (Jit.run_block ~shapes:e.kernel.Kernel_def.shapes ~name:"lu_point"
+            (native_run ~shapes:e.kernel.Kernel_def.shapes ~name:"lu_point"
                e.kernel.Kernel_def.block env_n);
           match Env.diff ~only:[ "A" ] env_i env_n with
           | None -> ()
@@ -136,7 +143,7 @@ let suite =
           Exec.run env_i e.kernel.Kernel_def.block;
           let env_n = Kernel_def.make_env e.kernel ~bindings ~seed:5 in
           ok_or_fail "native run"
-            (Jit.run_block ~shapes:e.kernel.Kernel_def.shapes ~name:"conv_point"
+            (native_run ~shapes:e.kernel.Kernel_def.shapes ~name:"conv_point"
                e.kernel.Kernel_def.block env_n);
           match Env.diff ~only:e.kernel.Kernel_def.traced env_i env_n with
           | None -> ()
@@ -150,7 +157,7 @@ let suite =
             ]
           in
           let env = simple_env ~n:4 in
-          ok_or_fail "native run" (Jit.run_block ~name:"writeback" block env);
+          ok_or_fail "native run" (native_run ~name:"writeback" block env);
           check_int "T" 8 (Env.iscalar env "T");
           check_bool "S" true (Float.equal (Env.fscalar env "S") 3.5));
       case "zero-step loop fails like the interpreter" (fun () ->
@@ -168,27 +175,19 @@ let suite =
             ]
           in
           let env = simple_env ~n:4 in
-          match Jit.run_block ~name:"zerostep" block env with
+          match native_run ~name:"zerostep" block env with
           | Ok () -> Alcotest.fail "expected a zero-step error"
           | Error m ->
               check_bool "message" true (contains m "zero step"));
-      case "second compile of the same source hits the cache" (fun () ->
-          require_native ();
-          let e = entry "lu" in
-          let src =
-            emit_ok ~shapes:e.kernel.Kernel_def.shapes ~name:"lu_point"
-              e.kernel.Kernel_def.block
-          in
-          let l1 = ok_or_fail "compile" (Jit.compile ~name:"lu_point" src) in
-          let l2 = ok_or_fail "compile" (Jit.compile ~name:"lu_point" src) in
-          check_bool "memoized" true l2.Jit.cached;
-          check_bool "same key" true (String.equal l1.Jit.key l2.Jit.key));
       case "broken ocamlopt degrades to a clear error" (fun () ->
-          (* A unique name makes a unique source, so neither the memo
-             nor the on-disk cache can satisfy the request. *)
-          let block = [ Stmt.Assign ("S", [], B.fc 1.0) ] in
-          let src = emit_ok ~name:"fallback_probe_no_such_compiler" block in
-          (match Jit.compile ~ocamlopt:"/nonexistent/ocamlopt" ~name:"probe" src with
+          (* A unique scalar name makes a unique blueprint, so neither
+             the memo nor the on-disk cache can satisfy the request. *)
+          let probe = "FALLBACK_PROBE_NO_SUCH_COMPILER" in
+          let block = [ Stmt.Assign (probe, [], B.fc 1.0) ] in
+          (match
+             Jit.compile_blueprint ~ocamlopt:"/nonexistent/ocamlopt"
+               ~name:"probe" (Blueprint.of_block block)
+           with
           | Ok _ -> Alcotest.fail "expected a compile failure"
           | Error m ->
               check_bool "mentions ocamlopt" true (contains m "ocamlopt"));
@@ -196,7 +195,7 @@ let suite =
           let env = simple_env ~n:2 in
           Exec.run env block;
           check_bool "interpreter still works" true
-            (Float.equal (Env.fscalar env "S") 1.0));
+            (Float.equal (Env.fscalar env probe) 1.0));
       case "native_compare verifies and times the lu pair" (fun () ->
           require_native ();
           let r =

@@ -1,7 +1,8 @@
 open Helpers
 
-(* Fractal symbolic analysis: proof-tree goldens, fuel soundness, and
-   curated-vs-derived agreement on the §5.2 pivoting derivation. *)
+(* Fractal symbolic analysis: proof-tree goldens and fuel soundness.
+   The §5.2 pivoting derivation it licenses is pinned in
+   derivations.golden. *)
 
 let ctx = Symbolic.assume_pos Symbolic.empty "N"
 
@@ -128,32 +129,6 @@ let fuel_soundness () =
   | Fsa.Unknown _ -> ()
   | Fsa.Equivalent -> Alcotest.fail "fuel 1 claimed equivalence"
 
-(* The acceptance gate: the default derive path blocks pivoting LU
-   without consuming a single curated commutativity fact, and agrees
-   with the curated matcher's derivation exactly. *)
-let derived_matches_curated () =
-  let saved = !Commutativity.use_curated in
-  Fun.protect
-    ~finally:(fun () -> Commutativity.use_curated := saved)
-    (fun () ->
-      Commutativity.use_curated := false;
-      Commutativity.reset_lookups ();
-      let derived =
-        ok_or_fail "derived block_lu_pivot"
-          (Blocker.block_lu_pivot ~block_size_var:"KS" K_lu_pivot.point_loop)
-      in
-      check_int "curated facts consumed on default path" 0
-        (Commutativity.lookups ());
-      Commutativity.use_curated := true;
-      let curated =
-        ok_or_fail "curated block_lu_pivot"
-          (Blocker.block_lu_pivot ~block_size_var:"KS" K_lu_pivot.point_loop)
-      in
-      check_bool "curated table consulted in fallback mode" true
-        (Commutativity.lookups () > 0);
-      check_bool "derived and curated derivations agree" true
-        (Stmt.equal derived.Blocker.result curated.Blocker.result))
-
 let suite =
   ( "fsa",
     [
@@ -162,6 +137,4 @@ let suite =
       case "swap loop vs point update: direct proof" swap_vs_update;
       case "fractal recursion: generic iteration" fractal_recursion;
       case "fuel exhaustion is Unknown, never Equivalent" fuel_soundness;
-      case "derived prover: zero curated facts, same result"
-        derived_matches_curated;
     ] )

@@ -1,185 +1,279 @@
+(* What the benchmark tables time: the registry's derived variants,
+   compiled natively, and the hand-written baselines of Hand_kernels.
+
+   - Every table's variants agree bitwise with the interpreter's run of
+     the point IR, over random sizes, blocks and seeds.
+   - native_compare (the tables' timing path) verifies every blockable
+     entry on both backends.
+   - The point algorithms themselves compute what they claim: LU
+     reconstructs A, pivoting bounds the multipliers, the convolution and
+     the guarded product match their definitions, Givens and Householder
+     triangularize and preserve the Frobenius norm. *)
+
 open Helpers
-open Linalg
+
+let entry name = Option.get (Blockability.find name)
 
 let gen_cfg = QCheck2.Gen.(triple (int_range 1 40) (int_range 1 12) (int_range 0 999))
 
-let lu_variants_exact (n, b, seed) =
-  let a0 = random_diag_dominant ~seed n in
-  let reference = copy_mat a0 in
-  N_lu.point reference;
-  List.for_all
-    (fun f ->
-      let x = copy_mat a0 in
-      f x;
-      max_abs_diff reference x = 0.0)
-    [
-      N_lu.sorensen ~block:b; N_lu.blocked ~block:b; N_lu.blocked_opt ~block:b;
-      N_lu.recursive ~base:b;
-    ]
+(* Index of element (i, j) of an [m]-row column-major array. *)
+let at ~m i j = ((j - 1) * m) + i - 1
 
+let interp_point (e : Blockability.entry) ~bindings ~seed =
+  Kernel_def.run e.kernel ~bindings ~seed
+
+(* ---- variants bit-identical ---------------------------------------- *)
+
+(* Derivations and compiled plugins are shared by every case: one
+   derivation and one compile per entry, process-wide. *)
+let compiled : (string, Jit.fn * (string * int) list) Hashtbl.t = Hashtbl.create 8
+
+let compiled_variant (e : Blockability.entry) =
+  match Hashtbl.find_opt compiled e.name with
+  | Some c -> c
+  | None ->
+      let { Blocker.result; _ } = ok_or_fail "derive" (Blockability.derive e) in
+      let bp = Blueprint.of_block ~shapes:e.kernel.Kernel_def.shapes [ result ] in
+      let l =
+        ok_or_fail "compile" (Jit.compile_blueprint ~name:(e.name ^ "_transformed") bp)
+      in
+      let c = (l.Jit.fn, bp.Blueprint.bindings) in
+      Hashtbl.replace compiled e.name c;
+      c
+
+(* The compiled transformed variant of [name] at [bindings] (plus
+   [extra], e.g. the block size) is bitwise equal to the interpreted
+   point algorithm on the same initial data. *)
+let compiled_matches_point name ?(extra = []) ~bindings ~seed () =
+  let e = entry name in
+  let reference = interp_point e ~bindings ~seed in
+  let fn, bp_bindings = compiled_variant e in
+  let bindings = extra @ bindings in
+  let env = Kernel_def.make_env e.kernel ~bindings ~seed in
+  e.extra_setup env ~bindings;
+  match Jit.run ~bindings:bp_bindings fn env with
+  | Error m -> QCheck2.Test.fail_reportf "%s: native run failed: %s" name m
+  | Ok () -> (
+      match Env.diff ~only:e.kernel.Kernel_def.traced reference env with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_reportf "%s: %s" name m)
+
+(* T3: the hand "1" and "Rec" and the derived "2" and "2+". *)
+let lu_variants_exact (n, b, seed) =
+  let e = entry "lu" in
+  let bindings = [ ("N", n) ] in
+  let reference = interp_point e ~bindings ~seed in
+  let hand f =
+    let env = Kernel_def.make_env e.kernel ~bindings ~seed in
+    f (Env.farray_data env "A");
+    match Env.diff ~only:[ "A" ] reference env with
+    | None -> true
+    | Some m -> QCheck2.Test.fail_reportf "hand LU n=%d b=%d: %s" n b m
+  in
+  hand (Hand_kernels.lu_sorensen ~block:b ~n)
+  && hand (Hand_kernels.lu_recursive ~base:b ~n)
+  && List.for_all
+       (fun name ->
+         compiled_matches_point name ~extra:[ ("KS", b) ] ~bindings ~seed ())
+       [ "lu"; "lu_opt" ]
+
+(* T4: the derived "1" and "1+". *)
 let lu_pivot_variants_exact (n, b, seed) =
-  let a0 = random ~seed n n in
-  let reference = copy_mat a0 in
-  N_lu_pivot.point reference;
   List.for_all
-    (fun f ->
-      let x = copy_mat a0 in
-      f x;
-      max_abs_diff reference x = 0.0)
-    [ N_lu_pivot.blocked ~block:b; N_lu_pivot.blocked_opt ~block:b ]
+    (fun name ->
+      compiled_matches_point name ~extra:[ ("KS", b) ] ~bindings:[ ("N", n) ]
+        ~seed ())
+    [ "lu_pivot"; "lu_pivot_opt" ]
+
+(* T1.  The derivations assume N2 >= 3, the unroll factor less one. *)
+let conv_variants_exact (n1, n2, seed) =
+  let bindings = [ ("N1", n1); ("N2", n2 + 2); ("N3", n1 + 5) ] in
+  List.for_all
+    (fun name -> compiled_matches_point name ~bindings ~seed ())
+    [ "aconv"; "conv" ]
+
+(* T2. *)
+let matmul_variants_exact (n, freq, seed) =
+  compiled_matches_point "matmul"
+    ~bindings:[ ("N", n); ("FREQ_PCT", freq * 8) ]
+    ~seed ()
+
+(* T5. *)
+let givens_variants_exact (m_extra, n, seed) =
+  compiled_matches_point "givens" ~bindings:[ ("M", n + m_extra); ("N", n) ] ~seed ()
+
+let require_native () =
+  match Jit.available () with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "native codegen unavailable: %s" m
+
+let native_qcase name prop =
+  qcase ~count:30 name gen_cfg (fun cfg ->
+      require_native ();
+      prop cfg)
+
+(* ---- native_compare ------------------------------------------------ *)
+
+let native_compare_registry () =
+  List.iter
+    (fun (e : Blockability.entry) ->
+      if e.blockable then
+        List.iter
+          (fun backend ->
+            let module B = (val backend : Backend.S) in
+            ignore
+              (ok_or_fail
+                 (Printf.sprintf "%s on %s" e.name B.tag)
+                 (Blockability.native_compare ~backend ~reps:1 e)))
+          Backend.all)
+    Blockability.entries
+
+(* ---- the point algorithms ------------------------------------------ *)
 
 let lu_factors_correct () =
-  (* L*U must reconstruct A. *)
   let n = 24 in
-  let a0 = random_diag_dominant ~seed:11 n in
-  let f = copy_mat a0 in
-  N_lu.point f;
+  let e = entry "lu" in
+  let a0 =
+    Env.farray_data (Kernel_def.make_env e.kernel ~bindings:[ ("N", n) ] ~seed:11) "A"
+  in
+  let f = Env.farray_data (interp_point e ~bindings:[ ("N", n) ] ~seed:11) "A" in
   let worst = ref 0.0 in
   for i = 1 to n do
     for j = 1 to n do
       let acc = ref 0.0 in
       for k = 1 to min i j do
-        let l_ik = if k = i then 1.0 else if k < i then get f i k else 0.0 in
-        let u_kj = if k <= j then get f k j else 0.0 in
-        acc := !acc +. (l_ik *. u_kj)
+        let l_ik = if k = i then 1.0 else f.(at ~m:n i k) in
+        acc := !acc +. (l_ik *. f.(at ~m:n k j))
       done;
-      let d = Float.abs (!acc -. get a0 i j) in
-      if d > !worst then worst := d
+      worst := Float.max !worst (Float.abs (!acc -. a0.(at ~m:n i j)))
     done
   done;
   check_bool (Printf.sprintf "LU reconstructs A (err %.2g)" !worst) true
     (!worst < 1e-10 *. float_of_int n)
 
 let pivot_growth_bounded () =
-  (* with partial pivoting all multipliers are <= 1 in magnitude *)
   let n = 30 in
-  let f = random ~seed:5 n n in
-  N_lu_pivot.point f;
+  let f =
+    Env.farray_data (interp_point (entry "lu_pivot") ~bindings:[ ("N", n) ] ~seed:5) "A"
+  in
   let ok = ref true in
   for j = 1 to n do
     for i = j + 1 to n do
-      if Float.abs (get f i j) > 1.0 +. 1e-12 then ok := false
+      if Float.abs f.(at ~m:n i j) > 1.0 +. 1e-12 then ok := false
     done
   done;
   check_bool "multipliers bounded" true !ok
 
-let conv_variants_exact (n1, n2, seed) =
-  let s = N_conv.make ~seed ~n1 ~n2 ~n3:(n1 + 5) () in
-  N_conv.aconv s;
-  let r1 = Array.copy s.f3 in
-  N_conv.reset s;
-  N_conv.aconv_opt s;
-  let ok1 = max_abs_diff_vec r1 s.f3 = 0.0 in
-  N_conv.reset s;
-  N_conv.conv s;
-  let r2 = Array.copy s.f3 in
-  N_conv.reset s;
-  N_conv.conv_opt s;
-  ok1 && max_abs_diff_vec r2 s.f3 = 0.0
-
 let conv_matches_definition () =
-  (* direct O(n^2) definition of the convolution sums *)
-  let s = N_conv.make ~seed:3 ~n1:15 ~n2:6 ~n3:20 () in
-  N_conv.conv s;
+  let n1 = 15 and n2 = 6 and n3 = 20 in
+  let env =
+    interp_point (entry "conv") ~bindings:[ ("N1", n1); ("N2", n2); ("N3", n3) ] ~seed:3
+  in
+  let dt = Env.fscalar env "DT" in
+  let f1 = Env.farray_data env "F1"
+  and f2 = Env.farray_data env "F2"
+  and f3 = Env.farray_data env "F3" in
+  (* F1 and F3 start at index 0, F2 at -N2 *)
   let worst = ref 0.0 in
-  for i = 0 to s.n3 do
+  for i = 0 to n3 do
     let acc = ref 0.0 in
-    for k = 0 to s.n1 do
-      if i - k >= 0 && i - k <= s.n2 then
-        acc := !acc +. (s.dt *. s.f1.(k) *. s.f2.(i - k + s.n2))
+    for k = 0 to n1 do
+      if i - k >= 0 && i - k <= n2 then
+        acc := !acc +. (dt *. f1.(k) *. f2.(i - k + n2))
     done;
-    let d = Float.abs (!acc -. s.f3.(i)) in
-    if d > !worst then worst := d
+    worst := Float.max !worst (Float.abs (!acc -. f3.(i)))
   done;
   check_bool "conv matches definition" true (!worst < 1e-12)
 
-let matmul_variants_exact (n, freq, seed) =
-  let freq = freq * 8 in
-  let a = random ~seed n n in
-  let b = N_matmul.make_b ~seed:(seed + 1) ~n ~freq_pct:freq () in
-  let c1 = create n n and c2 = create n n and c3 = create n n in
-  N_matmul.original ~a ~b ~c:c1;
-  N_matmul.uj ~a ~b ~c:c2;
-  N_matmul.uj_if ~a ~b ~c:c3;
-  max_abs_diff c1 c2 = 0.0 && max_abs_diff c1 c3 = 0.0
-
 let matmul_matches_dense () =
   let n = 20 in
-  let a = random ~seed:9 n n and b = N_matmul.make_b ~seed:10 ~n ~freq_pct:60 () in
-  let c = create n n in
-  N_matmul.original ~a ~b ~c;
+  let env =
+    interp_point (entry "matmul") ~bindings:[ ("N", n); ("FREQ_PCT", 60) ] ~seed:9
+  in
+  let a = Env.farray_data env "A"
+  and b = Env.farray_data env "B"
+  and c = Env.farray_data env "C" in
   let worst = ref 0.0 in
   for i = 1 to n do
     for j = 1 to n do
       let acc = ref 0.0 in
       for k = 1 to n do
-        acc := !acc +. (get a i k *. get b k j)
+        acc := !acc +. (a.(at ~m:n i k) *. b.(at ~m:n k j))
       done;
-      let d = Float.abs (!acc -. get c i j) in
-      if d > !worst then worst := d
+      worst := Float.max !worst (Float.abs (!acc -. c.(at ~m:n i j)))
     done
   done;
   check_bool "matmul matches dense" true (!worst < 1e-10)
 
-let givens_variants_exact (m_extra, n, seed) =
-  let m = n + m_extra in
-  let a0 = random ~seed m n in
-  let g1 = copy_mat a0 and g2 = copy_mat a0 in
-  N_givens.point g1;
-  N_givens.optimized g2;
-  max_abs_diff g1 g2 = 0.0
+let frobenius a = sqrt (Array.fold_left (fun s x -> s +. (x *. x)) 0.0 a)
+
+(* The upper triangle of the first [n] rows of an [m]-row factored
+   array, as an n x n array. *)
+let r_of ~m ~n a =
+  Array.init (n * n) (fun idx ->
+      let i = (idx mod n) + 1 and j = (idx / n) + 1 in
+      if i <= j then a.(at ~m i j) else 0.0)
 
 let givens_triangularizes () =
-  let a0 = random ~seed:21 30 18 in
-  let g = copy_mat a0 in
-  N_givens.point g;
+  let m = 30 and n = 18 in
+  let bindings = [ ("M", m); ("N", n) ] in
+  let e = entry "givens" in
+  let a0 = Env.farray_data (Kernel_def.make_env e.kernel ~bindings ~seed:21) "A" in
+  let g = Env.farray_data (interp_point e ~bindings ~seed:21) "A" in
   let ok = ref true in
-  for j = 1 to g.n do
-    for i = j + 1 to g.m do
-      if Float.abs (get g i j) > 1e-10 then ok := false
+  for j = 1 to n do
+    for i = j + 1 to m do
+      if Float.abs g.(at ~m i j) > 1e-10 then ok := false
     done
   done;
   check_bool "below-diagonal zeroed" true !ok;
-  (* rotations preserve the Frobenius norm *)
   check_bool "norm preserved" true
     (Float.abs (frobenius g -. frobenius a0) < 1e-9 *. frobenius a0)
 
+(* ---- Householder, hand-written only (§5.3) ------------------------- *)
+
+let householder_a ~m ~n ~seed =
+  Env.farray_data
+    (Kernel_def.make_env K_householder.kernel ~bindings:[ ("M", m); ("N", n) ] ~seed)
+    "A"
+
 let householder_block_matches_point (m_extra, n, seed) =
   let m = n + m_extra in
-  let a0 = random ~seed m n in
-  let h1 = copy_mat a0 and h2 = copy_mat a0 in
-  ignore (N_householder.point h1);
-  ignore (N_householder.blocked ~block:5 h2);
-  let r1 = N_householder.r_of h1 and r2 = N_householder.r_of h2 in
-  (* block QR reassociates: compare R with a norm-scaled tolerance; the
-     rows of R are determined up to sign in general, but both versions use
-     the same reflector convention so signs agree. *)
-  max_abs_diff r1 r2 < 1e-9 *. (1.0 +. frobenius r1)
+  let h1 = householder_a ~m ~n ~seed and h2 = householder_a ~m ~n ~seed in
+  Hand_kernels.householder_point ~m ~n h1;
+  Hand_kernels.householder_wy ~block:5 ~m ~n h2;
+  let r1 = r_of ~m ~n h1 and r2 = r_of ~m ~n h2 in
+  (* WY reassociates: compare R with a norm-scaled tolerance; both forms
+     use the same reflector convention, so the signs agree. *)
+  let worst = ref 0.0 in
+  Array.iteri (fun i x -> worst := Float.max !worst (Float.abs (x -. r2.(i)))) r1;
+  !worst < 1e-9 *. (1.0 +. frobenius r1)
 
 let householder_norm_preserved () =
-  let a0 = random ~seed:31 40 25 in
-  let h = copy_mat a0 in
-  ignore (N_householder.blocked ~block:8 h);
-  let r = N_householder.r_of h in
+  let m = 40 and n = 25 in
+  let a0 = householder_a ~m ~n ~seed:31 in
+  let h = Array.copy a0 in
+  Hand_kernels.householder_wy ~block:8 ~m ~n h;
+  let r = r_of ~m ~n h in
   check_bool "orthogonal transform preserves norm" true
     (Float.abs (frobenius r -. frobenius a0) < 1e-9 *. frobenius a0)
 
 let suite =
   ( "native",
     [
-      qcase ~count:30 "LU variants bit-identical" gen_cfg lu_variants_exact;
-      qcase ~count:30 "pivoting LU variants bit-identical" gen_cfg
-        lu_pivot_variants_exact;
+      native_qcase "LU variants bit-identical" lu_variants_exact;
+      native_qcase "pivoting LU variants bit-identical" lu_pivot_variants_exact;
       case "LU reconstructs A" lu_factors_correct;
       case "pivot multipliers bounded" pivot_growth_bounded;
-      qcase ~count:30 "convolution variants bit-identical" gen_cfg
-        conv_variants_exact;
+      native_qcase "convolution variants bit-identical" conv_variants_exact;
       case "conv matches its definition" conv_matches_definition;
-      qcase ~count:30 "matmul variants bit-identical" gen_cfg matmul_variants_exact;
+      native_qcase "matmul variants bit-identical" matmul_variants_exact;
       case "guarded matmul matches dense" matmul_matches_dense;
-      qcase ~count:30 "Givens variants bit-identical" gen_cfg givens_variants_exact;
+      native_qcase "Givens variants bit-identical" givens_variants_exact;
       case "Givens triangularizes and preserves norm" givens_triangularizes;
       qcase ~count:25 "Householder block matches point" gen_cfg
         householder_block_matches_point;
       case "Householder norm preservation" householder_norm_preserved;
+      case "native_compare verifies every blockable entry on both backends"
+        native_compare_registry;
     ] )

@@ -130,7 +130,8 @@ let lane_tests =
         | Ok () -> ()
         | Error m -> Alcotest.failf "C backend unavailable: %s" m);
         (* a private cache, and a (kernel, variant, backend) no other
-           test compiles: the compile runs cc *)
+           test compiles (the native suite compiles every blockable
+           entry on both backends): the compile runs cc *)
         let saved = Artifact_cache.dir () in
         let tmp = Filename.temp_file "blockc-lanes-test" "" in
         Sys.remove tmp;
@@ -140,7 +141,7 @@ let lane_tests =
         let resps, stopped =
           serve_over_pipes ~lanes:2
             [
-              {|{"id":1,"op":"compile","kernel":"cholesky","variant":"transformed","backend":"c"}|};
+              {|{"id":1,"op":"compile","kernel":"householder","variant":"point","backend":"c"}|};
               {|{"id":2,"op":"ping"}|};
             ]
         in

@@ -26,10 +26,11 @@ let table_json_roundtrip () =
   in
   Table.add_row t [ "x\ty"; "10" ];
   Table.add_row t [ "plain"; "1.80" ];
-  (match Json_min.validate (Table.to_json t) with
-  | Ok () -> ()
+  (match Json_min.parse (Json_min.to_string (Table.to_json t)) with
+  | Ok v when v = Table.to_json t -> ()
+  | Ok _ -> Alcotest.fail "to_json does not round-trip"
   | Error m -> Alcotest.failf "to_json not parseable: %s" m);
-  let doc = Table.json_of_tables [ ("t1", t); ("par", t) ] in
+  let doc = Json_min.to_string (Table.json_of_tables [ ("t1", t); ("par", t) ]) in
   match Json_min.parse doc with
   | Error m -> Alcotest.failf "json_of_tables not parseable: %s" m
   | Ok (Json_min.Object [ ("tables", Json_min.Array entries) ]) ->
