@@ -19,12 +19,34 @@ let writable = [ ("A", 1); ("B", 1); ("C", 2); ("D", 2) ]
 let guard_array = "G"
 let temp_scalar = "T"
 
-(* Index values stay within [lo - 1, max(N, M, const) + 1] = [0, 8] and
-   subscripts are at most [2*i1 + 2*i2 + 2] or [i1 - i2 - 2], so [-8, 48]
-   covers every reachable element with room for the substituted
-   subscripts unroll-and-jam introduces ([I + factor - 1 + ...]). *)
-let dims1 = [ (-8, 48) ]
-let dims2 = [ (-8, 48); (-8, 48) ]
+(* Every dimension of a program's arrays is declared over the size
+   parameters its loop bounds use (P, the subset of [N], [M] the block
+   mentions): [-12 - sum P .. 4 (sum P + 6)].  In-bounds proofs can then
+   relate subscripts to the extents, since the emitter assumes exactly
+   the block's parameters positive.  Literals stay below
+   [Blueprint.hoist_threshold] (24 is spelled [2 * (2 * (... + 2 * 3))]):
+   a hoisted literal would be a parameter the prover knows nothing about.
+   Index values lie in [-1, 9] and subscripts between [i1 - i2 - 2]
+   (with [i1 >= 0]) and [2*i + 2], so [-11, 20] holds every element a
+   program, or any transformation of it (which runs the same
+   iterations), can reach at any binding. *)
+let shape p rank =
+  let open Expr in
+  let sum =
+    List.fold_left
+      (fun acc v -> if v = "N" || v = "M" then Bin (Add, acc, Var v) else acc)
+      (Int 0) (Ir_util.symbolic_params p.block)
+  in
+  let extent =
+    ( Bin (Sub, Int (-12), sum),
+      Bin (Mul, Int 2, Bin (Mul, Int 2, Bin (Add, sum, Bin (Mul, Int 2, Int 3))))
+    )
+  in
+  List.init rank (fun _ -> extent)
+
+let dims p rank =
+  let ev = Expr.eval (fun v -> List.assoc v p.bindings) (fun _ _ -> 0) in
+  List.map (fun (lo, hi) -> (ev lo, ev hi)) (shape p rank)
 
 let indices = [| "I"; "J"; "K" |]
 

@@ -12,7 +12,7 @@
     full iteration space is interpretable in microseconds.
 
     Every array subscript a generated program (or any transformation of
-    it the harness exercises) can evaluate stays inside [dims1]/[dims2],
+    it the harness exercises) can evaluate stays inside {!shape},
     so an out-of-bounds {!Env.Error} during a differential run is always
     a finding, never generator noise.
 
@@ -51,10 +51,14 @@ val guard_array : string
 val temp_scalar : string
 (** The REAL scalar temporary (["T"]). *)
 
-val dims1 : (int * int) list
-val dims2 : (int * int) list
-(** Declaration bounds for rank-1 / rank-2 arrays, padded so every
-    subscript reachable from generated programs is in bounds. *)
+val shape : t -> int -> (Expr.t * Expr.t) list
+(** Declared bounds of a rank-1 or rank-2 array of the program, over the
+    size parameters its loop bounds use (so in-bounds proofs can fire),
+    padded so every subscript the program can reach is in bounds at
+    every binding. *)
+
+val dims : t -> int -> (int * int) list
+(** {!shape} evaluated under the program's bindings. *)
 
 val gen : t QCheck2.Gen.t
 

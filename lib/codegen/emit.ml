@@ -212,6 +212,11 @@ let base_ctx ~tainted ~shapes blk =
 
 (* ---- rendering ---------------------------------------------------- *)
 
+(* A reference as the renderer keys it: the mangled-name prefix of its
+   space ([""] for REAL, ["i"] for INTEGER arrays), the array and its
+   subscripts. *)
+type ref_key = string * string * Expr.t list
+
 type st = {
   d : decls;
   shapes : shapes;
@@ -220,6 +225,13 @@ type st = {
   body : Buffer.t;
   mutable proved : SS.t; (* arrays with at least one unchecked access *)
   mutable assumed : SS.t; (* parameters whose positivity a proof used *)
+  mutable offsets : (ref_key * string) list;
+      (* the current loop body's hoisted flat offsets *)
+  mutable promoted : ((string * Expr.t list) * string) list;
+      (* REAL elements the current innermost loop keeps in a local *)
+  mutable n_unchecked : int;
+  mutable n_hoisted : int;
+  mutable n_promoted : int;
 }
 
 let line st ind fmt =
@@ -242,8 +254,10 @@ let float_lit x =
     if s.[0] = '-' then "(" ^ s ^ ")" else s
   end
 
-(* Flat column-major offset of [subs] into array [name]; [dp] is the
-   mangled-name prefix pair (data, dims/lows/strides) for the space. *)
+let int_lit n = if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
+
+(* Flat column-major offset of [subs] into array [name]; [ipfx] is the
+   mangled-name prefix of the array's dims/lows/strides. *)
 let flat_index pe ~ipfx name subs =
   let nm = low name in
   let terms =
@@ -274,9 +288,15 @@ let in_bounds st ctx name subs =
           ok
       | _ -> false)
 
+(* [in_bounds] at a site that renders the access, counted. *)
+let unchecked st ctx name subs =
+  let ok = in_bounds st ctx name subs in
+  if ok then st.n_unchecked <- st.n_unchecked + 1;
+  ok
+
 let rec pe st scope ctx (e : Expr.t) =
   match e with
-  | Expr.Int n -> if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
+  | Expr.Int n -> int_lit n
   | Expr.Var v ->
       if SS.mem v scope then "i_" ^ low v else "!s_" ^ low v
   | Expr.Bin (op, a, b) ->
@@ -293,20 +313,30 @@ let rec pe st scope ctx (e : Expr.t) =
   | Expr.Max (a, b) ->
       Printf.sprintf "(imax %s %s)" (pe st scope ctx a) (pe st scope ctx b)
   | Expr.Idx (name, subs) ->
-      let idx = flat_index (pe st scope ctx) ~ipfx:"i" name subs in
-      if in_bounds st ctx name subs then
+      let idx = index st scope ctx ~ipfx:"i" name subs in
+      if unchecked st ctx name subs then
         Printf.sprintf "(Array.unsafe_get ia_%s %s)" (low name) idx
       else Printf.sprintf "ia_%s.(%s)" (low name) idx
+
+(* The offset hoisted for this reference by the enclosing loop, else
+   the full formula. *)
+and index st scope ctx ~ipfx name subs =
+  match List.assoc_opt (ipfx, name, subs) st.offsets with
+  | Some off -> off
+  | None -> flat_index (pe st scope ctx) ~ipfx name subs
 
 let rec pf st scope ctx (fe : Stmt.fexpr) =
   match fe with
   | Stmt.Fconst x -> float_lit x
   | Stmt.Fvar v -> "!f_" ^ low v
-  | Stmt.Ref (name, subs) ->
-      let idx = flat_index (pe st scope ctx) ~ipfx:"" name subs in
-      if in_bounds st ctx name subs then
-        Printf.sprintf "(Array.unsafe_get a_%s %s)" (low name) idx
-      else Printf.sprintf "a_%s.(%s)" (low name) idx
+  | Stmt.Ref (name, subs) -> (
+      match List.assoc_opt (name, subs) st.promoted with
+      | Some p -> "!" ^ p
+      | None ->
+          let idx = index st scope ctx ~ipfx:"" name subs in
+          if unchecked st ctx name subs then
+            Printf.sprintf "(Array.unsafe_get a_%s %s)" (low name) idx
+          else Printf.sprintf "a_%s.(%s)" (low name) idx)
   | Stmt.Fbin (op, a, b) ->
       let o =
         match op with
@@ -350,22 +380,210 @@ let rec pc st scope ctx (c : Stmt.cond) =
   | Stmt.Or (a, b) ->
       Printf.sprintf "(%s || %s)" (pc st scope ctx a) (pc st scope ctx b)
 
+(* ---- loop-invariant address arithmetic ---------------------------- *)
+
+(* ocamlopt without flambda does no loop-invariant code motion and no
+   strength reduction, so the emitter hoists address arithmetic itself.
+   Before each loop, a reference directly in its body (bodies of nested
+   loops hoist their own) whose subscripts are affine — no Div, MIN/MAX
+   or Idx — in enclosing indices and in scalars the loop never assigns
+   gets the invariant part of its flat offset bound once,
+
+     hb = sum_k t_k * (sub_k[i := 0] - l_k),
+
+   and the body indexes with [hb + c*i] or [hb + i*t_k].  The identity
+   is exact in OCaml's modular ints, so a checked access checks the
+   same final offset.  References that differ only by a constant in the
+   first subscript share one base ([A(I,KK)] .. [A(I+3,KK)] become
+   [hb + i_kk*t1_a + c]): a base per reference kept 8 bases and 8
+   strides live in lu_opt's unrolled KK loop, where ocamlopt's CSE had
+   kept 2, and ran that loop up to 2x slower. *)
+
+(* Each subscript as [(coefficient of ix, rest)], when all of them
+   qualify. *)
+let split_subs ~scope ~assigned ix subs =
+  let rec plain (e : Expr.t) =
+    match e with
+    | Expr.Int _ | Expr.Var _ -> true
+    | Expr.Bin (Expr.Div, _, _) | Expr.Min _ | Expr.Max _ | Expr.Idx _ -> false
+    | Expr.Bin (_, a, b) -> plain a && plain b
+  in
+  let invariant v = SS.mem v scope || not (SS.mem v assigned) in
+  List.fold_right
+    (fun sub acc ->
+      match (acc, Affine.of_expr sub) with
+      | Some parts, Some a
+        when plain sub && List.for_all invariant (Affine.vars a) ->
+          Some (Affine.split_on ix a :: parts)
+      | _ -> None)
+    subs (Some [])
+
+(* Emit the bases for the references directly in [l]'s body and return
+   the body's offset table. *)
+let hoist st scope inner_scope ind (l : Stmt.loop) =
+  let accs = Ir_util.accesses l.body in
+  let assigned =
+    List.fold_left
+      (fun s (a : Ir_util.access) ->
+        if a.subs = [] && a.kind = Ir_util.Write && a.space = Ir_util.Int_data
+        then SS.add a.array s
+        else s)
+      SS.empty accs
+  in
+  let ix = low l.index in
+  let bases = ref [] in
+  let base ~ipfx name rests =
+    let same (p, n, rs) =
+      p = ipfx && String.equal n name && List.equal Affine.equal rs rests
+    in
+    match List.find_opt (fun (g, _) -> same g) !bases with
+    | Some (_, b) -> b
+    | None ->
+        st.n_hoisted <- st.n_hoisted + 1;
+        let b =
+          Printf.sprintf "hb%d_%s" (st.n_hoisted + st.n_promoted) (low name)
+        in
+        let render r = pe st scope None (Affine.to_expr r) in
+        line st ind "let %s = %s in" b (flat_index render ~ipfx name rests);
+        bases := ((ipfx, name, rests), b) :: !bases;
+        b
+  in
+  (* [c*i] in dimension [k], scaled by the dimension's stride. *)
+  let stride ~ipfx name k c =
+    let i =
+      match c with
+      | 1 -> "i_" ^ ix
+      | -1 -> "(- i_" ^ ix ^ ")"
+      | c -> Printf.sprintf "(%d * i_%s)" c ix
+    in
+    if k = 0 then i else Printf.sprintf "(%s * %st%d_%s)" i ipfx k (low name)
+  in
+  List.fold_left
+    (fun offsets (a : Ir_util.access) ->
+      let ipfx = if a.space = Ir_util.Int_data then "i" else "" in
+      let key = (ipfx, a.array, a.subs) in
+      if a.loops <> [] || a.subs = [] || List.mem_assoc key offsets then offsets
+      else
+        match split_subs ~scope:inner_scope ~assigned l.index a.subs with
+        | None -> offsets
+        | Some parts ->
+            let k0 = Affine.constant (snd (List.hd parts)) in
+            let rests =
+              List.mapi
+                (fun k (_, r) -> if k = 0 then Affine.sub r (Affine.const k0) else r)
+                parts
+            in
+            let terms =
+              List.concat
+                (List.mapi
+                   (fun k (c, _) ->
+                     if c = 0 then [] else [ stride ~ipfx a.array k c ])
+                   parts)
+              @ if k0 = 0 then [] else [ int_lit k0 ]
+            in
+            let b = base ~ipfx a.array rests in
+            let off =
+              if terms = [] then b else "(" ^ String.concat " + " (b :: terms) ^ ")"
+            in
+            (key, off) :: offsets)
+    [] accs
+
+(* ---- invariant elements in registers ------------------------------ *)
+
+(* In an innermost loop, a REAL element with invariant subscripts that
+   is the loop's only reference to its array, that the loop writes and
+   that is proven in bounds lives in a local ref: loaded before the
+   loop and stored back after it, each under the loop's nonempty-trip
+   guard, so a loop that runs zero times writes nothing.  Only loops in
+   which nothing can raise qualify (every access proven, no SQRT, no
+   integer division): an exception between the load and the store
+   would drop the element's writes, and a failing run must leave
+   memory as the interpreter does. *)
+let may_raise body =
+  let rec div (e : Expr.t) =
+    match e with
+    | Expr.Int _ | Expr.Var _ -> false
+    | Expr.Bin (Expr.Div, _, _) -> true
+    | Expr.Bin (_, a, b) | Expr.Min (a, b) | Expr.Max (a, b) -> div a || div b
+    | Expr.Idx (_, subs) -> List.exists div subs
+  in
+  let rec sqrt_ (fe : Stmt.fexpr) =
+    match fe with
+    | Stmt.Fcall (("SQRT" | "DSQRT"), _) -> true
+    | Stmt.Fcall (_, args) -> List.exists sqrt_ args
+    | Stmt.Fbin (_, a, b) -> sqrt_ a || sqrt_ b
+    | Stmt.Fneg a -> sqrt_ a
+    | Stmt.Fconst _ | Stmt.Fvar _ | Stmt.Ref _ | Stmt.Of_int _ -> false
+  in
+  let found = ref false in
+  List.iter
+    (fun s -> ignore (Stmt.map_expr (fun e -> if div e then found := true; e) s))
+    body;
+  Stmt.iter
+    (fun s -> if List.exists sqrt_ (Stmt.fexprs_of s) then found := true)
+    body;
+  !found
+
+(* Emit the loads for the elements [l]'s body keeps in locals and
+   return them with their locals; [guard] holds when the loop runs. *)
+let promote st ctx offsets ind ~guard (l : Stmt.loop) =
+  let nested = ref false in
+  Stmt.iter (function Stmt.Loop _ -> nested := true | _ -> ()) l.body;
+  let accs =
+    List.filter
+      (fun (a : Ir_util.access) -> a.subs <> [])
+      (Ir_util.accesses l.body)
+  in
+  let proven (a : Ir_util.access) = in_bounds st ctx a.array a.subs in
+  if !nested || may_raise l.body || not (List.for_all proven accs) then []
+  else
+    let reals =
+      List.filter (fun (a : Ir_util.access) -> a.space = Ir_util.Float_data) accs
+    in
+    List.sort_uniq String.compare
+      (List.map (fun (a : Ir_util.access) -> a.array) reals)
+    |> List.filter_map (fun name ->
+           let rs =
+             List.filter (fun (a : Ir_util.access) -> String.equal a.array name) reals
+           in
+           let subs = (List.hd rs).subs in
+           match List.assoc_opt ("", name, subs) offsets with
+           | Some off
+             when List.for_all (fun (a : Ir_util.access) -> a.subs = subs) rs
+                  && List.exists
+                       (fun (a : Ir_util.access) -> a.kind = Ir_util.Write)
+                       rs
+                  && not (List.exists (Expr.mentions l.index) subs) ->
+               st.n_promoted <- st.n_promoted + 1;
+               st.n_unchecked <- st.n_unchecked + 2;
+               let p =
+                 Printf.sprintf "p%d_%s" (st.n_hoisted + st.n_promoted) (low name)
+               in
+               line st ind
+                 "let %s = ref (if %s then Array.unsafe_get a_%s %s else 0.0) in"
+                 p guard (low name) off;
+               Some ((name, subs), p)
+           | _ -> None)
+
 let rec stmt st scope ctx ind (s : Stmt.t) =
   match s with
   | Stmt.Assign (name, [], rhs) ->
       line st ind "f_%s := %s;" (low name) (pf st scope ctx rhs)
-  | Stmt.Assign (name, subs, rhs) ->
+  | Stmt.Assign (name, subs, rhs) -> (
       let rhs = pf st scope ctx rhs in
-      let idx = flat_index (pe st scope ctx) ~ipfx:"" name subs in
-      if in_bounds st ctx name subs then
-        line st ind "Array.unsafe_set a_%s %s %s;" (low name) idx rhs
-      else line st ind "a_%s.(%s) <- %s;" (low name) idx rhs
+      match List.assoc_opt (name, subs) st.promoted with
+      | Some p -> line st ind "%s := %s;" p rhs
+      | None ->
+          let idx = index st scope ctx ~ipfx:"" name subs in
+          if unchecked st ctx name subs then
+            line st ind "Array.unsafe_set a_%s %s %s;" (low name) idx rhs
+          else line st ind "a_%s.(%s) <- %s;" (low name) idx rhs)
   | Stmt.Iassign (name, [], rhs) ->
       line st ind "s_%s := %s;" (low name) (pe st scope ctx rhs)
   | Stmt.Iassign (name, subs, rhs) ->
       let rhs = pe st scope ctx rhs in
-      let idx = flat_index (pe st scope ctx) ~ipfx:"i" name subs in
-      if in_bounds st ctx name subs then
+      let idx = index st scope ctx ~ipfx:"i" name subs in
+      if unchecked st ctx name subs then
         line st ind "Array.unsafe_set ia_%s %s %s;" (low name) idx rhs
       else line st ind "ia_%s.(%s) <- %s;" (low name) idx rhs
   | Stmt.If (c, t, e) ->
@@ -389,23 +607,45 @@ let rec stmt st scope ctx ind (s : Stmt.t) =
       in
       line st ind "let lo_%s = %s in" ix (pe st scope ctx l.lo);
       line st ind "let hi_%s = %s in" ix (pe st scope ctx l.hi);
+      let outer = (st.offsets, st.promoted) in
+      (* Bases and loads go right before the [for]; the stores right
+         after its [done]. *)
+      let enter ~guard =
+        st.offsets <- hoist st scope inner_scope ind l;
+        st.promoted <- promote st ctx' st.offsets ind ~guard l
+      in
+      let leave ~guard =
+        List.iter
+          (fun ((name, subs), p) ->
+            line st ind "if %s then Array.unsafe_set a_%s %s !%s;" guard
+              (low name) (List.assoc ("", name, subs) st.offsets) p)
+          st.promoted;
+        st.offsets <- fst outer;
+        st.promoted <- snd outer
+      in
       (match l.step with
       | Expr.Int 1 ->
+          let guard = Printf.sprintf "lo_%s <= hi_%s" ix ix in
+          enter ~guard;
           line st ind "for i_%s = lo_%s to hi_%s do" ix ix ix;
           block st inner_scope ctx' (ind + 1) l.body;
-          line st ind "done;"
+          line st ind "done;";
+          leave ~guard
       | step ->
+          let guard = Printf.sprintf "n_%s > 0" ix in
           line st ind "let st_%s = %s in" ix (pe st scope ctx step);
           line st ind "if st_%s = 0 then failwith \"DO %s: zero step\";" ix
             l.index;
           line st ind "let n_%s = (hi_%s - lo_%s + st_%s) / st_%s in" ix ix ix
             ix ix;
           line st ind "let r_%s = ref lo_%s in" ix ix;
+          enter ~guard;
           line st ind "for _ = 1 to n_%s do" ix;
           line st (ind + 1) "let i_%s = !r_%s in" ix ix;
           block st inner_scope ctx' (ind + 1) l.body;
           line st (ind + 1) "r_%s := i_%s + st_%s;" ix ix ix;
-          line st ind "done;")
+          line st ind "done;";
+          leave ~guard)
 
 and block st scope ctx ind = function
   | [] -> line st ind "();"
@@ -425,25 +665,44 @@ let fn_type =
   \  * (string -> int array) * (string -> int array) * (string -> int array)\n\
   \  * (string -> float -> unit) * (string -> int -> unit) -> unit"
 
+(* The body pass over a block [collect] accepted. *)
+let render ~unsafe ~shapes d blk =
+  let st =
+    {
+      d;
+      shapes;
+      unsafe;
+      tainted = d.isc_w;
+      body = Buffer.create 4096;
+      proved = SS.empty;
+      assumed = SS.empty;
+      offsets = [];
+      promoted = [];
+      n_unchecked = 0;
+      n_hoisted = 0;
+      n_promoted = 0;
+    }
+  in
+  let ctx, assumed = base_ctx ~tainted:st.tainted ~shapes blk in
+  st.assumed <- assumed;
+  block st SS.empty (Some ctx) 1 blk;
+  st
+
+(* Revision 1 recomputed every flat offset on every iteration. *)
+let revision = "2"
+
+type counts = { unchecked : int; hoisted : int; promoted : int }
+
+let counts ?(unsafe = true) ?(shapes = []) blk =
+  let st = render ~unsafe ~shapes (collect blk) blk in
+  { unchecked = st.n_unchecked; hoisted = st.n_hoisted; promoted = st.n_promoted }
+
 let source ?(unsafe = true) ?(shapes = []) ~name blk =
   let d = collect blk in
   match d.bad with
   | Some m -> Error (Printf.sprintf "cannot compile %s: %s" name m)
   | None ->
-      let st =
-        {
-          d;
-          shapes;
-          unsafe;
-          tainted = d.isc_w;
-          body = Buffer.create 4096;
-          proved = SS.empty;
-          assumed = SS.empty;
-        }
-      in
-      let ctx, assumed = base_ctx ~tainted:st.tainted ~shapes blk in
-      st.assumed <- assumed;
-      block st SS.empty (Some ctx) 1 blk;
+      let st = render ~unsafe ~shapes d blk in
       (* The body pass recorded which arrays carry unchecked accesses
          and which parameters the proofs assumed positive; now build
          the prelude around it. *)

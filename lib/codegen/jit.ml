@@ -111,16 +111,19 @@ let first_lines ?(n = 4) s =
   let lines = String.split_on_char '\n' (String.trim s) in
   String.concat " | " (List.filteri (fun i _ -> i < n) lines)
 
+let key ~revision (bp : Blueprint.t) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          [ Sys.ocaml_version; "emit"; revision; "blueprint"; bp.Blueprint.key ]))
+
 (* Build (or fetch) the plugin for a blueprint.  Emission only happens
    on a build, so the warm path is a hash lookup and nothing else.  The
    plugin's module name comes from its file name (the key), so the
    emitted text must not vary with the caller's diagnostic name — one
    blueprint, one source, one artifact. *)
 let compile_blueprint ?ocamlopt ~name (bp : Blueprint.t) =
-  let key =
-    Digest.to_hex
-      (Digest.string (Sys.ocaml_version ^ "\x00blueprint\x00" ^ bp.Blueprint.key))
-  in
+  let key = key ~revision:Emit.revision bp in
   Obs.span ~cat:"jit" "jit.compile_blueprint"
     ~args:[ ("kernel", Obs.Str name); ("blueprint", Obs.Str bp.Blueprint.key) ]
   @@ fun () ->

@@ -9,9 +9,10 @@
     constructor's name.
 
     Compiled plugins live in the {!Artifact_cache}, keyed by the
-    {!Blueprint} digest xor the compiler version — so one loop
-    structure is one artifact no matter how many problem sizes it runs
-    at.  Each plugin is loaded once per process and kept: [Dynlink]
+    {!Blueprint} digest, the compiler version and the emitter's
+    {!Emit.revision} — so one loop structure is one artifact no matter
+    how many problem sizes it runs at, and a directory an older emitter
+    filled is rebuilt rather than served.  Each plugin is loaded once per process and kept: [Dynlink]
     cannot unload it, and loading it again would re-run its
     initializer.
 
@@ -52,10 +53,14 @@ val emit :
   (string, string) result
 (** {!Emit.source} wrapped in a [jit.emit] span. *)
 
+val key : revision:string -> Blueprint.t -> string
+(** The artifact key of a blueprint's plugin under an emitter revision
+    ({!compile_blueprint} uses {!Emit.revision}). *)
+
 val compile_blueprint :
   ?ocamlopt:string -> name:string -> Blueprint.t -> (loaded, string) result
 (** Compile (or fetch) and load the plugin for a normalized blueprint,
-    keyed by [Blueprint.key] xor the compiler version.  Emission only
+    under {!key}[ ~revision:Emit.revision].  Emission only
     happens on a cache miss: the warm path is a hash lookup.  Run the
     result with {!run}[ ~bindings:bp.Blueprint.bindings].  [name] is
     only for diagnostics and spans; [ocamlopt] overrides compiler

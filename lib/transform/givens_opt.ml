@@ -145,8 +145,54 @@ let optimize (l_loop : Stmt.loop) =
   record "interchange"
     "executor interchanged: K outermost, J innermost (stride-one A(J,K))"
     [ Stmt.Loop executor' ];
+  (* Step 6: scalar-replace what the J loop leaves invariant (A(L,K))
+     across the whole JN x J sweep.  Every recorded range
+     [JLB(JN), JUB(JN)] lies inside the inspected sweep [L+1, M], so the
+     section test runs on the J loop over that sweep: an element it
+     proves disjoint from the other accesses there (A(J,K), J >= L+1) is
+     disjoint from them over every range.  Loads and stores that do not
+     mention JN then move out of the JN loop, to once per K. *)
+  let* executor'', loads =
+    match executor'.body with
+    | [ Stmt.Loop ({ body = [ Stmt.Loop j_exec ]; _ } as jn) ] -> (
+        let sweep = { j_exec with lo = j_loop.lo; hi = j_loop.hi } in
+        let* replaced =
+          Scalar_replacement.apply
+            ~ctx:(Symbolic.with_loops ctx [ executor' ])
+            sweep
+        in
+        (* [apply] returns [loads @ [Loop j'] @ stores]. *)
+        let rec split loads = function
+          | Stmt.Loop j' :: stores -> Some (List.rev loads, j', stores)
+          | s :: rest -> split (s :: loads) rest
+          | [] -> None
+        in
+        let varies (a : Ir_util.access) =
+          List.exists (Expr.mentions jn.index) a.subs
+        in
+        match split [] replaced with
+        | Some (loads, j', stores)
+          when not (List.exists varies (Ir_util.accesses (loads @ stores))) ->
+            let j' = { j' with lo = j_exec.lo; hi = j_exec.hi } in
+            Ok
+              ( {
+                  executor' with
+                  body =
+                    loads
+                    @ [ Stmt.Loop { jn with body = [ Stmt.Loop j' ] } ]
+                    @ stores;
+                },
+                loads )
+        | _ -> Error "scalar replacement of the executor sweep failed")
+    | _ -> Error "unexpected interchanged executor shape"
+  in
+  record "scalar-replacement"
+    (Printf.sprintf "%s: held in a scalar across the %s x %s sweep, once per %s"
+       (String.concat "; " (List.map (fun s -> String.trim (Stmt.to_string s)) loads))
+       names.range_index j_loop.index executor'.index)
+    [ Stmt.Loop executor'' ];
   let result =
-    Stmt.Loop { l_loop with body = inspector_setup @ [ Stmt.Loop executor' ] }
+    Stmt.Loop { l_loop with body = inspector_setup @ [ Stmt.Loop executor'' ] }
   in
   record "result" "optimized Givens QR" [ result ];
   Ok ({ Blocker.result; steps = List.rev !steps }, names)

@@ -17,7 +17,11 @@
       safety via sections);
     + interchange the executor so [K] is outermost and [J] innermost
       (stride-one access to [A(J,K)], [A(L,K)] invariant in the
-      innermost loop). *)
+      innermost loop);
+    + scalar-replace [A(L,K)] across the whole [JN x J] sweep, loaded
+      before it and stored after it once per [K].  The section test
+      proves it disjoint from [A(J,K)] over the inspected sweep
+      [L+1..M], which contains every recorded range. *)
 
 val scratch_arrays : names:If_inspection.names -> string list
 (** Integer scratch the caller must declare: [lb], [ub] tables. *)

@@ -58,7 +58,9 @@ val split_guarded :
     the first [setup_len] statements of [stmts] stay under the guard
     (with range recording fused in) and the remainder (the "apply" part)
     moves to an executor loop over the recorded ranges, which is
-    returned separately so the caller can interchange it.
+    returned separately so the caller can interchange it.  Every
+    recorded range lies inside the loop's own [lo..hi]: the inspector
+    records only values the loop index takes.
 
     Safety (checked): moving apply(i) after setup(k) for k > i requires
     every cross pair of accesses between the apply part and the

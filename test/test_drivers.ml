@@ -83,6 +83,35 @@ let givens_equiv (m_extra, n, seed) =
         ~seed
       = Ok ()
 
+(* The executor's J loop touches A only at A(J,K): A(L,K) lives in a
+   scalar across the JN x J sweep, loaded before it and stored after it
+   once per K. *)
+let givens_executor_scalar_replaced () =
+  let { Blocker.result; _ }, _ =
+    ok_or_fail "givens" (Givens_opt.optimize K_givens.point_loop)
+  in
+  let loops = Stmt.find_loops [ result ] in
+  let a_subs block =
+    List.filter_map
+      (fun (a : Ir_util.access) ->
+        if a.array = "A" then Some (List.map Expr.to_string a.subs) else None)
+      (Ir_util.accesses block)
+  in
+  match
+    List.filter
+      (fun (_, (l : Stmt.loop)) ->
+        l.index = "J" && match l.lo with Expr.Idx _ -> true | _ -> false)
+      loops
+  with
+  | [ (_, j) ] ->
+      check_bool "J loop reads and writes only A(J, K)" true
+        (List.for_all (( = ) [ "J"; "K" ]) (a_subs j.body));
+      let _, k = List.find (fun (_, (l : Stmt.loop)) -> l.index = "K") loops in
+      check_bool "one load and one store of A(L, K) per K" true
+        (a_subs (List.filter (function Stmt.Loop _ -> false | _ -> true) k.body)
+        = [ [ "L"; "K" ]; [ "L"; "K" ] ])
+  | _ -> Alcotest.fail "expected one executor J loop"
+
 let matmul_if_equiv (n, freq, seed) =
   let entry = Option.get (Blockability.find "matmul") in
   Blockability.verify entry
@@ -285,6 +314,46 @@ let setup_is_bitwise_stable () =
         (Digest.to_hex (Digest.string (Marshal.to_string arrays []))))
     setup_golden
 
+(* Cholesky's set-up computes M^T M + n*I four rows at a time; the
+   one-row loop it replaced is the reference, bit for bit, at sizes with
+   every remainder of four. *)
+let cholesky_setup_matches_reference () =
+  List.iter
+    (fun n ->
+      let seed = 11 in
+      let m = Array.create_float (n * n) in
+      Lcg.fill (Lcg.create seed) m ~scale:1.0 ~shift:0.5;
+      for r = 0 to n - 1 do
+        for k = r + 1 to n - 1 do
+          let x = m.((k * n) + r) in
+          m.((k * n) + r) <- m.((r * n) + k);
+          m.((r * n) + k) <- x
+        done
+      done;
+      let want = Array.make (n * n) Float.nan in
+      for c = 0 to n - 1 do
+        for r = c to n - 1 do
+          let acc = ref 0.0 in
+          for k = 0 to n - 1 do
+            acc := !acc +. (m.((r * n) + k) *. m.((c * n) + k))
+          done;
+          if r = c then want.((c * n) + r) <- !acc +. float_of_int n
+          else begin
+            want.((c * n) + r) <- !acc;
+            want.((r * n) + c) <- !acc
+          end
+        done
+      done;
+      let env = Kernel_def.make_env K_cholesky.kernel ~bindings:[ ("N", n) ] ~seed in
+      let got = Env.farray_data env "A" in
+      check_bool
+        (Printf.sprintf "N=%d bitwise" n)
+        true
+        (Array.for_all2
+           (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+           want got))
+    [ 1; 2; 3; 4; 5; 7; 32; 97; 160 ]
+
 (* Every registry kernel's blueprint keys (point and transformed) and
    derived IR, captured before the prover gained shared caches and the
    failed-residual memo.  A proof answer that changes a derivation or
@@ -334,11 +403,15 @@ let suite =
         block_lu_pivot_equiv;
       case "pivoting requires commutativity knowledge" pivot_needs_commutativity;
       qcase ~count:25 "Givens optimization equivalence" gen_case givens_equiv;
+      case "Givens executor keeps A(L,K) out of its J loop"
+        givens_executor_scalar_replaced;
       qcase ~count:20 "matmul IF-inspection equivalence"
         QCheck2.Gen.(triple (int_range 1 24) (int_range 0 10) (int_range 0 1000))
         matmul_if_equiv;
       case "whole registry verifies" registry_verifies;
       case "registry set-up golden digests" setup_is_bitwise_stable;
+      case "Cholesky set-up equals the one-row reference bitwise"
+        cholesky_setup_matches_reference;
       case "registry derivations and keys match the golden"
         derivations_match_golden;
       case "blocking reduces simulated misses" blocking_reduces_misses;
