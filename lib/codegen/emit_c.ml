@@ -92,6 +92,7 @@ type st = {
   body : Buffer.t;
   mutable proved : SS.t;
   mutable assumed : SS.t;
+  mutable n_raw : int;
 }
 
 let line st ind fmt =
@@ -138,7 +139,10 @@ let in_bounds st ctx name subs =
               (fun (lo, hi) s -> Emit.ple ctx lo s && Emit.ple ctx s hi)
               dims subs
           in
-          if ok then st.proved <- SS.add name st.proved;
+          if ok then begin
+            st.proved <- SS.add name st.proved;
+            st.n_raw <- st.n_raw + 1
+          end;
           ok
       | _ -> false)
 
@@ -356,25 +360,34 @@ let helpers =
   \  a[off] = v;\n\
    }\n"
 
+(* The body pass over a block [Emit.collect] accepted. *)
+let render ~unsafe ~shapes d blk =
+  let st =
+    {
+      d;
+      shapes;
+      unsafe;
+      tainted = d.Emit.isc_w;
+      body = Buffer.create 4096;
+      proved = SS.empty;
+      assumed = SS.empty;
+      n_raw = 0;
+    }
+  in
+  let ctx, assumed = Emit.base_ctx ~tainted:st.tainted ~shapes blk in
+  st.assumed <- assumed;
+  block st SS.empty (Some ctx) 1 blk;
+  st
+
+let raw_accesses ?(unsafe = true) ?(shapes = []) blk =
+  (render ~unsafe ~shapes (Emit.collect blk) blk).n_raw
+
 let source ?(unsafe = true) ?(shapes = []) ~name blk =
   let d = Emit.collect blk in
   match d.Emit.bad with
   | Some m -> Error (Printf.sprintf "cannot compile %s: %s" name m)
   | None ->
-      let st =
-        {
-          d;
-          shapes;
-          unsafe;
-          tainted = d.Emit.isc_w;
-          body = Buffer.create 4096;
-          proved = SS.empty;
-          assumed = SS.empty;
-        }
-      in
-      let ctx, assumed = Emit.base_ctx ~tainted:st.tainted ~shapes blk in
-      st.assumed <- assumed;
-      block st SS.empty (Some ctx) 1 blk;
+      let st = render ~unsafe ~shapes d blk in
       let mf = manifest_of_decls d in
       let b = Buffer.create 8192 in
       let out fmt = Printf.ksprintf (fun s -> Buffer.add_string b s) fmt in

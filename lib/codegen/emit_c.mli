@@ -59,3 +59,7 @@ val source :
     [unsafe] (default [true]) enables proven-in-bounds raw accesses;
     with [false] every access goes through the bounds-checked
     accessors. *)
+
+val raw_accesses : ?unsafe:bool -> ?shapes:shapes -> Stmt.t list -> int
+(** The number of raw-pointer accesses {!source} emits for the block:
+    the C counterpart of {!Emit.counts}' [unchecked]. *)
