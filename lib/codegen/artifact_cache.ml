@@ -50,6 +50,11 @@ let truncated_elf path =
 let readdir d = try Sys.readdir d with Sys_error _ -> [||]
 let remove p = try Sys.remove p with Sys_error _ -> ()
 
+(* A build directory holds files only. *)
+let remove_dir d =
+  Array.iter (fun f -> remove (Filename.concat d f)) (readdir d);
+  try Sys.rmdir d with Sys_error _ -> ()
+
 (* ---- kinds and counters ------------------------------------------- *)
 
 (* Counter slots, in [stats] order after [loaded]. *)
@@ -213,11 +218,44 @@ type 'a entry = {
 
 let build_seq = Atomic.make 0
 
+(* A build whose process was killed leaves its [.tmp-<pid>-<n>]
+   directory behind.  One is abandoned when its pid is not ours and
+   names no live process: [kill pid 0] fails with ESRCH (EPERM is a
+   live process of another user).  Pids are only comparable within one
+   pid namespace, which processes sharing a cache directory share. *)
+let abandoned name =
+  match String.split_on_char '-' name with
+  | [ ".tmp"; pid; n ] -> (
+      match (int_of_string_opt pid, int_of_string_opt n) with
+      | Some pid, Some _ when pid > 0 && pid <> Unix.getpid () -> (
+          match Unix.kill pid 0 with
+          | () -> false
+          | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+          | exception Unix.Unix_error _ -> false)
+      | _ -> false)
+  | _ -> false
+
+(* Directories this process has swept, under [mu]. *)
+let swept : (string, unit) Hashtbl.t = Hashtbl.create 1
+
+let sweep_once d =
+  let first =
+    locked (fun () ->
+        let first = not (Hashtbl.mem swept d) in
+        Hashtbl.replace swept d ();
+        first)
+  in
+  if first then
+    Array.iter
+      (fun n -> if abandoned n then remove_dir (Filename.concat d n))
+      (readdir d)
+
 (* Build into a private directory, then rename the side files and,
    last, the artifact into the cache. *)
 let build_into k ~key ~path build =
   let d = Filename.dirname path in
   mkdirs d;
+  sweep_once d;
   let tmp =
     Filename.concat d
       (Printf.sprintf ".tmp-%d-%d" (Unix.getpid ())
@@ -227,9 +265,7 @@ let build_into k ~key ~path build =
   locked (fun () -> bump k s_build);
   let stem = k.prefix ^ key in
   Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> remove (Filename.concat tmp f)) (readdir tmp);
-      try Sys.rmdir tmp with Sys_error _ -> ())
+    ~finally:(fun () -> remove_dir tmp)
     (fun () ->
       let t0 = Unix.gettimeofday () in
       match build tmp with
@@ -263,8 +299,15 @@ let fetch k ~key ~path ~build ~load =
   else
     match load () with
     | Ok value -> Ok { value; path; disposition = Disk; build_s = 0.0 }
-    | Error _ ->
+    | Error m ->
         locked (fun () -> bump k s_corrupt);
+        Obs.Recorder.note ~cat:"cache" "cache.corrupt"
+          ~args:
+            [
+              ("kind", Obs.Str k.name);
+              ("path", Obs.Str path);
+              ("error", Obs.Str m);
+            ];
         remove path;
         fresh ()
 

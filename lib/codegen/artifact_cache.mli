@@ -17,16 +17,22 @@
       process and this build ([.tmp-<pid>-<n>] in the cache), and its
       files are renamed into place, the artifact last.  A reader never
       sees a half-written file, and two processes building one key
-      each rename a complete copy.
+      each rename a complete copy.  Before its first build in a
+      directory, a process removes the build directories of processes
+      that no longer exist (killed mid-build); processes that share a
+      cache directory must share a pid namespace.
     - {b Load once.}  A loaded value stays in the table for the life of
       the process.  Native code cannot be unloaded ([Dynlink] never
       unloads, and [Cc] never [dlclose]s), so evicting an entry would
       free nothing, and loading the same plugin again would re-run its
       initializer.
     - {b Corrupt entries.}  A file whose [load] fails (a truncated
-      object, a flipped byte in stored IR) is counted ([corrupt]),
-      deleted and built again, once; a second failure is the
-      caller's [Error]. *)
+      object, an object importing a symbol the host lacks, a flipped
+      byte in stored IR) is counted ([corrupt]), noted with its load
+      error in the flight recorder ([cache.corrupt]), deleted and built
+      again, once; a second failure is the caller's [Error].  Only
+      what a [load] checks is caught: the directory is trusted like
+      the daemon's own code. *)
 
 type disposition = Memo | Disk | Compiled
 

@@ -1,12 +1,11 @@
 (* System-cc back end for emitted kernels.
 
-   The pipeline is [cc -std=c99 -O2 -shared -fPIC -ffp-contract=off]
-   on the {!Emit_c} output, then [dlopen] through the cc_stubs shim.
-   Objects live in the {!Artifact_cache} with the OCaml plugins, keyed
-   by blueprint digest x backend tag x [cc --version], so a toolchain
-   upgrade invalidates exactly the C half of the cache.  [-ffp-contract=off] is load-bearing: it is what
-   makes the object bitwise-comparable with the interpreter and the
-   OCaml plugin (no FMA contraction of a*b+c). *)
+   The pipeline is [cc] with {!flags} on the {!Emit_c} output, then
+   [dlopen] through the cc_stubs shim.  Objects live in the
+   {!Artifact_cache} with the OCaml plugins, keyed by blueprint digest
+   x {!Emit_c.revision} x {!flags} x [cc --version], so a toolchain
+   upgrade, a new emitter or a new flag invalidates exactly the C half
+   of the cache. *)
 
 external cc_load : string -> nativeint = "blockc_cc_load"
 
@@ -34,7 +33,7 @@ type loaded = {
 
 (* ---- compiler discovery ------------------------------------------ *)
 
-let find_cc () =
+let compiler () =
   match Sys.getenv_opt "BLOCKC_CC" with
   | Some p -> if Sys.file_exists p then Some p else None
   | None ->
@@ -48,7 +47,7 @@ let find_cc () =
         (String.split_on_char ':' path)
 
 let available () =
-  match find_cc () with
+  match compiler () with
   | Some _ -> Ok ()
   | None -> Error "cc not found on PATH (set BLOCKC_CC)"
 
@@ -60,7 +59,7 @@ let available () =
 let probe : string Artifact_cache.kind =
   Artifact_cache.kind "cc_probe" ~prefix:"cc_" ~ext:".version"
 
-let cc_version compiler =
+let version compiler =
   let id =
     match Unix.stat compiler with
     | st ->
@@ -92,6 +91,29 @@ let cc_version compiler =
 
 (* ---- compile + load ---------------------------------------------- *)
 
+(* [-ffp-contract=off] is load-bearing: it is what makes the object
+   bitwise-comparable with the interpreter and the OCaml plugin (no FMA
+   contraction of a*b+c).  [-pipe] hands the assembly to [as] through a
+   pipe rather than a file; the object is byte-identical.  [-nostdlib]
+   links neither libc, libm nor the C start files, whose link cost
+   twice the rest of it (EXPERIMENTS, COLD-COMPILE): the object's few
+   imports resolve against the host process, which links libc and
+   libm, when the stub dlopens it. *)
+let flags =
+  [
+    "-std=c99"; "-O2"; "-pipe"; "-shared"; "-fPIC"; "-ffp-contract=off";
+    "-nostdlib";
+  ]
+
+let key ~version ~revision (bp : Blueprint.t) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          [
+            version; "c-backend"; "emit_c"; revision; "flags";
+            String.concat " " flags; "blueprint"; bp.Blueprint.key;
+          ]))
+
 let kind : (fn * string list) Artifact_cache.kind =
   Artifact_cache.kind "c" ~prefix:"bk_" ~ext:".so" ~keep:[ ".c"; ".vec" ]
 
@@ -122,19 +144,11 @@ let compile_blueprint ?cc ~name (bp : Blueprint.t) =
   Obs.span ~cat:"jit" "cc.compile_blueprint"
     ~args:[ ("kernel", Obs.Str name) ]
   @@ fun () ->
-  let compiler =
-    match cc with
-    | Some c -> Some c
-    | None -> find_cc ()
-  in
-  match compiler with
+  let cc = match cc with None -> compiler () | some -> some in
+  match cc with
   | None -> Error "cc not found on PATH (set BLOCKC_CC)"
   | Some compiler -> (
-      let key =
-        Digest.to_hex
-          (Digest.string
-             (cc_version compiler ^ "\x00c-backend\x00" ^ bp.Blueprint.key))
-      in
+      let key = key ~version:(version compiler) ~revision:Emit_c.revision bp in
       let build tmp =
         match
           Emit_c.source ~unsafe:bp.Blueprint.unsafe ~shapes:bp.Blueprint.shapes
@@ -149,10 +163,8 @@ let compile_blueprint ?cc ~name (bp : Blueprint.t) =
             let errf = stem ^ ".err" in
             Artifact_cache.write_file (stem ^ ".c") src;
             let cmd extra =
-              Printf.sprintf
-                "%s -std=c99 -O2 -shared -fPIC -ffp-contract=off%s -o %s %s \
-                 -lm 2> %s"
-                (Filename.quote compiler) extra
+              Printf.sprintf "%s %s%s -o %s %s 2> %s"
+                (Filename.quote compiler) (String.concat " " flags) extra
                 (Filename.quote (stem ^ ".so"))
                 (Filename.quote (stem ^ ".c"))
                 (Filename.quote errf)

@@ -1,14 +1,16 @@
 (** System-cc back end: compiling {!Emit_c} output and running it
     in-process.
 
-    The pipeline is [cc -std=c99 -O2 -shared -fPIC -ffp-contract=off]
-    on the emitted C, then [dlopen] through a small stub.  Objects
-    share the OCaml plugins' {!Artifact_cache} ([bk_<key>.so] next to
-    [bk_<key>.cmxs]); the key is the blueprint digest combined with
-    the backend tag and the first line of [cc --version], so switching
-    compilers invalidates exactly the C half of the cache.  That line
-    is itself cached ([cc_<key>.version], keyed by a [stat] of the
-    compiler), so a process spawns the compiler only to compile.
+    The pipeline is [cc] with {!flags} on the emitted C, then
+    [dlopen(RTLD_NOW)] through a small stub.  The object links no
+    library and no C start files: its imports resolve against the host
+    process at load time, and one that does not resolve fails the load.
+    Objects share the OCaml plugins' {!Artifact_cache} ([bk_<key>.so]
+    next to [bk_<key>.cmxs]) under {!key}, so switching compilers,
+    flags or emitter revisions invalidates exactly the C half of the
+    cache.  The compiler's version line is itself cached
+    ([cc_<key>.version], keyed by a [stat] of the compiler), so a
+    process spawns the compiler only to compile.
 
     Execution marshals an {!Env.t} onto the fixed kernel ABI per the
     blueprint's {!Emit_c.manifest}: REAL buffers and scalars are
@@ -38,6 +40,26 @@ val available : unit -> (unit, string) result
 (** [Ok ()] when a C compiler was found (on [PATH] as [cc], or via
     [BLOCKC_CC]); otherwise a one-line reason. *)
 
+val compiler : unit -> string option
+(** The C compiler {!compile_blueprint} uses by default: [BLOCKC_CC],
+    else [cc] on [PATH]. *)
+
+val version : string -> string
+(** The first line of [compiler --version], from the cache when a
+    process already asked; [""] when it cannot be run. *)
+
+val flags : string list
+(** What every object is compiled with: [-std=c99 -O2 -pipe -shared
+    -fPIC -ffp-contract=off -nostdlib].  [-ffp-contract=off] keeps the
+    results bitwise equal to the interpreter's; [-nostdlib] leaves libc,
+    libm and the C start files out of the link. *)
+
+val key : version:string -> revision:string -> Blueprint.t -> string
+(** The artifact key of a blueprint's object: the digest of the
+    compiler's {!version} line, the C emitter [revision]
+    ({!compile_blueprint} uses {!Emit_c.revision}), {!flags} and the
+    blueprint's key. *)
+
 val invocations : unit -> int
 (** [cc] runs so far in this process (builds of the cache's ["c"]
     kind). *)
@@ -45,8 +67,8 @@ val invocations : unit -> int
 val compile_blueprint :
   ?cc:string -> name:string -> Blueprint.t -> (loaded, string) result
 (** Compile (or fetch from cache) the shared object for a normalized
-    blueprint.  Emission only happens on a cache miss.  [cc] overrides
-    compiler discovery.  Run the result with
+    blueprint, under {!key}.  Emission only happens on a cache miss.
+    [cc] overrides compiler discovery.  Run the result with
     {!run}[ ~bindings:bp.Blueprint.bindings]. *)
 
 val run :

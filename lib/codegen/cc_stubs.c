@@ -38,7 +38,15 @@ CAMLprim value blockc_cc_load(value vpath)
 
   /* Never dlclosed: the content-addressed cache means one object per
      blueprint per compiler, and function pointers must stay valid for
-     the life of the process (they are memoized on the OCaml side). */
+     the life of the process (they are memoized on the OCaml side).
+
+     Objects are linked with -nostdlib, so they carry no DT_NEEDED:
+     their imports (_setjmp, longjmp, snprintf, sqrt, whatever memset
+     or memcpy the compiler emitted) bind to the host's own libc and
+     libm.  RTLD_NOW is what turns an import nothing defines into a
+     dlopen failure here, which the cache counts as a corrupt entry
+     and rebuilds; lazy binding would defer it to the kernel's first
+     call of that function, where the dynamic linker ends the process. */
   handle = dlopen(String_val(vpath), RTLD_NOW | RTLD_LOCAL);
   if (handle == NULL)
     caml_failwith(dlerror());

@@ -18,7 +18,15 @@
    and IEEE [sqrt]/[fabs]/negation being exactly rounded in both
    worlds.  Runtime failures (zero step, negative SQRT, out-of-bounds
    checked access) longjmp back to the entry point, which returns
-   nonzero with the message in the caller's buffer. *)
+   nonzero with the message in the caller's buffer.
+
+   The unit includes only <setjmp.h>, so that cc parses little beyond
+   the kernel: it declares the three libc functions it calls itself,
+   and spells NaN, infinity and isnan as the compiler builtins the
+   <math.h> macros expand to.  [__builtin_isnan(a)], not [a != a]:
+   the test is the same, but gcc 12 allocates transformed lu_pivot's
+   registers differently for the latter, and the objects are meant to
+   keep the instructions they had with the headers. *)
 
 module SS = Emit.SS
 module SM = Emit.SM
@@ -104,11 +112,21 @@ let line st ind fmt =
     fmt
 
 (* C99 hexadecimal float literals are exact: no decimal round-trip to
-   trust, no translation-time rounding mode to worry about. *)
+   trust, no translation-time rounding mode to worry about.  A NaN
+   keeps its sign and payload (OCaml's [nan] has payload 1, C's
+   [nan("")] 0), so the interpreter, the plugin and the object agree on
+   its bits. *)
 let float_lit x =
-  if Float.is_nan x then "nan(\"\")"
-  else if x = Float.infinity then "INFINITY"
-  else if x = Float.neg_infinity then "(-INFINITY)"
+  if Float.is_nan x then
+    let bits = Int64.bits_of_float x in
+    let lit =
+      Printf.sprintf "__builtin_nan%s(\"0x%Lx\")"
+        (if Int64.logand bits 0x8_0000_0000_0000L = 0L then "s" else "")
+        (Int64.logand bits 0x7_ffff_ffff_ffffL)
+    in
+    if Int64.compare bits 0L < 0 then "(-" ^ lit ^ ")" else lit
+  else if x = Float.infinity then "__builtin_inf()"
+  else if x = Float.neg_infinity then "(-__builtin_inf())"
   else
     let s = Printf.sprintf "%h" x in
     if s.[0] = '-' then "(" ^ s ^ ")" else s
@@ -295,18 +313,24 @@ and block st scope ctx ind = function
 
 (* ---- assembly ----------------------------------------------------- *)
 
+let revision = "1"
+
 let header name =
   Printf.sprintf
     "/* %s — C99 lowered from the mini-Fortran IR by blockc's codegen.\n\
-    \   Self-contained (libc only).  The host calls [blockc_cc_kernel]\n\
-    \   through the Cc dlopen stub; buffers are the Env's flat\n\
+    \   Linked without libc: its imports (setjmp, longjmp, snprintf, sqrt)\n\
+    \   resolve against the host process when the Cc stub dlopens it.\n\
+    \   The host calls [blockc_cc_kernel]; buffers are the Env's flat\n\
     \   column-major arrays, passed in manifest (sorted-name) order. */\n"
     name
 
 let helpers =
-  "#include <math.h>\n\
-   #include <setjmp.h>\n\
-   #include <stdio.h>\n\n\
+  "#include <setjmp.h>\n\n\
+   /* The libc functions the kernel calls, declared here rather than\n\
+  \   through <math.h> and <stdio.h>: parsing those costs every compile. */\n\
+   double sqrt(double);\n\
+   double fabs(double);\n\
+   int snprintf(char *, __SIZE_TYPE__, const char *, ...);\n\n\
    static long imin(long a, long b) { return a <= b ? a : b; }\n\
    static long imax(long a, long b) { return a >= b ? a : b; }\n\n\
    /* OCaml Float.compare: total order, NaN equal to itself and below\n\
@@ -315,7 +339,7 @@ let helpers =
   \  if (a < b) return -1;\n\
   \  if (a > b) return 1;\n\
   \  if (a == b) return 0;\n\
-  \  if (isnan(a)) return isnan(b) ? 0 : -1;\n\
+  \  if (__builtin_isnan(a)) return __builtin_isnan(b) ? 0 : -1;\n\
   \  return 1;\n\
    }\n\n\
    static double fsign(double a, double b) {\n\

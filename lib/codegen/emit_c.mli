@@ -9,8 +9,10 @@
     re-checks at run time everything the proofs assumed: declared
     shapes match the actual dims, assumed parameters are positive.
 
-    The generated translation unit depends only on libc and exports a
-    single fixed-ABI entry point,
+    The generated translation unit includes no header but
+    [<setjmp.h>], calls nothing but [setjmp]/[longjmp], [snprintf] and
+    [sqrt] (declared in its prelude; [fabs] compiles inline), and
+    exports a single fixed-ABI entry point,
 
     {v
     int blockc_cc_kernel(double **fa, const long *fdim, long **ia,
@@ -45,6 +47,13 @@ type manifest = {
 (** The host-side marshaling contract.  Deterministic and derivable
     from the block alone ({!manifest}), so a disk-cached object can be
     invoked without re-emitting its source. *)
+
+val revision : string
+(** The C emitter's revision.  It is part of the C artifact key
+    ({!Cc.key}), so a cache directory filled by an older emitter is
+    never served to a newer one; bump it whenever the emitted text
+    changes.  A unit test pins the emitted text of three point kernels
+    next to the revision it names. *)
 
 val manifest : Stmt.t list -> (manifest, string) result
 (** [Error] reports the same unsupported constructs {!source} would. *)

@@ -9,10 +9,12 @@
     constructor's name.
 
     Compiled plugins live in the {!Artifact_cache}, keyed by the
-    {!Blueprint} digest, the compiler version and the emitter's
-    {!Emit.revision} — so one loop structure is one artifact no matter
-    how many problem sizes it runs at, and a directory an older emitter
-    filled is rebuilt rather than served.  Each plugin is loaded once per process and kept: [Dynlink]
+    {!Blueprint} digest, the compiler version, its flags and the
+    emitter's {!Emit.revision} — so one loop structure is one artifact
+    no matter how many problem sizes it runs at, and a directory an
+    older emitter filled is rebuilt rather than served.  The plugin is
+    linked with [-ccopt -nostdlib]: no C library and no C start files,
+    its imports bound to the host at load time.  Each plugin is loaded once per process and kept: [Dynlink]
     cannot unload it, and loading it again would re-run its
     initializer.
 
@@ -55,7 +57,9 @@ val emit :
 
 val key : revision:string -> Blueprint.t -> string
 (** The artifact key of a blueprint's plugin under an emitter revision
-    ({!compile_blueprint} uses {!Emit.revision}). *)
+    ({!compile_blueprint} uses {!Emit.revision}): the digest of the
+    OCaml version, the revision, the [ocamlopt] flags and the
+    blueprint's key. *)
 
 val compile_blueprint :
   ?ocamlopt:string -> name:string -> Blueprint.t -> (loaded, string) result

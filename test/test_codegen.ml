@@ -250,6 +250,39 @@ let pinned_emission =
     ("conv", "4cf3d6f54ac836743382e06874e67054");
   ]
 
+(* The same for the C emitter and [Emit_c.revision]. *)
+let pinned_c_revision = "1"
+
+let pinned_c_emission =
+  [
+    ("lu", "1a97a08518504414dec31182cce03fa4");
+    ("matmul", "935dfc0024b9a7110b751a6b428c0539");
+    ("conv", "21a4ecf28a040019fdd306e0bfb62643");
+  ]
+
+(* The C compiler under a name of its own: a wrapper that compiles with
+   the real one but reports a version line no other test's compiler
+   has.  Artifact keys include that line, so a blueprint compiled
+   through the wrapper gets a key this process has not loaded yet,
+   however many times the shared cache served the blueprint before. *)
+let fresh_cc dir =
+  let real = Option.get (Cc.compiler ()) in
+  let path = Filename.concat dir "fresh-cc" in
+  Artifact_cache.write_file path
+    (Printf.sprintf
+       "#!/bin/sh\n\
+        if [ \"$1\" = --version ]; then echo 'fresh-cc %s'; exit 0; fi\n\
+        exec %s \"$@\"\n"
+       (Filename.basename dir) (Filename.quote real));
+  Unix.chmod path 0o755;
+  path
+
+let c_corrupt () =
+  (List.find
+     (fun (s : Artifact_cache.stats) -> s.kind_name = "c")
+     (Artifact_cache.all_stats ()))
+    .corrupt
+
 let suite =
   ( "codegen",
     [
@@ -874,4 +907,168 @@ let suite =
           let env = simple_env ~n:1 in
           ok_or_fail "run" (Jit.run l.Jit.fn env);
           check_bool "runs" true (Float.equal (Env.fscalar env "REVISION_PROBE") 2.5));
+      case "emitted C is pinned to Emit_c.revision" (fun () ->
+          check_string "the pins' revision" pinned_c_revision Emit_c.revision;
+          List.iter
+            (fun (name, digest) ->
+              let e = entry name in
+              let src =
+                ok_or_fail "emit c"
+                  (Emit_c.source ~shapes:e.kernel.Kernel_def.shapes ~name:"pin"
+                     e.kernel.Kernel_def.block)
+              in
+              check_string
+                (name ^ " point: emitted C changed (bump Emit_c.revision)")
+                digest
+                (Digest.to_hex (Digest.string src)))
+            pinned_c_emission);
+      case "the C key names what built an object: an older formula's is \
+            never served" (fun () ->
+          require_cc ();
+          with_private_cache @@ fun () ->
+          let compiler = Option.get (Cc.compiler ()) in
+          let version = Cc.version compiler in
+          let bp =
+            Blueprint.of_block [ Stmt.Assign ("C_REVISION_PROBE", [], B.fc 2.5) ]
+          in
+          let new_key = Cc.key ~version ~revision:Emit_c.revision bp in
+          check_bool "two revisions, two keys" false
+            (String.equal (Cc.key ~version ~revision:"0" bp) new_key);
+          (* Before the key named the emitter revision and the flags, it
+             was the compiler's version line and the blueprint key: the
+             name under which a cache filled then holds this blueprint's
+             object. *)
+          let old_key =
+            Digest.to_hex
+              (Digest.string (version ^ "\x00c-backend\x00" ^ bp.Blueprint.key))
+          in
+          check_bool "not the old key" false (String.equal old_key new_key);
+          (* Store there, built the old way, an object that behaves
+             differently from what this emitter writes for the
+             blueprint, so a load of it would show in the result. *)
+          let stem = Filename.concat (Artifact_cache.dir ()) ("bk_" ^ old_key) in
+          Artifact_cache.write_file (stem ^ ".c")
+            (ok_or_fail "emit c"
+               (Emit_c.source ~name:"old"
+                  [ Stmt.Assign ("C_REVISION_PROBE", [], B.fc 1.5) ]));
+          check_int "old object built" 0
+            (Sys.command
+               (Printf.sprintf
+                  "%s -std=c99 -O2 -shared -fPIC -ffp-contract=off -o %s %s -lm"
+                  (Filename.quote compiler)
+                  (Filename.quote (stem ^ ".so"))
+                  (Filename.quote (stem ^ ".c"))));
+          let c0 = Cc.invocations () in
+          let l = ok_or_fail "compile" (Cc.compile_blueprint ~name:"revision" bp) in
+          check_bool "rebuilt, not loaded" true (l.Cc.disposition = Jit.Compiled);
+          check_int "one cc run" 1 (Cc.invocations () - c0);
+          check_string "under the new key" new_key l.Cc.key;
+          let env = simple_env ~n:1 in
+          ok_or_fail "run" (Cc.run ~bindings:bp.Blueprint.bindings l.Cc.fn env);
+          check_bool "runs" true
+            (Float.equal (Env.fscalar env "C_REVISION_PROBE") 2.5));
+      case "an object importing a missing symbol fails to load and is rebuilt"
+        (fun () ->
+          require_cc ();
+          with_private_cache @@ fun () ->
+          let cc = fresh_cc (Artifact_cache.dir ()) in
+          let e = entry "lu" in
+          let bindings = e.Blockability.default_bindings in
+          let bp =
+            Blueprint.of_block ~shapes:e.kernel.Kernel_def.shapes
+              e.kernel.Kernel_def.block
+          in
+          let key =
+            Cc.key ~version:(Cc.version cc) ~revision:Emit_c.revision bp
+          in
+          (* Linked like every object, without libc: nothing marks the
+             import unresolvable until the load binds it. *)
+          let stem = Filename.concat (Artifact_cache.dir ()) ("bk_" ^ key) in
+          Artifact_cache.write_file (stem ^ ".c")
+            "extern int blockc_no_such_symbol(void);\n\
+             int blockc_cc_kernel(void) { return blockc_no_such_symbol(); }\n";
+          check_int "planted object built" 0
+            (Sys.command
+               (Printf.sprintf "%s %s -o %s %s" (Filename.quote cc)
+                  (String.concat " " Cc.flags)
+                  (Filename.quote (stem ^ ".so"))
+                  (Filename.quote (stem ^ ".c"))));
+          let corrupt0 = c_corrupt () in
+          let l = ok_or_fail "compile" (Cc.compile_blueprint ~cc ~name:"lu" bp) in
+          check_int "counted corrupt once" 1 (c_corrupt () - corrupt0);
+          check_bool "rebuilt" true (l.Cc.disposition = Jit.Compiled);
+          check_bool "the recorded load error names the symbol" true
+            (List.exists
+               (fun (ev : Obs.event) ->
+                 ev.name = "cache.corrupt"
+                 &&
+                 match List.assoc_opt "error" ev.args with
+                 | Some (Obs.Str m) -> contains m "blockc_no_such_symbol"
+                 | _ -> false)
+               (Obs.Recorder.recent ()));
+          let env_i = Kernel_def.make_env e.kernel ~bindings ~seed:11 in
+          Exec.run env_i e.kernel.Kernel_def.block;
+          let env_c = Kernel_def.make_env e.kernel ~bindings ~seed:11 in
+          ok_or_fail "cc run"
+            (Cc.run ~bindings:(bindings @ bp.Blueprint.bindings) l.Cc.fn env_c);
+          match Env.diff ~only:e.kernel.Kernel_def.traced env_i env_c with
+          | None -> ()
+          | Some m -> Alcotest.fail m);
+      case "C NaN and infinity literals keep their bits" (fun () ->
+          require_cc ();
+          let values =
+            [
+              Float.nan;
+              Int64.float_of_bits 0xfff8_0000_0000_0005L;
+              Int64.float_of_bits 0x7ff0_0000_0000_0002L;
+              Float.infinity;
+              Float.neg_infinity;
+            ]
+          in
+          let name k = Printf.sprintf "LIT%d" k in
+          let block = List.mapi (fun k x -> B.setf (name k) (B.fc x)) values in
+          let env_i = simple_env ~n:1 and env_c = simple_env ~n:1 in
+          Exec.run env_i block;
+          let bp = Blueprint.of_block block in
+          let l =
+            ok_or_fail "cc compile" (Cc.compile_blueprint ~name:"literals" bp)
+          in
+          ok_or_fail "cc run"
+            (Cc.run ~bindings:bp.Blueprint.bindings l.Cc.fn env_c);
+          List.iteri
+            (fun k x ->
+              let bits env = Int64.bits_of_float (Env.fscalar env (name k)) in
+              check_bool (name k ^ ": the interpreter's bits") true
+                (Int64.equal (bits env_i) (Int64.bits_of_float x));
+              check_bool (name k ^ ": the object's bits") true
+                (Int64.equal (bits env_c) (bits env_i)))
+            values);
+      case "build directories of dead processes are swept; live ones stay"
+        (fun () ->
+          require_native ();
+          with_private_cache @@ fun () ->
+          let d = Artifact_cache.dir () in
+          (* a pid that named a process a moment ago: a reaped child's *)
+          let child =
+            Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout
+              Unix.stderr
+          in
+          ignore (Unix.waitpid [] child);
+          let fabricate pid =
+            let t = Filename.concat d (Printf.sprintf ".tmp-%d-999999" pid) in
+            Unix.mkdir t 0o700;
+            Artifact_cache.write_file (Filename.concat t "bk_half.ml") "(* cut short *)";
+            t
+          in
+          let dead = fabricate child
+          and own = fabricate (Unix.getpid ())
+          and init = fabricate 1 in
+          ignore
+            (ok_or_fail "compile"
+               (Jit.compile_blueprint ~name:"sweep"
+                  (Blueprint.of_block [ B.setf "SWEEP_PROBE" (B.fc 6.125) ])));
+          check_bool "the reaped child's directory is gone" false
+            (Sys.file_exists dead);
+          check_bool "this process's directory stays" true (Sys.file_exists own);
+          check_bool "pid 1's directory stays" true (Sys.file_exists init));
     ] )
