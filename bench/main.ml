@@ -113,18 +113,13 @@ let output ~id tbl =
 (* timing                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let now_ns () = Monotonic_clock.now ()
-
-(* Give the observability layer a real monotonic clock (its default is
-   Sys.time-based) and honour BLOCKABILITY_TRACE for whole-run traces. *)
-let () =
-  Obs.set_clock (fun () -> Int64.to_int (Monotonic_clock.now ()));
-  Obs.init_from_env ()
+(* Honour BLOCKABILITY_TRACE for whole-run traces. *)
+let () = Obs.init_from_env ()
 
 let time_once f =
-  let t0 = now_ns () in
+  let t0 = Obs.now_ns () in
   f ();
-  Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9
+  float_of_int (Obs.now_ns () - t0) /. 1e9
 
 let reps = if quick then 2 else 3
 
@@ -920,9 +915,9 @@ let serve_suite () =
       Unix.putenv "BLOCKC_JIT_CACHE" tmp;
       let exec_pool = Pool.default () in
       let request line =
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.now_ns () in
         let resp, _ = Serve.handle_line ~exec_pool line in
-        (resp, Unix.gettimeofday () -. t0)
+        (resp, float_of_int (Obs.now_ns () - t0) /. 1e9)
       in
       let jfield name = function
         | Json_min.Object kvs -> List.assoc_opt name kvs

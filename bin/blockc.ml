@@ -890,7 +890,13 @@ let compile_cmd =
   let variant_arg =
     Arg.(
       value
-      & opt (enum [ ("point", `Point); ("transformed", `Transformed) ]) `Point
+      & opt
+          (enum
+             [
+               ("point", Blockability.Point);
+               ("transformed", Blockability.Transformed);
+             ])
+          Blockability.Point
       & info [ "variant" ] ~docv:"V"
           ~doc:
             "Which variant to emit or compile when not using $(b,--run): \
@@ -962,40 +968,32 @@ let compile_cmd =
           else print_native r
     end
     else
-      let block_stmts, jname =
-        match variant with
-        | `Point ->
-            (e.Blockability.kernel.Kernel_def.block, e.Blockability.name ^ "_point")
-        | `Transformed -> (
-            match Blockability.derive e with
-            | Ok { Blocker.result; _ } ->
-                ([ result ], e.Blockability.name ^ "_transformed")
-            | Error m ->
-                Printf.eprintf "blockc compile: derivation failed: %s\n" m;
-                exit 1)
+      let jname =
+        e.Blockability.name ^ "_" ^ Blockability.variant_name variant
       in
-      let shapes = e.Blockability.kernel.Kernel_def.shapes in
+      let fail m =
+        prerr_endline ("blockc compile: " ^ m);
+        exit 1
+      in
       match emit with
-      | Some `Ocaml -> (
-          match Jit.emit ~shapes ~name:jname block_stmts with
-          | Error m ->
-              prerr_endline ("blockc compile: " ^ m);
-              exit 1
-          | Ok src -> print_string src)
-      | Some `C -> (
-          match Emit_c.source ~shapes ~name:jname block_stmts with
-          | Error m ->
-              prerr_endline ("blockc compile: " ^ m);
-              exit 1
-          | Ok src -> print_string src)
+      | Some lang -> (
+          let source =
+            match lang with `Ocaml -> Emit.source | `C -> Emit_c.source
+          in
+          match Blockability.variant_block e variant with
+          | Error m -> fail m
+          | Ok (block, _, _) -> (
+              match
+                source ~shapes:e.Blockability.kernel.Kernel_def.shapes
+                  ~name:jname block
+              with
+              | Error m -> fail m
+              | Ok src -> print_string src))
       | None -> (
           backend_or_exit ();
-          let bp = Blueprint.of_block ~shapes block_stmts in
-          match B.compile_blueprint ~name:jname bp with
-          | Error m ->
-              prerr_endline ("blockc compile: " ^ m);
-              exit 1
-          | Ok c ->
+          match Blockability.compile ~backend e variant with
+          | Error m -> fail m
+          | Ok { c_bp = bp; c_cm = c; _ } ->
               let disposition =
                 Jit.disposition_name c.Backend.bk_disposition
               in
@@ -1687,7 +1685,7 @@ let top_cmd =
     let backoff = ref interval in
     let continue () = iters <= 0 || !iter < iters in
     while continue () do
-      let t_scrape = Unix.gettimeofday () in
+      let t_scrape = float_of_int (Obs.now_ns ()) /. 1e9 in
       (match scrape path "metrics" with
       | Error m ->
           if not !down then begin

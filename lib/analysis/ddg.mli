@@ -19,8 +19,6 @@ type t = {
 
 val build : ctx:Symbolic.t -> Stmt.loop -> t
 
-val same_scc : t -> int -> int -> bool
-
 val preventing_edges : t -> int -> int -> Dependence.t list
 (** [preventing_edges g a b] — when [a] and [b] sit in one SCC, the
     dependences on edges inside that SCC (the recurrence a transformation

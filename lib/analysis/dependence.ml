@@ -302,14 +302,6 @@ let all ?(include_input = false) ~ctx block =
   done;
   List.concat (List.rev !deps)
 
-let carried_by dep (l : Stmt.loop) =
-  match dep.carrier with
-  | None -> false
-  | Some c -> (
-      match List.nth_opt (common_loops dep.source dep.sink) c with
-      | Some lc -> lc == l
-      | None -> false)
-
 let kind_to_string = function
   | Flow -> "flow"
   | Anti -> "anti"

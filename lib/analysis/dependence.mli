@@ -32,8 +32,6 @@ type t = {
           common loops; [None] = loop-independent *)
 }
 
-val common_loops : Ir_util.access -> Ir_util.access -> Stmt.loop list
-
 val between :
   ctx:Symbolic.t -> Ir_util.access -> Ir_util.access -> t list
 (** All dependences with [source] executing before [sink] — both those
@@ -48,9 +46,4 @@ val all :
 (** Dependences between all access pairs of the block, in one
     {!Symbolic.with_session}. *)
 
-val carried_by : t -> Stmt.loop -> bool
-(** Is the dependence carried by this loop (physical identity against
-    the common-loop list)? *)
-
-val kind_to_string : kind -> string
 val to_string : t -> string

@@ -23,18 +23,6 @@ type result = { verdict : verdict; proof : proof; cases : int }
 (** [cases] counts the feasible truth assignments the direct comparison
     checked (summed over subgoals). *)
 
-val equiv_states :
-  ctx:Symbolic.t ->
-  ?ignore_scalars:string list ->
-  Fsa_eval.state ->
-  Fsa_eval.state ->
-  (int, string) Stdlib.result
-(** Compare two symbolic states observably: arrays at fully generic
-    probe subscripts, REAL scalars (except [ignore_scalars]) and
-    integer scalars.  Undecided atoms are case-split (with provably
-    infeasible cases pruned); [Ok n] means the states agree in all [n]
-    feasible cases. *)
-
 val equivalent :
   ?ignore_scalars:string list ->
   ctx:Symbolic.t ->

@@ -47,6 +47,3 @@ val read : ctx:Symbolic.t -> state -> string -> Affine.t list -> Fsa_term.t
 
 val scalar : state -> string -> Fsa_term.t
 (** Final value of a REAL scalar ([Sinit] when never written). *)
-
-val decide_atom : Symbolic.t -> Fsa_term.atom -> bool option
-(** Three-valued truth of an atom under a context. *)

@@ -22,7 +22,6 @@ val atom_key : atom -> string
 (** Canonical key: two atoms with the same key denote the same
     condition (differences are sign-normalized). *)
 
-val atom_subst : (string * Affine.t) list -> atom -> atom
 val atom_to_string : atom -> string
 
 type t =

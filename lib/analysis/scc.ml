@@ -35,22 +35,3 @@ let compute ~n ~succ =
     if index.(v) < 0 then strongconnect v
   done;
   !comps
-
-let condensation ~n ~succ =
-  (* Tarjan emits components in reverse topological order of the
-     condensation; [compute] accumulates by consing, so the result is in
-     topological order (sources first). *)
-  let comps = compute ~n ~succ in
-  let comp_of = Array.make n (-1) in
-  List.iteri (fun ci nodes -> List.iter (fun v -> comp_of.(v) <- ci) nodes) comps;
-  let edges = ref [] in
-  for v = 0 to n - 1 do
-    List.iter
-      (fun w ->
-        if comp_of.(v) <> comp_of.(w) then begin
-          let e = (comp_of.(v), comp_of.(w)) in
-          if not (List.mem e !edges) then edges := e :: !edges
-        end)
-      (succ v)
-  done;
-  (comps, !edges)

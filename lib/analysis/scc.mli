@@ -8,8 +8,3 @@ val compute : n:int -> succ:(int -> int list) -> int list list
     [0 .. n-1] in topological order of the condensation (sources
     first: every edge of the condensed graph goes from an earlier
     component to a later one).  Components are sorted internally. *)
-
-val condensation :
-  n:int -> succ:(int -> int list) -> int list list * (int * int) list
-(** SCCs in topological order (sources first) plus the edges of the
-    condensed acyclic graph as (component index, component index). *)

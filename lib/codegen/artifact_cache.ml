@@ -267,7 +267,7 @@ let build_into k ~key ~path build =
   Fun.protect
     ~finally:(fun () -> remove_dir tmp)
     (fun () ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.now_ns () in
       match build tmp with
       | Error _ as e -> e
       | Ok () ->
@@ -279,7 +279,7 @@ let build_into k ~key ~path build =
             k.keep;
           Sys.rename (Filename.concat tmp (stem ^ k.ext)) path;
           prune ~keep:[ Filename.basename path ] ();
-          Ok (Unix.gettimeofday () -. t0))
+          Ok (float_of_int (Obs.now_ns () - t0) /. 1e9))
 
 let fetch k ~key ~path ~build ~load =
   let load () =

@@ -242,8 +242,13 @@ let line st ind fmt =
       Buffer.add_char st.body '\n')
     fmt
 
+(* A NaN other than OCaml's own is spelled by its bits, so its sign and
+   payload survive as they do in the interpreter and the C object. *)
 let float_lit x =
-  if Float.is_nan x then "Float.nan"
+  if Float.is_nan x then
+    let bits = Int64.bits_of_float x in
+    if Int64.equal bits (Int64.bits_of_float Float.nan) then "Float.nan"
+    else Printf.sprintf "(Int64.float_of_bits 0x%LxL)" bits
   else if x = Float.infinity then "Float.infinity"
   else if x = Float.neg_infinity then "Float.neg_infinity"
   else begin
@@ -688,8 +693,7 @@ let render ~unsafe ~shapes d blk =
   block st SS.empty (Some ctx) 1 blk;
   st
 
-(* Revision 1 recomputed every flat offset on every iteration. *)
-let revision = "2"
+let revision = "3"
 
 type counts = { unchecked : int; hoisted : int; promoted : int }
 

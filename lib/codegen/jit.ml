@@ -47,12 +47,6 @@ let available () =
     | Some _ -> Ok ()
     | None -> Error "ocamlopt not found on PATH (set BLOCKC_OCAMLOPT)"
 
-(* ---- emission ----------------------------------------------------- *)
-
-let emit ?unsafe ?shapes ~name blk =
-  Obs.span ~cat:"jit" "jit.emit" ~args:[ ("kernel", Obs.Str name) ]
-  @@ fun () -> Emit.source ?unsafe ?shapes ~name blk
-
 (* ---- loading ------------------------------------------------------ *)
 
 (* The plugin's initializer raises [Blockc_kernel run].  An exception
@@ -144,10 +138,12 @@ let compile_blueprint ?ocamlopt ~name (bp : Blueprint.t) =
   | true, None -> Error "ocamlopt not found on PATH (set BLOCKC_OCAMLOPT)"
   | true, Some compiler -> (
       let build tmp =
+        let ename = "bp_" ^ String.sub bp.Blueprint.key 0 12 in
         match
-          emit ~unsafe:bp.Blueprint.unsafe ~shapes:bp.Blueprint.shapes
-            ~name:("bp_" ^ String.sub bp.Blueprint.key 0 12)
-            bp.Blueprint.block
+          Obs.span ~cat:"jit" "jit.emit" ~args:[ ("kernel", Obs.Str ename) ]
+          @@ fun () ->
+          Emit.source ~unsafe:bp.Blueprint.unsafe ~shapes:bp.Blueprint.shapes
+            ~name:ename bp.Blueprint.block
         with
         | Error _ as e -> e
         | Ok source ->

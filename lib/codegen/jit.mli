@@ -47,14 +47,6 @@ val available : unit -> (unit, string) result
     [PATH], or via [BLOCKC_OCAMLOPT]); otherwise a one-line reason —
     callers fall back to the interpreter. *)
 
-val emit :
-  ?unsafe:bool ->
-  ?shapes:Emit.shapes ->
-  name:string ->
-  Stmt.t list ->
-  (string, string) result
-(** {!Emit.source} wrapped in a [jit.emit] span. *)
-
 val key : revision:string -> Blueprint.t -> string
 (** The artifact key of a blueprint's plugin under an emitter revision
     ({!compile_blueprint} uses {!Emit.revision}): the digest of the

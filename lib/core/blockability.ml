@@ -219,22 +219,60 @@ let find name = List.find_opt (fun e -> String.equal e.name name) entries
 let names () = List.map (fun e -> e.name) entries
 let derive e = e.derive ()
 
-let with_scratch entry =
-  {
-    entry.kernel with
-    Kernel_def.setup =
-      (fun env ~bindings ~seed ->
-        entry.kernel.Kernel_def.setup env ~bindings ~seed;
-        entry.extra_setup env ~bindings);
-  }
+(* ---- variants and their environments ---------------------------- *)
+
+type variant = Point | Transformed
+
+let variant_name = function Point -> "point" | Transformed -> "transformed"
+
+let block_bindings entry = function
+  | None -> Ok entry.extra_bindings
+  | Some b ->
+      if List.mem_assoc "KS" entry.extra_bindings then
+        Ok (("KS", b) :: List.remove_assoc "KS" entry.extra_bindings)
+      else
+        Error
+          (Printf.sprintf
+             "%s has no block-size parameter (KS); --sweep/--block do not \
+              apply"
+             entry.name)
+
+(* [Kernel_def.make_env] binds the list in order, so the caller's
+   bindings, which come last, win over the entry's extra ones. *)
+let env ?block entry variant ~bindings ~seed =
+  let bindings = if bindings = [] then entry.default_bindings else bindings in
+  let bindings =
+    match variant with
+    | Point -> bindings
+    | Transformed -> (
+        match block_bindings entry block with
+        | Ok extra -> extra @ bindings
+        | Error m -> invalid_arg m)
+  in
+  let env = Kernel_def.make_env entry.kernel ~bindings ~seed in
+  entry.extra_setup env ~bindings;
+  env
 
 let verify ?bindings ?(seed = 42) entry =
   let bindings = Option.value bindings ~default:entry.default_bindings in
   match derive entry with
   | Error e -> Error ("derivation failed: " ^ e)
-  | Ok { result; _ } ->
-      Kernel_def.equivalent (with_scratch entry) [ result ]
-        ~extra:entry.extra_bindings ~bindings ~seed
+  | Ok { result; _ } -> (
+      let run variant block =
+        let env = env entry variant ~bindings ~seed in
+        Exec.run env block;
+        env
+      in
+      let point = run Point entry.kernel.Kernel_def.block in
+      match
+        Env.diff ~only:entry.kernel.Kernel_def.traced point
+          (run Transformed [ result ])
+      with
+      | None -> Ok ()
+      | Some msg ->
+          Error
+            (entry.kernel.Kernel_def.name ^ ": transformed kernel diverges: "
+           ^ msg))
 
 type sim_result = {
   point_stats : Cache.stats;
@@ -262,7 +300,6 @@ type kernel_profile = {
   kp_miss_curve : (int * int) list;
   kp_validation : Cost.validation;
 }
-
 let obs_emit_profile kp =
   if Obs.enabled () then begin
     let l1 = snd (List.hd kp.kp_levels) in
@@ -329,18 +366,6 @@ let profile_block ~machine ~spec ~kernel_name ~variant ~block env ~arrays
   obs_emit_profile kp;
   kp
 
-let block_bindings entry = function
-  | None -> Ok entry.extra_bindings
-  | Some b ->
-      if List.mem_assoc "KS" entry.extra_bindings then
-        Ok (("KS", b) :: List.remove_assoc "KS" entry.extra_bindings)
-      else
-        Error
-          (Printf.sprintf
-             "%s has no block-size parameter (KS); --sweep/--block do not \
-              apply"
-             entry.name)
-
 let profile ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec ?block
     entry =
   let bindings = Option.value bindings ~default:entry.default_bindings in
@@ -349,24 +374,21 @@ let profile ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec ?block
   | Ok { result; _ } -> (
       match block_bindings entry block with
       | Error e -> Error e
-      | Ok extra ->
-          let kernel = with_scratch entry in
+      | Ok _ ->
           let arrays = entry.kernel.Kernel_def.traced in
-          let env1 = Kernel_def.make_env kernel ~bindings ~seed in
           let point =
             profile_block ~machine ~spec ~kernel_name:entry.name
-              ~variant:"point" ~block:None env1 ~arrays
-              kernel.Kernel_def.block
-          in
-          let env2 =
-            Kernel_def.make_env kernel ~bindings:(extra @ bindings) ~seed
+              ~variant:"point" ~block:None
+              (env entry Point ~bindings ~seed)
+              ~arrays entry.kernel.Kernel_def.block
           in
           let transformed =
             profile_block ~machine ~spec ~kernel_name:entry.name
-              ~variant:"transformed" ~block env2 ~arrays [ result ]
+              ~variant:"transformed" ~block
+              (env ?block entry Transformed ~bindings ~seed)
+              ~arrays [ result ]
           in
           Ok (point, transformed))
-
 let profile_sweep ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec
     ~blocks entry =
   match blocks with
@@ -389,36 +411,154 @@ let traced_run machine env ~arrays block =
   Exec.run ~hook:(Trace.hook t) env block;
   (Trace.stats t, Trace.stats_by_array t)
 
+let simulate_blocks ~machine entry ~bindings ~seed point transformed =
+  let arrays = entry.kernel.Kernel_def.traced in
+  let point_stats, point_by_array =
+    traced_run machine (env entry Point ~bindings ~seed) ~arrays point
+  in
+  let transformed_stats, transformed_by_array =
+    traced_run machine
+      (env entry Transformed ~bindings ~seed)
+      ~arrays transformed
+  in
+  {
+    point_stats;
+    transformed_stats;
+    point_by_array;
+    transformed_by_array;
+    point_cycles = Cost.memory_cycles machine point_stats;
+    transformed_cycles = Cost.memory_cycles machine transformed_stats;
+  }
+
 let simulate ?bindings ?(seed = 42) ~machine entry =
   let bindings = Option.value bindings ~default:entry.default_bindings in
   match derive entry with
   | Error e -> Error ("derivation failed: " ^ e)
   | Ok { result; _ } ->
-      let kernel = with_scratch entry in
-      let arrays = entry.kernel.Kernel_def.traced in
-      let env1 = Kernel_def.make_env kernel ~bindings ~seed in
-      let point_stats, point_by_array =
-        traced_run machine env1 ~arrays kernel.Kernel_def.block
-      in
-      let env2 =
-        Kernel_def.make_env kernel
-          ~bindings:(entry.extra_bindings @ bindings)
-          ~seed
-      in
-      let transformed_stats, transformed_by_array =
-        traced_run machine env2 ~arrays [ result ]
-      in
       Ok
-        {
-          point_stats;
-          transformed_stats;
-          point_by_array;
-          transformed_by_array;
-          point_cycles = Cost.memory_cycles machine point_stats;
-          transformed_cycles = Cost.memory_cycles machine transformed_stats;
-        }
+        (simulate_blocks ~machine entry ~bindings ~seed
+           entry.kernel.Kernel_def.block [ result ])
+
+(* ---- derived IR, from the artifact cache ------------------------ *)
+
+(* The executable's identity, from one stat: a rebuilt blockc has
+   another inode, size or mtime, so it never reads what an older build
+   derived.  (An MD5 of the executable would cost a fresh process about
+   as much as the derivations it saves.)  An executable that cannot be
+   stat'ed gets an identity of its own, so its process derives. *)
+let exe_identity =
+  match Unix.stat Sys.executable_name with
+  | st ->
+      Printf.sprintf "%d:%d:%d:%h" st.Unix.st_dev st.Unix.st_ino
+        st.Unix.st_size st.Unix.st_mtime
+  | exception Unix.Unix_error _ ->
+      Printf.sprintf "pid %d at %h" (Unix.getpid ()) (Unix.gettimeofday ())
+
+(* A derivation is kept with its blueprint, which a transformed variant
+   would otherwise normalize again every time. *)
+let derivations : (Stmt.t list * Blueprint.t) Artifact_cache.kind =
+  Artifact_cache.kind "derivation" ~prefix:"dv_" ~ext:".ir"
+
+let blueprint entry block =
+  Blueprint.of_block ~shapes:entry.kernel.Kernel_def.shapes block
+
+(* A stored derivation is three parts: the MD5 of the payload, the
+   blueprint description (key and hoisted bindings) of the block, and
+   the payload, the [Marshal]led block.  Both are checked before the
+   block is used.  The printed IR would not do: it drops scalar kinds,
+   so an INTEGER flag comes back REAL. *)
+let encode_derivation entry block =
+  let payload = Marshal.to_string block [] in
+  String.concat "\n"
+    [
+      Digest.to_hex (Digest.string payload);
+      Blueprint.describe (blueprint entry block);
+      payload;
+    ]
+
+let decode_derivation entry s =
+  match String.index_opt s '\n' with
+  | None -> Error "no header"
+  | Some i -> (
+      match String.index_from_opt s (i + 1) '\n' with
+      | None -> Error "no header"
+      | Some j ->
+          let payload = String.sub s (j + 1) (String.length s - j - 1) in
+          if String.sub s 0 i <> Digest.to_hex (Digest.string payload) then
+            Error "checksum mismatch"
+          else
+            let block : Stmt.t list = Marshal.from_string payload 0 in
+            let bp = blueprint entry block in
+            if Blueprint.describe bp <> String.sub s (i + 1) (j - i - 1) then
+              Error "blueprint mismatch"
+            else Ok (block, bp))
+
+let variant_block entry = function
+  | Point ->
+      let block = entry.kernel.Kernel_def.block in
+      Ok (block, blueprint entry block, None)
+  | Transformed ->
+      let key =
+        Digest.to_hex
+          (Digest.string
+             (String.concat "\x00"
+                [
+                  "blockc-derivation-v1";
+                  exe_identity;
+                  entry.name;
+                  Stmt.block_to_string entry.kernel.Kernel_def.block;
+                ]))
+      in
+      let build tmp =
+        match derive entry with
+        | Error e -> Error ("derivation failed: " ^ e)
+        | Ok { Blocker.result; _ } ->
+            Ok
+              (Artifact_cache.write_file
+                 (Filename.concat tmp ("dv_" ^ key ^ ".ir"))
+                 (encode_derivation entry [ result ]))
+      in
+      let load path = decode_derivation entry (Artifact_cache.read_file path) in
+      Artifact_cache.get derivations ~key ~build ~load
+      |> Result.map (fun (e : _ Artifact_cache.entry) ->
+             let block, bp = e.value in
+             (block, bp, Some e.disposition))
 
 (* ---- native execution (lib/codegen) ----------------------------- *)
+
+type compiled = {
+  c_entry : entry;
+  c_variant : variant;
+  c_block : Stmt.t list;
+  c_bp : Blueprint.t;
+  c_derivation : Artifact_cache.disposition option;
+  c_cm : Backend.compiled;
+}
+
+(* Blueprint-keyed: all sizes of one structure share a single compiled
+   artifact, so a kernel at several sizes costs one compiler run per
+   variant per backend, process-wide. *)
+let compile ~backend entry variant =
+  match variant_block entry variant with
+  | Error _ as e -> e
+  | Ok (block, bp, derivation) -> (
+      let module B = (val backend : Backend.S) in
+      match
+        B.compile_blueprint ~name:(entry.name ^ "_" ^ variant_name variant) bp
+      with
+      | Error _ as e -> e
+      | Ok cm ->
+          Ok
+            {
+              c_entry = entry;
+              c_variant = variant;
+              c_block = block;
+              c_bp = bp;
+              c_derivation = derivation;
+              c_cm = cm;
+            })
+
+let run c env = c.c_cm.Backend.bk_run ~bindings:c.c_bp.Blueprint.bindings env
 
 type native_result = {
   nt_backend : string;
@@ -433,28 +573,30 @@ type native_result = {
 }
 
 (* Native results must be bitwise equal to the interpreter on the same
-   initial environment; a diff here is a codegen bug, never tolerance.
-   [run] is the compiled artifact's entry point, whichever backend
-   produced it. *)
-let native_verify kernel ~traced run block ~bindings ~seed =
-  match Kernel_def.make_env kernel ~bindings ~seed with
+   initial environment; a diff here is a codegen bug, never tolerance. *)
+let native_verify ?block c ~bindings ~seed =
+  let make () = env ?block c.c_entry c.c_variant ~bindings ~seed in
+  match make () with
   | exception Invalid_argument m -> Some m
   | env_i -> (
-      match Exec.run env_i block with
+      match Exec.run env_i c.c_block with
       | exception Exec.Error m -> Some ("interpreter failed: " ^ m)
       | exception Env.Error m -> Some ("interpreter failed: " ^ m)
       | () -> (
-          let env_n = Kernel_def.make_env kernel ~bindings ~seed in
-          match run env_n with
+          let env_n = make () in
+          match run c env_n with
           | Error m -> Some ("native run failed: " ^ m)
-          | Ok () -> Env.diff ~only:traced env_i env_n))
+          | Ok () ->
+              Env.diff ~only:c.c_entry.kernel.Kernel_def.traced env_i env_n))
 
-let native_time kernel run ~bindings ~seed ~reps =
+(* The best of [reps] runs, each on a fresh environment built outside
+   the clock. *)
+let time_runs make_env run ~reps =
   let best = ref infinity in
   let failed = ref None in
   for _ = 1 to max 1 reps do
     if !failed = None then begin
-      let env = Kernel_def.make_env kernel ~bindings ~seed in
+      let env = make_env () in
       let t0 = Obs.now_ns () in
       match run env with
       | Error m -> failed := Some m
@@ -465,6 +607,9 @@ let native_time kernel run ~bindings ~seed ~reps =
   done;
   match !failed with Some m -> Error m | None -> Ok !best
 
+let native_time kernel run ~bindings ~seed ~reps =
+  time_runs (fun () -> Kernel_def.make_env kernel ~bindings ~seed) run ~reps
+
 let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
     ?verify_bindings ?(seed = 42) ?(reps = 3) ?block entry =
   let module B = (val backend) in
@@ -472,79 +617,50 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
   let verify_bindings =
     Option.value verify_bindings ~default:entry.default_bindings
   in
-  match derive entry with
-  | Error e -> Error ("derivation failed: " ^ e)
-  | Ok { result; _ } -> (
-      match block_bindings entry block with
-      | Error e -> Error e
-      | Ok extra -> (
-          let kernel = with_scratch entry in
-          let shapes = entry.kernel.Kernel_def.shapes in
-          let traced = entry.kernel.Kernel_def.traced in
-          (* Blueprint-keyed: all sizes of one structure share a single
-             compiled artifact, so comparing a kernel at several [N]s
-             costs one compiler run per variant per backend,
-             process-wide. *)
-          let compile variant blk =
-            let bp = Blueprint.of_block ~shapes blk in
-            Result.map
-              (fun c -> (c, bp.Blueprint.bindings))
-              (B.compile_blueprint ~name:(entry.name ^ "_" ^ variant) bp)
-          in
-          match
-            (compile "point" kernel.Kernel_def.block, compile "transformed" [ result ])
-          with
-          | Error m, _ | _, Error m -> Error m
-          | Ok (point, point_bb), Ok (transformed, transformed_bb) -> (
-              let point_run env = point.Backend.bk_run ~bindings:point_bb env in
-              let transformed_run env =
-                transformed.Backend.bk_run ~bindings:transformed_bb env
-              in
-              let bad =
-                match
-                  native_verify kernel ~traced point_run
-                    kernel.Kernel_def.block ~bindings:verify_bindings ~seed
-                with
-                | Some m -> Some ("point: " ^ m)
-                | None -> (
-                    match
-                      native_verify kernel ~traced transformed_run [ result ]
-                        ~bindings:(extra @ verify_bindings) ~seed
-                    with
-                    | Some m -> Some ("transformed: " ^ m)
-                    | None -> None)
-              in
-              match bad with
-              | Some m -> Error (entry.name ^ ": native diverges: " ^ m)
-              | None -> (
-                  match
-                    ( native_time kernel point_run ~bindings ~seed ~reps,
-                      native_time kernel transformed_run
-                        ~bindings:(extra @ bindings) ~seed ~reps )
-                  with
-                  | Error m, _ -> Error (entry.name ^ ": point: " ^ m)
-                  | _, Error m -> Error (entry.name ^ ": transformed: " ^ m)
-                  | Ok tp, Ok tt ->
-                      let model =
-                        match
-                          simulate ~bindings:verify_bindings ~seed
-                            ~machine:Arch.rs6000_540 entry
-                        with
-                        | Ok s when s.transformed_cycles > 0 ->
-                            Some
-                              (float_of_int s.point_cycles
-                              /. float_of_int s.transformed_cycles)
-                        | _ -> None
-                      in
-                      Ok
-                        {
-                          nt_backend = B.tag;
-                          nt_point_s = tp;
-                          nt_transformed_s = tt;
-                          nt_speedup = (if tt > 0.0 then tp /. tt else 0.0);
-                          nt_point_cached = point.Backend.bk_cached;
-                          nt_transformed_cached = transformed.Backend.bk_cached;
-                          nt_model_speedup = model;
-                          nt_bindings = bindings;
-                          nt_verify_bindings = verify_bindings;
-                        }))))
+  let ( let* ) = Result.bind in
+  let* _ = block_bindings entry block in
+  (* The transformed variant first: a kernel that does not block fails
+     before anything is compiled. *)
+  let* transformed = compile ~backend entry Transformed in
+  let* point = compile ~backend entry Point in
+  let check c =
+    Option.map
+      (fun m -> variant_name c.c_variant ^ ": " ^ m)
+      (native_verify ?block c ~bindings:verify_bindings ~seed)
+  in
+  match
+    match check point with Some _ as bad -> bad | None -> check transformed
+  with
+  | Some m -> Error (entry.name ^ ": native diverges: " ^ m)
+  | None ->
+      let time c =
+        Result.map_error
+          (fun m -> entry.name ^ ": " ^ variant_name c.c_variant ^ ": " ^ m)
+          (time_runs
+             (fun () -> env ?block entry c.c_variant ~bindings ~seed)
+             (run c) ~reps)
+      in
+      let* tp = time point in
+      let* tt = time transformed in
+      (* The cache model simulates the two blocks just compiled. *)
+      let s =
+        simulate_blocks ~machine:Arch.rs6000_540 entry
+          ~bindings:verify_bindings ~seed point.c_block transformed.c_block
+      in
+      Ok
+        {
+          nt_backend = B.tag;
+          nt_point_s = tp;
+          nt_transformed_s = tt;
+          nt_speedup = (if tt > 0.0 then tp /. tt else 0.0);
+          nt_point_cached = point.c_cm.Backend.bk_cached;
+          nt_transformed_cached = transformed.c_cm.Backend.bk_cached;
+          nt_model_speedup =
+            (if s.transformed_cycles > 0 then
+               Some
+                 (float_of_int s.point_cycles
+                 /. float_of_int s.transformed_cycles)
+             else None);
+          nt_bindings = bindings;
+          nt_verify_bindings = verify_bindings;
+        }

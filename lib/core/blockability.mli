@@ -37,6 +37,34 @@ val find : string -> entry option
 val names : unit -> string list
 
 val derive : entry -> (Stmt.t Blocker.traced, string) result
+(** Run the entry's compiler driver in memory.  What prints or checks
+    the derivation itself calls this ([blockc derive], [explain],
+    {!verify}, {!simulate}, {!profile} and serve's [derive] op) and
+    writes nothing; what compiles a variant goes through
+    {!variant_block}. *)
+
+(** {1 Variants} *)
+
+type variant = Point | Transformed
+
+val variant_name : variant -> string
+(** ["point"] or ["transformed"]. *)
+
+val env :
+  ?block:int ->
+  entry ->
+  variant ->
+  bindings:(string * int) list ->
+  seed:int ->
+  Env.t
+(** A fresh environment for one variant: the kernel's set-up at
+    [bindings] ([[]] means the entry's default problem), then the
+    entry's scratch arrays.  The transformed variant also binds the
+    entry's extra parameters (block sizes), with [block] in place of
+    KS; the caller's [bindings] win over both.  Raises
+    [Invalid_argument] for bindings the kernel cannot set up or a
+    [block] on an entry without KS, and [Env.Error] for sizes that
+    declare an empty array. *)
 
 val verify :
   ?bindings:(string * int) list -> ?seed:int -> entry -> (unit, string) result
@@ -97,6 +125,59 @@ val profile :
     one.  When tracing is on, summaries and per-reference attributions
     also stream as ["profile"]-category events. *)
 
+(** {1 Native code}
+
+    One route takes a registry variant to native code: {!variant_block}
+    gives its block and blueprint, {!compile} compiles that blueprint on
+    a backend, {!env} builds the environments it runs in.  Serve's
+    [compile], [execute] and [batch] ops, [blockc compile] (all three
+    modes) and {!native_compare} take it. *)
+
+val variant_block :
+  entry ->
+  variant ->
+  (Stmt.t list * Blueprint.t * Artifact_cache.disposition option, string)
+  result
+(** A variant's block, its blueprint and, for the transformed variant,
+    where its derivation came from.  The point block is the kernel's
+    own.  The transformed block comes from the {!Artifact_cache}'s
+    ["derivation"] kind: derived by the first process that asks
+    ([Compiled]) and read back by every later process of the same
+    executable ([Disk]), or from this process's memo ([Memo]).  The
+    key is the entry's name and source block, and the executable's
+    identity from one [stat] (device, inode, size, mtime).  A kernel
+    that does not block is an [Error] naming the derivation's
+    failure. *)
+
+val encode_derivation : entry -> Stmt.t list -> string
+(** A stored derivation: the MD5 of the [Marshal]led block, the block's
+    {!Blueprint.describe} line, then the [Marshal]led block. *)
+
+val decode_derivation :
+  entry -> string -> (Stmt.t list * Blueprint.t, string) result
+(** The inverse of {!encode_derivation}, checking the MD5 before
+    unmarshalling and the blueprint description after; [Error] on any
+    mismatch or a short read. *)
+
+type compiled = {
+  c_entry : entry;
+  c_variant : variant;
+  c_block : Stmt.t list;  (** the block before normalization *)
+  c_bp : Blueprint.t;
+  c_derivation : Artifact_cache.disposition option;  (** transformed only *)
+  c_cm : Backend.compiled;
+}
+
+val compile :
+  backend:(module Backend.S) -> entry -> variant -> (compiled, string) result
+(** {!variant_block}, then the backend's blueprint compile (one
+    artifact per loop structure, whatever the sizes).  The artifact is
+    named [<entry>_<variant>] in diagnostics and spans. *)
+
+val run : compiled -> Env.t -> (unit, string) result
+(** Run a compiled variant in an environment from {!env}, closing the
+    parameters its blueprint hoisted. *)
+
 (** Wall-clock comparison of the point and transformed variants compiled
     to native code (see {!Jit}).  Times are best-of-[reps] for one full
     kernel run; [cached] flags report whether the plugin came from the
@@ -125,15 +206,17 @@ val native_compare :
   ?block:int ->
   entry ->
   (native_result, string) result
-(** Derive, compile both variants natively on [backend] (default
+(** {!compile} both variants on [backend] (default
     {!Backend.Ocaml}; pass {!Backend.C} to measure without the OCaml
     allocator in the loop), check each is bitwise equal to the
     interpreter at [verify_bindings] (default: the entry's small
     default problem), then time both at [bindings] (default likewise —
     pass something larger for meaningful numbers).  [block] overrides
-    the KS binding as in {!profile}.  Any divergence from the
-    interpreter is an [Error]: the native path never trades correctness
-    for speed. *)
+    the KS binding as in {!profile}.  Environments come from {!env},
+    and [nt_model_speedup] simulates the two blocks compiled, so a call
+    looks its derivation up once and derives at most once.  Any
+    divergence from the interpreter is an [Error]: the native path
+    never trades correctness for speed. *)
 
 val native_time :
   Kernel_def.t ->

@@ -120,11 +120,6 @@ let rec replace_at block path stmts =
         block
   | (Then_ | Else_) :: _ -> bad ()
 
-let update_loop_at block path f =
-  match get_at block path with
-  | Loop l -> replace_at block path (f l)
-  | Assign _ | Iassign _ | If _ -> invalid_arg "Stmt.update_loop_at: not a loop"
-
 let find_loops block =
   let acc = ref [] in
   let rec walk prefix block =
@@ -143,16 +138,6 @@ let find_loops block =
   in
   walk [] block;
   List.rev !acc
-
-let loop_nest s =
-  let rec go acc = function
-    | Loop l -> (
-        match l.body with
-        | [ (Loop _ as inner) ] -> go (l :: acc) inner
-        | body -> Some (List.rev (l :: acc), body))
-    | Assign _ | Iassign _ | If _ -> None
-  in
-  go [] s
 
 let rec subst_fexpr bindings fe =
   match fe with

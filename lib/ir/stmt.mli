@@ -73,24 +73,10 @@ val replace_at : t list -> path -> t list -> t list
 (** [replace_at block path stmts] splices [stmts] in place of the
     statement at [path]. *)
 
-val update_loop_at : t list -> path -> (loop -> t list) -> t list
-(** Like {!replace_at} but checks the target is a loop and passes it to
-    the rewriting function. *)
-
 val find_loops : t list -> (path * loop) list
 (** All loops in preorder, with their paths. *)
 
-val loop_nest : t -> (loop list * t list) option
-(** [loop_nest s] unwinds a perfectly nested prefix: returns the loops
-    from outermost to innermost and the innermost non-singleton body.
-    [None] when [s] is not a loop. *)
-
 (** {2 Substitution and traversal} *)
-
-val subst_fexpr : (string * Expr.t) list -> fexpr -> fexpr
-(** Substitute integer variables occurring in subscripts and [Of_int]. *)
-
-val subst_cond : (string * Expr.t) list -> cond -> cond
 
 val subst : (string * Expr.t) list -> t -> t
 (** Substitute integer variables everywhere (bounds, subscripts,

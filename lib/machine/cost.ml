@@ -9,14 +9,6 @@ let speedup ~baseline ~optimized =
 let predicted_misses r (m : Arch.t) =
   Reuse.misses_for_lines r (m.cache_bytes / m.line_bytes)
 
-let predicted_miss_ratio r (m : Arch.t) =
-  Reuse.miss_ratio_for_lines r (m.cache_bytes / m.line_bytes)
-
-let predicted_cycles r (m : Arch.t) =
-  let misses = predicted_misses r m in
-  let hits = Reuse.accesses r - misses in
-  (hits * m.hit_cycles) + (misses * m.miss_cycles)
-
 let divergence ~predicted ~simulated =
   if simulated = 0 then if predicted = 0 then 0.0 else 1.0
   else

@@ -23,11 +23,6 @@ val predicted_misses : Reuse.t -> Arch.t -> int
     recorded trace ({!Reuse.misses_for_lines} at the machine's line
     count). *)
 
-val predicted_miss_ratio : Reuse.t -> Arch.t -> float
-
-val predicted_cycles : Reuse.t -> Arch.t -> int
-(** {!memory_cycles} over the predicted hit/miss split. *)
-
 val divergence : predicted:int -> simulated:int -> float
 (** |predicted - simulated| / simulated (1.0 when simulated is 0 but
     predicted is not; 0.0 when both are 0). *)

@@ -88,10 +88,6 @@ let misses_for_lines t lines =
     (fun d n acc -> if d >= lines then acc + n else acc)
     t.hist t.cold
 
-let miss_ratio_for_lines t lines =
-  if t.time = 0 then 0.0
-  else float_of_int (misses_for_lines t lines) /. float_of_int t.time
-
 let miss_curve t ~max_lines =
   let rec go acc lines =
     if lines > max_lines then List.rev acc

@@ -46,8 +46,6 @@ val misses_for_lines : t -> int -> int
     fully-associative LRU cache of [lines] lines (cold + distances
     >= [lines]). *)
 
-val miss_ratio_for_lines : t -> int -> float
-
 val miss_curve : t -> max_lines:int -> (int * int) list
 (** [(lines, misses)] at power-of-two cache sizes [1, 2, 4, ...,
     <= max_lines] — the whole miss-vs-size curve from one pass. *)

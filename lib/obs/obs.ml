@@ -23,14 +23,10 @@ let null = { emit = (fun _ -> ()); flush_sink = (fun () -> ()) }
 (* Clock                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall clock at microsecond resolution.  [Sys.time] (the original
-   default) is process CPU time with centisecond-ish granularity:
-   sub-millisecond serve spans all collapsed to a zero-length interval.
-   Benchmarks still install a true monotonic clock via [set_clock];
-   wall time is good enough for traces and request latencies, and
-   per-domain clamping (below) keeps each track non-decreasing. *)
-let clock = ref (fun () -> int_of_float (Unix.gettimeofday () *. 1e9))
-let set_clock f = clock := f
+(* CLOCK_MONOTONIC, read by bechamel's allocation-free stub: never
+   stepped, and one clock for every domain, so a stamp taken on one
+   lane and read on another (serve's queue wait) gives a duration. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* ------------------------------------------------------------------ *)
 (* Trace context and per-domain state                                  *)
@@ -38,10 +34,10 @@ let set_clock f = clock := f
 
 type ctx = { trace_id : int; span_id : int; parent : int }
 
-(* Span depth, the active trace context and the monotonicity clamp are
-   all domain-local: two domains emitting spans concurrently must not
-   corrupt each other's nesting (the pre-context implementation kept
-   one global depth counter and raced).
+(* Span depth and the active trace context are domain-local: two
+   domains emitting spans concurrently must not corrupt each other's
+   nesting (the pre-context implementation kept one global depth
+   counter and raced).
 
    [d_stack] is the live span-name stack (innermost first), maintained
    only while the {!Sampler} is running: the field always holds an
@@ -51,7 +47,6 @@ type ctx = { trace_id : int; span_id : int; parent : int }
 type dstate = {
   mutable d_depth : int;
   mutable d_ctx : ctx option;
-  mutable d_last_ts : int;
   mutable d_stack : string list;
 }
 
@@ -65,7 +60,7 @@ let registry : (int * dstate) list ref = ref []
 
 let dls : dstate Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let s = { d_depth = 0; d_ctx = None; d_last_ts = 0; d_stack = [] } in
+      let s = { d_depth = 0; d_ctx = None; d_stack = [] } in
       let id = (Domain.self () :> int) in
       Mutex.lock registry_mu;
       registry := (id, s) :: !registry;
@@ -73,15 +68,6 @@ let dls : dstate Domain.DLS.key =
       s)
 
 let dstate () = Domain.DLS.get dls
-
-let now_ns () =
-  let s = dstate () in
-  let t = !clock () in
-  if t < s.d_last_ts then s.d_last_ts
-  else begin
-    s.d_last_ts <- t;
-    t
-  end
 
 (* Process-unique span/trace ids: an atomic counter salted per process,
    bit-mixed so ids from different processes or restarts don't visually
@@ -731,8 +717,8 @@ module Metrics = struct
   let time t f =
     if not !on then f ()
     else begin
-      let t0 = !clock () in
-      let finish () = record_ns t (!clock () - t0) in
+      let t0 = now_ns () in
+      let finish () = record_ns t (now_ns () - t0) in
       match f () with
       | v ->
           finish ();

@@ -1,7 +1,8 @@
 (** Observability: structured events, spans, trace contexts, decision
     tracing, a flight recorder and runtime metrics for the whole stack.
 
-    Depends only on the stdlib and [unix] (for the wall clock); the
+    Depends only on the stdlib, [unix] and bechamel's monotonic clock
+    (see {!now_ns}); the
     runtime library sits below every other subsystem and links this.
     The disabled state is the default and near-free: [enabled ()] is a
     single bool-ref read, so hot paths guard with
@@ -12,7 +13,8 @@
     (used by [blockc explain] and the tests), the {!Recorder} ring, and
     a [tee] combinator.
 
-    Events carry a monotonic nanosecond timestamp, a category, the
+    Events carry a boot-relative monotonic nanosecond timestamp
+    ({!now_ns}), a category, the
     emitting domain ([track]), the span-nesting depth {e of that
     domain} (depth is domain-local state — concurrent domains cannot
     corrupt each other's nesting), the active {!Ctx} trace/span ids,
@@ -30,7 +32,7 @@ type event = {
   name : string;
   cat : string;
   kind : kind;
-  ts : int;  (** nanoseconds, non-decreasing per track *)
+  ts : int;  (** {!now_ns} at emission: nanoseconds since boot *)
   depth : int;  (** span nesting depth of the emitting domain *)
   track : int;  (** emitting domain id *)
   trace : int;  (** trace id of the active {!Ctx}; [0] = no trace *)
@@ -101,14 +103,11 @@ val sink_of_name : string -> out_channel -> (sink, string) result
 val enabled : unit -> bool
 val flush : unit -> unit
 
-val set_clock : (unit -> int) -> unit
-(** Replace the timestamp source (nanoseconds).  The default is the
-    wall clock ([Unix.gettimeofday], microsecond resolution — real
-    time, unlike the CPU-time [Sys.time] it replaced, which collapsed
-    sub-millisecond spans to zero); timestamps are clamped to be
-    non-decreasing per domain. *)
-
 val now_ns : unit -> int
+(** [CLOCK_MONOTONIC] in nanoseconds: time since boot, not since the
+    epoch, so only differences mean anything.  The one clock for every
+    duration the system reports and every event timestamp; it is never
+    stepped and is shared by all domains.  Allocates nothing. *)
 
 val instant : ?cat:string -> ?args:(string * value) list -> string -> unit
 
@@ -198,11 +197,9 @@ module Recorder : sig
   (** A sink writing every emitted event into the ring; installing it
       turns [enabled ()] on without any output channel. *)
 
-  val to_lines : unit -> string list
-  (** Human-readable one-line renderings of {!recent}. *)
-
   val dump : unit -> string
-  (** {!to_lines} under a header, or [""] when the ring is empty. *)
+  (** One human-readable line per event of {!recent}, under a header;
+      [""] when the ring is empty. *)
 end
 
 (** Runtime metrics: cheap process-global counters, log-linear
@@ -318,14 +315,11 @@ end
     tick (~20 Hz); other domains are always sampled at the full
     rate. *)
 module Sampler : sig
-  val default_hz : float
-  (** 97 — prime, so the ticker does not alias with millisecond-period
-      work. *)
-
   val start : ?hz:float -> unit -> unit
   (** Spawn the ticker thread (no-op when running).  Rate precedence:
-      [?hz] (if positive), else [BLOCKC_PROFILE_HZ], else
-      {!default_hz}.  Registers the calling domain for sampling as a
+      [?hz] (if positive), else [BLOCKC_PROFILE_HZ], else 97 Hz (a
+      prime, so the ticker does not alias with millisecond-period
+      work).  Registers the calling domain for sampling as a
       side effect. *)
 
   val stop : unit -> unit

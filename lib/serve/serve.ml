@@ -248,23 +248,11 @@ let kernel_of req =
             ^ String.concat ", " (Blockability.names ())
             ^ ")"))
 
-type variant = Point | Transformed
-
-let variant_name = function Point -> "point" | Transformed -> "transformed"
-
 let variant_of req =
   match Option.value (str_field req "variant") ~default:"point" with
-  | "point" -> Ok Point
-  | "transformed" -> Ok Transformed
+  | "point" -> Ok Blockability.Point
+  | "transformed" -> Ok Blockability.Transformed
   | v -> Error ("unknown variant \"" ^ v ^ "\" (point | transformed)")
-
-type compiled = {
-  c_entry : Blockability.entry;
-  c_variant : variant;
-  c_derivation : Artifact_cache.disposition option;  (** transformed only *)
-  c_bp : Blueprint.t;
-  c_cm : Backend.compiled;
-}
 
 (* Requests select a code generator with a ["backend"] field (default
    "ocaml"); both backends memoize compiles per blueprint key, so the
@@ -279,150 +267,15 @@ let backend_of req =
         (Printf.sprintf "unknown backend \"%s\" (%s)" tag
            (String.concat " | " Backend.names))
 
-(* ---- derived IR, from the artifact cache ------------------------ *)
-
-(* The executable's identity, from one stat: a rebuilt blockc has
-   another inode, size or mtime, so it never reads what an older build
-   derived.  (An MD5 of the executable would cost a fresh process about
-   as much as the derivations it saves.)  An executable that cannot be
-   stat'ed gets an identity of its own, so its process derives. *)
-let exe_identity =
-  match Unix.stat Sys.executable_name with
-  | st ->
-      Printf.sprintf "%d:%d:%d:%h" st.Unix.st_dev st.Unix.st_ino
-        st.Unix.st_size st.Unix.st_mtime
-  | exception Unix.Unix_error _ ->
-      Printf.sprintf "pid %d at %h" (Unix.getpid ()) (Unix.gettimeofday ())
-
-(* A derivation is kept with its blueprint, which a transformed request
-   would otherwise normalize again every time. *)
-let derivations : (Stmt.t list * Blueprint.t) Artifact_cache.kind =
-  Artifact_cache.kind "derivation" ~prefix:"dv_" ~ext:".ir"
-
 let derivation_name = function
   | Artifact_cache.Compiled -> "derived"
   | d -> Artifact_cache.disposition_name d
 
-let derive entry =
-  match Blockability.derive entry with
-  | Error e -> Error ("derivation failed: " ^ e)
-  | Ok { Blocker.result; _ } -> Ok [ result ]
-
-let blueprint entry block =
-  Blueprint.of_block ~shapes:entry.Blockability.kernel.Kernel_def.shapes block
-
-(* A stored derivation is three parts: the MD5 of the payload, the
-   blueprint description (key and hoisted bindings) of the block, and
-   the payload, the [Marshal]led block.  Both are checked before the
-   block is used.  The printed IR would not do: it drops scalar kinds,
-   so an INTEGER flag comes back REAL. *)
-let encode_derivation entry block =
-  let payload = Marshal.to_string block [] in
-  String.concat "\n"
-    [
-      Digest.to_hex (Digest.string payload);
-      Blueprint.describe (blueprint entry block);
-      payload;
-    ]
-
-let decode_derivation entry s =
-  match String.index_opt s '\n' with
-  | None -> Error "no header"
-  | Some i -> (
-      match String.index_from_opt s (i + 1) '\n' with
-      | None -> Error "no header"
-      | Some j ->
-          let payload = String.sub s (j + 1) (String.length s - j - 1) in
-          if String.sub s 0 i <> Digest.to_hex (Digest.string payload) then
-            Error "checksum mismatch"
-          else
-            let block : Stmt.t list = Marshal.from_string payload 0 in
-            let bp = blueprint entry block in
-            if Blueprint.describe bp <> String.sub s (i + 1) (j - i - 1) then
-              Error "blueprint mismatch"
-            else Ok (block, bp))
-
-(* The transformed block of a registry kernel: derived once per cache,
-   then read back by every later process of the same executable. *)
-let derived_block entry =
-  let key =
-    Digest.to_hex
-      (Digest.string
-         (String.concat "\x00"
-            [
-              "blockc-derivation-v1";
-              exe_identity;
-              entry.Blockability.name;
-              Stmt.block_to_string entry.Blockability.kernel.Kernel_def.block;
-            ]))
-  in
-  let build tmp =
-    Result.map
-      (fun block ->
-        Artifact_cache.write_file
-          (Filename.concat tmp ("dv_" ^ key ^ ".ir"))
-          (encode_derivation entry block))
-      (derive entry)
-  in
-  let load path = decode_derivation entry (Artifact_cache.read_file path) in
-  Artifact_cache.get derivations ~key ~build ~load
-  |> Result.map (fun (e : _ Artifact_cache.entry) ->
-         let block, bp = e.value in
-         (block, bp, e.disposition))
-
-let compile_variant ?tm ~backend entry variant =
+let compile_variant ~tm ~backend entry variant =
   let t0 = Obs.now_ns () in
-  Fun.protect
-    ~finally:(fun () ->
-      match tm with
-      | Some tm -> tm.t_compile_ns <- tm.t_compile_ns + (Obs.now_ns () - t0)
-      | None -> ())
-  @@ fun () ->
-  let blueprint =
-    match variant with
-    | Point ->
-        Ok (blueprint entry entry.Blockability.kernel.Kernel_def.block, None)
-    | Transformed ->
-        Result.map (fun (_, bp, d) -> (bp, Some d)) (derived_block entry)
-  in
-  match blueprint with
-  | Error _ as e -> e
-  | Ok (bp, derivation) -> (
-      let name =
-        entry.Blockability.name ^ "_" ^ variant_name variant
-      in
-      let module B = (val backend : Backend.S) in
-      match B.compile_blueprint ~name bp with
-      | Error _ as e -> e
-      | Ok cm ->
-          Ok
-            {
-              c_entry = entry;
-              c_variant = variant;
-              c_derivation = derivation;
-              c_bp = bp;
-              c_cm = cm;
-            })
-
-(* Environments mirror [Blockability.native_compare]: the kernel's own
-   setup, then the entry's scratch arrays ([extra_setup]); the
-   transformed variant additionally needs the entry's extra bindings
-   (block sizes), with caller-supplied values taking precedence. *)
-let env_for c ~bindings ~seed =
-  let entry = c.c_entry in
-  let bindings =
-    if bindings = [] then entry.Blockability.default_bindings else bindings
-  in
-  let bindings =
-    match c.c_variant with
-    | Point -> bindings
-    | Transformed -> entry.Blockability.extra_bindings @ bindings
-  in
-  let env =
-    Kernel_def.make_env entry.Blockability.kernel ~bindings ~seed
-  in
-  entry.Blockability.extra_setup env ~bindings;
-  env
+  Fun.protect ~finally:(fun () ->
+      tm.t_compile_ns <- tm.t_compile_ns + (Obs.now_ns () - t0))
+  @@ fun () -> Blockability.compile ~backend entry variant
 
 (* The bitwise-comparison handle: an MD5 of the kernel's traced REAL
    arrays after the run.  Two runs agree on this digest iff they agree
@@ -440,33 +293,25 @@ let digest_env entry env =
 (* Set-up failures are the request's fault: bindings the kernel rejects
    ([Invalid_argument]) or sizes that declare an empty array
    ([Env.Error]). *)
-let run_one ?tm c ~bindings ~seed =
-  match env_for c ~bindings ~seed with
+let run_one ?tm (c : Blockability.compiled) ~bindings ~seed =
+  match Blockability.env c.c_entry c.c_variant ~bindings ~seed with
   | exception (Invalid_argument m | Env.Error m) -> Error m
   | env -> (
-      let t0 = Unix.gettimeofday () in
-      let finish () =
-        let dt = Unix.gettimeofday () -. t0 in
-        (match tm with
-        | Some tm -> tm.t_exec_ns <- tm.t_exec_ns + int_of_float (dt *. 1e9)
-        | None -> ());
-        dt
-      in
-      match
-        c.c_cm.Backend.bk_run ~bindings:c.c_bp.Blueprint.bindings env
-      with
-      | Error m ->
-          ignore (finish ());
-          Error m
-      | Ok () ->
-          let dt = finish () in
-          Ok (digest_env c.c_entry env, dt))
+      let t0 = Obs.now_ns () in
+      let r = Blockability.run c env in
+      let dt = Obs.now_ns () - t0 in
+      (match tm with
+      | Some tm -> tm.t_exec_ns <- tm.t_exec_ns + dt
+      | None -> ());
+      match r with
+      | Error m -> Error m
+      | Ok () -> Ok (digest_env c.c_entry env, dt))
 
 (* ---- per-op handlers -------------------------------------------- *)
 
 (* Where the artifact came from, and for a transformed variant where
    its derivation came from. *)
-let disposition_fields c =
+let disposition_fields (c : Blockability.compiled) =
   ( "disposition",
     jstr (Artifact_cache.disposition_name c.c_cm.Backend.bk_disposition) )
   ::
@@ -474,10 +319,10 @@ let disposition_fields c =
   | Some d -> [ ("derivation", jstr (derivation_name d)) ]
   | None -> [])
 
-let compile_fields c =
+let compile_fields (c : Blockability.compiled) =
   [
     ("kernel", jstr c.c_entry.Blockability.name);
-    ("variant", jstr (variant_name c.c_variant));
+    ("variant", jstr (Blockability.variant_name c.c_variant));
     ("backend", jstr c.c_cm.Backend.bk_tag);
     ("blueprint", jstr c.c_bp.Blueprint.key);
     ("key", jstr c.c_cm.Backend.bk_key);
@@ -560,14 +405,14 @@ let handle_execute ~tm ?id req =
       | Ok c -> (
           match run_one ~tm c ~bindings ~seed:(seed_field req) with
           | Error m -> errorf ?id "%s" m
-          | Ok (digest, run_s) ->
+          | Ok (digest, run_ns) ->
               wrap ?id true
                 ([
                    ("kernel", jstr entry.Blockability.name);
-                   ("variant", jstr (variant_name variant));
+                   ("variant", jstr (Blockability.variant_name variant));
                    ("backend", jstr c.c_cm.Backend.bk_tag);
                    ("digest", jstr digest);
-                   ("run_s", J.Number run_s);
+                   ("run_s", J.Number (float_of_int run_ns /. 1e9));
                  ]
                 @ disposition_fields c)))
 
@@ -616,7 +461,7 @@ let handle_batch ~exec_pool ~tm ?id req =
               let n = Array.length items in
               Obs.Metrics.observe batch_size_metric n;
               let results = Array.make n (Error "not run") in
-              let t0 = Unix.gettimeofday () in
+              let t0 = Obs.now_ns () in
               Obs.span ~cat:"serve" "serve.batch"
                 ~args:
                   [
@@ -649,9 +494,9 @@ let handle_batch ~exec_pool ~tm ?id req =
                                  Ok (digest, dt, itm)
                            with e -> Error (Printexc.to_string e))
                       done));
-              let run_s = Unix.gettimeofday () -. t0 in
+              let run_ns = Obs.now_ns () - t0 in
               (* whole-fan-out wall time: per-item adds would race *)
-              tm.t_exec_ns <- tm.t_exec_ns + int_of_float (run_s *. 1e9);
+              tm.t_exec_ns <- tm.t_exec_ns + run_ns;
               let bad = ref None in
               Array.iteri
                 (fun i r ->
@@ -671,7 +516,7 @@ let handle_batch ~exec_pool ~tm ?id req =
                     J.Object
                       [
                         ("digest", jstr digest);
-                        ("ns", jint (int_of_float (dt *. 1e9)));
+                        ("ns", jint dt);
                         ("minor_gcs", jint itm.t_minor_gcs);
                         ("major_gcs", jint itm.t_major_gcs);
                         ("promoted_words", jint itm.t_promoted_words);
@@ -681,7 +526,7 @@ let handle_batch ~exec_pool ~tm ?id req =
                   wrap ?id true
                     ([
                        ("kernel", jstr entry.Blockability.name);
-                       ("variant", jstr (variant_name variant));
+                       ("variant", jstr (Blockability.variant_name variant));
                        ("backend", jstr c.c_cm.Backend.bk_tag);
                        ("n", jint n);
                      ]
@@ -689,7 +534,7 @@ let handle_batch ~exec_pool ~tm ?id req =
                     @ [
                         ("digests", J.Array digests);
                         ("items", J.Array (List.map item_json oks));
-                        ("run_s", J.Number run_s);
+                        ("run_s", J.Number (float_of_int run_ns /. 1e9));
                       ]))))
 
 let handle_profile ?id req =
@@ -796,7 +641,8 @@ let json_of_obs_value = function
 let json_of_recorded (e : Obs.event) =
   let base =
     [
-      (* epoch nanoseconds exceed double precision: ship as a string *)
+      (* boot-relative nanoseconds (Obs.now_ns) pass double precision
+         after 104 days of uptime: ship as a string *)
       ("ts", jstr (string_of_int e.Obs.ts));
       ("cat", jstr e.Obs.cat);
       ("name", jstr e.Obs.name);

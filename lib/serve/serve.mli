@@ -31,7 +31,8 @@
       transformed variant also reports where its derived IR came
       from, as ["derivation"]: ["memo"] (this process had it),
       ["disk"] (stored by an earlier process of the same executable)
-      or ["derived"] (the compiler driver ran); see {!derived_block}.
+      or ["derived"] (the compiler driver ran); see
+      {!Blockability.variant_block}.
       [execute] and [batch] responses carry the same two fields.
     - [execute {"kernel","variant","bindings","seed","backend"?}] —
       compile (or fetch) and run once at the given sizes on the
@@ -85,7 +86,9 @@
       [blockc stats --socket PATH] is the scraping client.
     - [dump] — flush the {!Obs.Recorder} flight recorder: the bounded
       ring of recent events (every request and error is noted there
-      even without tracing), as structured JSON, oldest first.
+      even without tracing), as structured JSON, oldest first.  An
+      event's ["ts"] is a decimal string of {!Obs.now_ns}: nanoseconds
+      since boot, not since the epoch.
     - [shutdown] — acknowledge and stop the server loop.
 
     {b Response telemetry.}  Every response object additionally carries
@@ -95,7 +98,9 @@
     ["server"] timing breakdown: ["queue_ns"] (time between reading the
     line and a lane taking it), ["compile_ns"] (blueprint normalize +
     JIT, ~0 on memo hits), ["exec_ns"] (native run / batch fan-out
-    wall), ["total_ns"] (queue + handling), and the request's GC
+    wall), ["total_ns"] (queue + handling; every duration here, and
+    each item's ["ns"] and the ["run_s"] fields, is read from the one
+    monotonic clock, {!Obs.now_ns}), and the request's GC
     deltas captured around handling on the request lane:
     ["minor_gcs"], ["major_gcs"], ["promoted_words"],
     ["allocated_words"] (collection counts from [Gc.quick_stat], word
@@ -138,40 +143,13 @@
     switch metrics on and install the {!Obs.Recorder} ring as the sink
     when no other sink is active. *)
 
-val derived_block :
-  Blockability.entry ->
-  (Stmt.t list * Blueprint.t * Artifact_cache.disposition, string) result
-(** A registry kernel's transformed block and its blueprint, from the
-    {!Artifact_cache}'s ["derivation"] kind: derived by the first process
-    that asks ([Compiled]) and read back by every later process of the
-    same executable ([Disk]).  The key is the entry's name and source
-    block, and the executable's identity from one [stat] (device,
-    inode, size, mtime).  [derive], [explain], [verify] and
-    [native_compare] do not come here: they print or check the
-    derivation itself. *)
-
-val encode_derivation : Blockability.entry -> Stmt.t list -> string
-(** A stored derivation: the MD5 of the [Marshal]led block, the block's
-    {!Blueprint.describe} line, then the [Marshal]led block. *)
-
-val decode_derivation :
-  Blockability.entry -> string -> (Stmt.t list * Blueprint.t, string) result
-(** The inverse of {!encode_derivation}, checking the MD5 before
-    unmarshalling and the blueprint description after; [Error] on any
-    mismatch or a short read. *)
-
-val handle_request :
-  ?queue_ns:int -> exec_pool:Pool.t -> Json_min.t -> Json_min.t * bool
-(** Process one decoded request; returns the response (including the
-    telemetry fields) and whether it was a [shutdown].  [queue_ns]
-    (default 0) is the time the request sat queued, reported in the
-    response breakdown and included in the latency histograms.
-    [exec_pool] runs batch fan-out.  Exposed for the unit tests — the
-    server loops call it through {!handle_line}. *)
-
 val handle_line : ?queue_ns:int -> exec_pool:Pool.t -> string -> string * bool
-(** Parse one request line and render the response line (no trailing
-    newline).  Malformed JSON yields an ["ok":false] response, never an
+(** Parse and handle one request line; returns the response line (no
+    trailing newline, telemetry fields included) and whether the
+    request was a [shutdown].  [queue_ns] (default 0) is the time the
+    request sat queued, reported in the response breakdown and included
+    in the latency histograms; [exec_pool] runs batch fan-out.
+    Malformed JSON yields an ["ok":false] response, never an
     exception. *)
 
 val run_channel : Pool.t -> in_channel -> out_channel -> bool

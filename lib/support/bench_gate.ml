@@ -211,8 +211,6 @@ let drift ?(tolerance = 1.2) ?(slack_s = 0.002) entries =
   in
   go [] entries
 
-let drift_ok steps = List.for_all (fun s -> ok s.ds_verdict) steps
-
 let drift_report steps =
   let buf = Buffer.create 256 in
   let drifting =

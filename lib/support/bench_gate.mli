@@ -101,9 +101,6 @@ val drift :
     next, not against a months-old baseline.  Fewer than two entries
     yield [Ok []]. *)
 
-val drift_ok : drift_step list -> bool
-(** No step drifted beyond tolerance. *)
-
 val drift_report : drift_step list -> string
 (** Human-readable summary: step count plus one [DRIFT] line per
     flagged cell. *)

@@ -1,7 +1,5 @@
 let ( let* ) = Result.bind
 
-let scratch_arrays ~(names : If_inspection.names) = [ names.lb; names.ub ]
-
 (* REAL scalars written in [apply] that the setup part also touches must
    be privatized (renamed) in [apply], or deferring apply past later
    setups would read clobbered temporaries. *)

@@ -23,9 +23,6 @@
       proves it disjoint from [A(J,K)] over the inspected sweep
       [L+1..M], which contains every recorded range. *)
 
-val scratch_arrays : names:If_inspection.names -> string list
-(** Integer scratch the caller must declare: [lb], [ub] tables. *)
-
 val names : Stmt.loop -> If_inspection.names
 (** The inspector names {!optimize} uses for this loop, without running
     it: what a caller needs to declare the range tables. *)

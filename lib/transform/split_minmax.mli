@@ -16,15 +16,10 @@
     and the convolution kernel's combination of both yields up to four
     loops (the paper's rhomboidal case). *)
 
-val split_inner_min : Stmt.loop -> (Stmt.t list, string) result
-(** Remove one [MIN] from the hi bound of the immediately nested loop by
-    splitting the outer index set.  Exactly one [MIN] argument may
-    depend on the outer index, affinely with positive coefficient. *)
-
-val split_inner_max : Stmt.loop -> (Stmt.t list, string) result
-(** Dual: remove one [MAX] from the lo bound of the nested loop. *)
-
 val remove_all : Stmt.loop -> (Stmt.t list, string) result
-(** Iterate {!split_inner_min}/{!split_inner_max} until every generated
-    loop has simple inner bounds.  Loops whose inner bound has no
+(** Remove one [MIN] from the hi bound (or one [MAX] from the lo bound)
+    of the immediately nested loop by splitting the outer index set,
+    and iterate until every generated loop has simple inner bounds.
+    Exactly one [MIN]/[MAX] argument may depend on the outer index,
+    affinely with positive coefficient.  Loops whose inner bound has no
     MIN/MAX pass through unchanged. *)

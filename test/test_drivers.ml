@@ -303,15 +303,20 @@ let setup_is_bitwise_stable () =
   List.iter
     (fun (kernel, bindings, seed, expected) ->
       let e = Option.get (Blockability.find kernel) in
-      let env = Kernel_def.make_env e.Blockability.kernel ~bindings ~seed in
-      e.Blockability.extra_setup env ~bindings;
-      let arrays =
-        List.map (fun a -> (a, Env.farray_data env a)) e.Blockability.kernel.Kernel_def.traced
-      in
-      check_string
-        (Printf.sprintf "%s seed %d" kernel seed)
-        expected
-        (Digest.to_hex (Digest.string (Marshal.to_string arrays []))))
+      List.iter
+        (fun variant ->
+          let env = Blockability.env e variant ~bindings ~seed in
+          let arrays =
+            List.map
+              (fun a -> (a, Env.farray_data env a))
+              e.Blockability.kernel.Kernel_def.traced
+          in
+          check_string
+            (Printf.sprintf "%s %s seed %d" kernel
+               (Blockability.variant_name variant) seed)
+            expected
+            (Digest.to_hex (Digest.string (Marshal.to_string arrays []))))
+        [ Blockability.Point; Blockability.Transformed ])
     setup_golden
 
 (* Cholesky's set-up computes M^T M + n*I four rows at a time; the
@@ -394,6 +399,27 @@ let derivations_match_golden () =
       check_string e.Blockability.name want (render_derivation e))
     Blockability.entries expected
 
+(* The stored form of a derivation reads back as the derived block, and
+   a damaged one is refused. *)
+let stored_derivations_round_trip () =
+  List.iter
+    (fun (e : Blockability.entry) ->
+      match Blockability.variant_block e Blockability.Transformed with
+      | Error _ -> () (* householder: nothing is stored *)
+      | Ok (block, _, _) ->
+          let stored = Blockability.encode_derivation e block in
+          let decode s = Blockability.decode_derivation e s in
+          check_bool (e.name ^ " loads as the derived block") true
+            (Result.map fst (decode stored) = Ok block);
+          let n = String.length stored in
+          let flipped = Bytes.of_string stored in
+          Bytes.set flipped (n - 1) (Char.chr (Char.code stored.[n - 1] lxor 1));
+          check_bool (e.name ^ ": a flipped byte is refused") true
+            (Result.is_error (decode (Bytes.to_string flipped)));
+          check_bool (e.name ^ ": a short read is refused") true
+            (Result.is_error (decode (String.sub stored 0 (n / 2)))))
+    Blockability.entries
+
 let suite =
   ( "drivers",
     [
@@ -414,6 +440,8 @@ let suite =
         cholesky_setup_matches_reference;
       case "registry derivations and keys match the golden"
         derivations_match_golden;
+      case "every registry derivation round-trips through its stored form"
+        stored_derivations_round_trip;
       case "blocking reduces simulated misses" blocking_reduces_misses;
       case "strip-mine-and-interchange driver" strip_mine_and_interchange_driver;
       qcase ~count:30 "trapezoid driver (split + shaped UJ)"

@@ -128,6 +128,44 @@ let native_compare_registry () =
           Backend.all)
     Blockability.entries
 
+(* One route: a call looks the stored derivation up once and derives at
+   most once, so two calls record at most one derivation's decision
+   events (9 for lu_opt) between them.  Earlier cases may have derived
+   lu_opt in this process already; then the first call records none
+   either. *)
+let native_compare_derives_once () =
+  require_native ();
+  let lookups () =
+    let s =
+      List.find
+        (fun (s : Artifact_cache.stats) -> s.kind_name = "derivation")
+        (Artifact_cache.all_stats ())
+    in
+    s.builds + s.disk_hits + s.memo_hits
+  in
+  let call () =
+    let mem, events = Obs.memory () in
+    let l0 = lookups () in
+    Obs.set_sink mem;
+    Fun.protect
+      ~finally:(fun () -> Obs.set_sink Obs.null)
+      (fun () ->
+        ignore
+          (ok_or_fail "native_compare"
+             (Blockability.native_compare ~reps:1 (entry "lu_opt"))));
+    ( List.length
+        (List.filter (fun (e : Obs.event) -> e.cat = "decision") (events ())),
+      lookups () - l0 )
+  in
+  let d1, l1 = call () in
+  let d2, l2 = call () in
+  check_int "first call: one derivation lookup" 1 l1;
+  check_int "second call: one derivation lookup" 1 l2;
+  check_int "second call: no decisions" 0 d2;
+  check_bool
+    (Printf.sprintf "at most one derivation's decisions (%d)" d1)
+    true (d1 + d2 <= 9)
+
 (* ---- the point algorithms ------------------------------------------ *)
 
 let lu_factors_correct () =
@@ -276,4 +314,6 @@ let suite =
       case "Householder norm preservation" householder_norm_preserved;
       case "native_compare verifies every blockable entry on both backends"
         native_compare_registry;
+      case "native_compare looks its derivation up once per call"
+        native_compare_derives_once;
     ] )

@@ -660,26 +660,6 @@ let suite =
              chunk span must name the domain it actually ran on *)
           check_bool "chunk spans carry their domain track" true
             (List.for_all (fun (e : Obs.event) -> e.track >= 0) chunks));
-      case "every registry derivation round-trips through its stored form"
-        (fun () ->
-          List.iter
-            (fun (e : Blockability.entry) ->
-              match Serve.derived_block e with
-              | Error _ -> () (* householder: nothing is stored *)
-              | Ok (block, _, _) ->
-                  let stored = Serve.encode_derivation e block in
-                  let decode s = Serve.decode_derivation e s in
-                  check_bool (e.name ^ " loads as the derived block") true
-                    (Result.map fst (decode stored) = Ok block);
-                  let n = String.length stored in
-                  let flipped = Bytes.of_string stored in
-                  Bytes.set flipped (n - 1)
-                    (Char.chr (Char.code stored.[n - 1] lxor 1));
-                  check_bool (e.name ^ ": a flipped byte is refused") true
-                    (Result.is_error (decode (Bytes.to_string flipped)));
-                  check_bool (e.name ^ ": a short read is refused") true
-                    (Result.is_error (decode (String.sub stored 0 (n / 2)))))
-            Blockability.entries);
       case "repeated derive requests keep the live heap flat" (fun () ->
           (* Proof caches live and die with the contexts and sessions of
              one derivation: nothing may pile up across requests. *)
