@@ -995,7 +995,7 @@ let compile_cmd =
           | Error m -> fail m
           | Ok { c_bp = bp; c_cm = c; _ } ->
               let disposition =
-                Jit.disposition_name c.Backend.bk_disposition
+                Artifact_cache.disposition_name c.Backend.bk_disposition
               in
               if json then
                 print_endline
@@ -1011,7 +1011,10 @@ let compile_cmd =
                           ("compile_s", jfixed 6 c.Backend.bk_compile_s);
                           ("artifact", jstr c.Backend.bk_artifact);
                           ("cmxs", jstr c.Backend.bk_artifact);
-                          ("cached", Json_min.Bool c.Backend.bk_cached);
+                          ( "cached",
+                            Json_min.Bool
+                              (c.Backend.bk_disposition
+                              <> Artifact_cache.Compiled) );
                           ( "vec_remarks",
                             jarr (List.map jstr c.Backend.bk_remarks) );
                         ]))

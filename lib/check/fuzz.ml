@@ -566,7 +566,7 @@ let native_check ~backends stats (p : Gen_prog.t) =
             | Some _ -> acc
             | None -> (
                 let e_native = make_env ps None ~fill_seed:p.fill_seed in
-                match c.Backend.bk_run ~bindings:bp.Blueprint.bindings e_native with
+                match c.Backend.bk_run e_native with
                 | Error m ->
                     Some
                       (Printf.sprintf "native run failed (%s): %s"

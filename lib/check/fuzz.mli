@@ -89,11 +89,11 @@ val run :
 
     With [native] (default false), every generated program is
     additionally normalized to a {!Blueprint}, compiled to native code
-    ({!Jit.compile_blueprint}) and run under its hoisted size bindings,
-    with the result checked bitwise against the interpreter — the same
-    differential contract the transformation passes satisfy, applied to
-    the code generator, the normalization, and the binding preamble at
-    once.  Structurally-equal programs of different sizes share one
+    ({!Backend.S.compile_blueprint}) and run under its hoisted size
+    bindings, which the compiled kernel binds itself, with the result
+    checked bitwise against the interpreter — the same differential
+    contract the transformation passes satisfy, applied to the code
+    generator, the normalization, and the binding preamble at once.  Structurally-equal programs of different sizes share one
     compiled plugin (counted in [native_blueprint_reuses]), so expect
     roughly 100ms of [ocamlopt] per distinct {e structure}, not per
     program, on a cold cache.

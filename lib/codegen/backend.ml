@@ -3,12 +3,11 @@
    drivers — native_compare, the fuzzer, serve, the CLI — select a
    substrate by tag and are otherwise identical. *)
 
-type compiled = {
+type compiled = Native.compiled = {
   bk_tag : string;
   bk_key : string;
   bk_artifact : string;
-  bk_cached : bool;
-  bk_disposition : Jit.disposition;
+  bk_disposition : Artifact_cache.disposition;
   bk_compile_s : float;
   bk_remarks : string list;
   bk_run : ?bindings:(string * int) list -> Env.t -> (unit, string) result;
@@ -22,47 +21,8 @@ module type S = sig
     name:string -> Blueprint.t -> (compiled, string) result
 end
 
-module Ocaml : S = struct
-  let tag = "ocaml"
-  let available = Jit.available
-
-  let compile_blueprint ~name bp =
-    match Jit.compile_blueprint ~name bp with
-    | Error _ as e -> e
-    | Ok (l : Jit.loaded) ->
-        Ok
-          {
-            bk_tag = tag;
-            bk_key = l.Jit.key;
-            bk_artifact = l.Jit.cmxs;
-            bk_cached = l.Jit.cached;
-            bk_disposition = l.Jit.disposition;
-            bk_compile_s = l.Jit.compile_s;
-            bk_remarks = [];
-            bk_run = (fun ?bindings env -> Jit.run ?bindings l.Jit.fn env);
-          }
-end
-
-module C : S = struct
-  let tag = "c"
-  let available = Cc.available
-
-  let compile_blueprint ~name bp =
-    match Cc.compile_blueprint ~name bp with
-    | Error _ as e -> e
-    | Ok (l : Cc.loaded) ->
-        Ok
-          {
-            bk_tag = tag;
-            bk_key = l.Cc.key;
-            bk_artifact = l.Cc.so;
-            bk_cached = l.Cc.cached;
-            bk_disposition = l.Cc.disposition;
-            bk_compile_s = l.Cc.compile_s;
-            bk_remarks = l.Cc.vec_remarks;
-            bk_run = (fun ?bindings env -> Cc.run ?bindings l.Cc.fn env);
-          }
-end
+module Ocaml : S = Jit
+module C : S = Cc
 
 let all = [ (module Ocaml : S); (module C : S) ]
 let names = List.map (fun (module B : S) -> B.tag) all

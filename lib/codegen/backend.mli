@@ -6,25 +6,21 @@
     {!Blueprint} and runs it against an {!Env.t} can take the backend
     as a value.  Both substrates share the blueprint normalization,
     the {!Symbolic} in-bounds proofs, the content-addressed artifact
-    cache, and the bitwise-agreement contract with the interpreter;
-    the fuzzer's three-way differential is what enforces the last. *)
+    cache, the compile step and the compiled-kernel record
+    ({!Native}), and the bitwise-agreement contract with the
+    interpreter; the fuzzer's three-way differential is what enforces
+    the last. *)
 
-type compiled = {
-  bk_tag : string;  (** which backend produced this (["ocaml"], ["c"]) *)
-  bk_key : string;  (** full cache key *)
-  bk_artifact : string;  (** compiled plugin ([.cmxs]) or object ([.so]) *)
-  bk_cached : bool;
-  bk_disposition : Jit.disposition;
+type compiled = Native.compiled = {
+  bk_tag : string;
+  bk_key : string;
+  bk_artifact : string;
+  bk_disposition : Artifact_cache.disposition;
   bk_compile_s : float;
   bk_remarks : string list;
-      (** optimizer remarks about the artifact: the C backend's
-          vectorization report ({!Cc.loaded.vec_remarks}); [] for the
-          OCaml backend *)
   bk_run : ?bindings:(string * int) list -> Env.t -> (unit, string) result;
-      (** {!Jit.run} contract: arrays shared with the environment,
-          written scalars stored back, [bindings] close hoisted
-          parameters, runtime failures are [Error]. *)
 }
+(** See {!Native.compiled}. *)
 
 module type S = sig
   val tag : string

@@ -7,8 +7,8 @@
     named parameter bound at call time.  Two programs that differ only
     in those constants normalize to the same blueprint and therefore
     share one compiled plugin: [compile (lu, 256)] and
-    [compile (lu, 512)] are one [ocamlopt] invocation plus a hash
-    lookup (see {!Jit.compile_blueprint}).
+    [compile (lu, 512)] are one [ocamlopt] invocation plus a lookup in
+    the artifact cache (see {!Backend.S.compile_blueprint}).
 
     Hoisting is by value numbering: equal constants share one
     parameter, so a loop bound that equals a declared shape extent
@@ -33,8 +33,9 @@ type t = {
   shapes : Emit.shapes;  (** normalized shapes, sorted by array name *)
   unsafe : bool;  (** whether emission may use proven unchecked accesses *)
   bindings : (string * int) list;
-      (** hoisted parameter values, in first-occurrence order; supplied
-          to the compiled kernel at call time ({!Jit.run}'s [bindings]) *)
+      (** hoisted parameter values, in first-occurrence order; the
+          kernel compiled from the blueprint binds them at call time
+          ({!Backend.compiled}) *)
 }
 
 val of_block : ?unsafe:bool -> ?shapes:Emit.shapes -> Stmt.t list -> t

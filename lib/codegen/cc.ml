@@ -19,37 +19,20 @@ external cc_run :
   * int array ->
   string = "blockc_cc_run"
 
-type fn = { entry : nativeint; mf : Emit_c.manifest }
-
-type loaded = {
-  key : string;
-  so : string;
-  cached : bool;
-  disposition : Artifact_cache.disposition;
-  compile_s : float;
-  vec_remarks : string list;
-  fn : fn;
+(* A loaded object: its entry point, its marshaling manifest and the
+   vectorization remarks of its build. *)
+type kernel = {
+  entry : nativeint;
+  mf : Emit_c.manifest;
+  remarks : string list;
 }
+
+let tag = "c"
 
 (* ---- compiler discovery ------------------------------------------ *)
 
-let compiler () =
-  match Sys.getenv_opt "BLOCKC_CC" with
-  | Some p -> if Sys.file_exists p then Some p else None
-  | None ->
-      let path = Option.value (Sys.getenv_opt "PATH") ~default:"" in
-      List.find_map
-        (fun dir ->
-          if dir = "" then None
-          else
-            let p = Filename.concat dir "cc" in
-            if Sys.file_exists p then Some p else None)
-        (String.split_on_char ':' path)
-
-let available () =
-  match compiler () with
-  | Some _ -> Ok ()
-  | None -> Error "cc not found on PATH (set BLOCKC_CC)"
+let compiler () = Native.compiler ~var:"BLOCKC_CC" "cc"
+let available () = Result.map ignore (compiler ())
 
 (* First line of [cc --version]: part of the cache key.  Spawning the
    compiler costs milliseconds in every new process, so the line is
@@ -114,40 +97,92 @@ let key ~version ~revision (bp : Blueprint.t) =
             String.concat " " flags; "blueprint"; bp.Blueprint.key;
           ]))
 
-let kind : (fn * string list) Artifact_cache.kind =
+let kind : kernel Artifact_cache.kind =
   Artifact_cache.kind "c" ~prefix:"bk_" ~ext:".so" ~keep:[ ".c"; ".vec" ]
 
 let invocations () = (Artifact_cache.stats kind).builds
 
-let first_lines ?(n = 4) s =
-  let lines = String.split_on_char '\n' (String.trim s) in
-  String.concat " | " (List.filteri (fun i _ -> i < n) lines)
-
-let contains_sub s sub =
+let find_sub s sub =
   let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = sub then Some i
+    else go (i + 1)
+  in
+  go 0
 
 (* The compiler's vectorization report ([-fopt-info-vec=FILE]), kept
    next to the cached object as [bk_<key>.vec] so warm loads can still
    answer "which loops vectorized?".  Only the remark lines themselves
    survive the filter; an absent or empty file (flag unsupported, or
-   nothing vectorized) is just []. *)
-let vec_remarks_of vecf =
-  Artifact_cache.read_file vecf
+   nothing vectorized) is just [].  Each remark names the source kept
+   beside the object, whatever directory the compiler saw it in (an
+   object built before the compiler ran on relative names reported a
+   build directory that no longer exists). *)
+let vec_remarks so =
+  let stem = Filename.remove_extension so in
+  let src = Filename.basename stem ^ ".c:" in
+  Artifact_cache.read_file (stem ^ ".vec")
   |> String.split_on_char '\n'
   |> List.filter_map (fun l ->
          let l = String.trim l in
-         if l <> "" && contains_sub l "vectoriz" then Some l else None)
+         match (find_sub l "vectoriz", find_sub l src) with
+         | None, _ -> None
+         | Some _, None -> Some l
+         | Some _, Some i ->
+             Some
+               (Filename.concat (Filename.dirname so)
+                  (String.sub l i (String.length l - i))))
 
-let compile_blueprint ?cc ~name (bp : Blueprint.t) =
+(* The calling convention: the manifest orders the environment's
+   arrays and scalars into the kernel's fixed ABI. *)
+let call k env ~geti ~getf =
+  let mf = k.mf in
+  let fa =
+    Array.of_list
+      (List.map (fun (n, _) -> Env.farray_data env n) mf.Emit_c.m_farrays)
+  in
+  let fdim =
+    Array.concat
+      (List.map
+         (fun (n, _) -> Native.flat_dims (Env.farray_dims env n))
+         mf.Emit_c.m_farrays)
+  in
+  let ia =
+    Array.of_list
+      (List.map (fun (n, _) -> Env.iarray_data env n) mf.Emit_c.m_iarrays)
+  in
+  let idim =
+    Array.concat
+      (List.map
+         (fun (n, _) -> Native.flat_dims (Env.iarray_dims env n))
+         mf.Emit_c.m_iarrays)
+  in
+  let fsc = Array.of_list (List.map getf mf.Emit_c.m_fscalars) in
+  let isc = Array.of_list (List.map geti mf.Emit_c.m_iscalars) in
+  let msg = cc_run k.entry (fa, fdim, ia, idim, fsc, isc) in
+  if msg = "" then begin
+    (* Scalar results back into the environment, mirroring the OCaml
+       plugins' seti/setf write-backs. *)
+    List.iteri
+      (fun i n ->
+        if List.mem n mf.Emit_c.m_fsc_w then Env.set_fscalar env n fsc.(i))
+      mf.Emit_c.m_fscalars;
+    List.iteri
+      (fun i n ->
+        if List.mem n mf.Emit_c.m_isc_w then Env.set_iscalar env n isc.(i))
+      mf.Emit_c.m_iscalars;
+    Ok ()
+  end
+  else Error msg
+
+let compile_blueprint ~name (bp : Blueprint.t) =
   Obs.span ~cat:"jit" "cc.compile_blueprint"
     ~args:[ ("kernel", Obs.Str name) ]
   @@ fun () ->
-  let cc = match cc with None -> compiler () | some -> some in
-  match cc with
-  | None -> Error "cc not found on PATH (set BLOCKC_CC)"
-  | Some compiler -> (
+  match compiler () with
+  | Error _ as e -> e
+  | Ok compiler ->
       let key = key ~version:(version compiler) ~revision:Emit_c.revision bp in
       let build tmp =
         match
@@ -155,36 +190,25 @@ let compile_blueprint ?cc ~name (bp : Blueprint.t) =
             ~name bp.Blueprint.block
         with
         | Error m -> Error (Printf.sprintf "cannot compile %s: %s" name m)
-        | Ok src ->
+        | Ok src -> (
             Obs.span ~cat:"jit" "cc.compile"
               ~args:[ ("kernel", Obs.Str name); ("key", Obs.Str key) ]
             @@ fun () ->
-            let stem = Filename.concat tmp ("bk_" ^ key) in
-            let errf = stem ^ ".err" in
-            Artifact_cache.write_file (stem ^ ".c") src;
-            let cmd extra =
-              Printf.sprintf "%s %s%s -o %s %s 2> %s"
-                (Filename.quote compiler) (String.concat " " flags) extra
-                (Filename.quote (stem ^ ".so"))
-                (Filename.quote (stem ^ ".c"))
-                (Filename.quote errf)
+            let stem = "bk_" ^ key in
+            Artifact_cache.write_file (Filename.concat tmp (stem ^ ".c")) src;
+            let cc extra =
+              Native.compile ~tool:"cc" ~name ~compiler tmp
+                (flags @ extra @ [ "-o"; stem ^ ".so"; stem ^ ".c" ])
             in
             (* First attempt asks for the vectorization report;
                compilers that reject the flag (it is a GCC spelling) get
                a clean retry without it. *)
-            let rc =
-              let vec = " -fopt-info-vec=" ^ Filename.quote (stem ^ ".vec") in
-              match Sys.command (cmd vec) with
-              | 0 -> 0
-              | _ ->
-                  (try Sys.remove (stem ^ ".vec") with Sys_error _ -> ());
-                  Sys.command (cmd "")
-            in
-            if rc = 0 then Ok ()
-            else
-              Error
-                (Printf.sprintf "%s: cc failed (exit %d): %s" name rc
-                   (first_lines (Artifact_cache.read_file errf)))
+            match cc [ "-fopt-info-vec=" ^ stem ^ ".vec" ] with
+            | Ok () -> Ok ()
+            | Error _ ->
+                (try Sys.remove (Filename.concat tmp (stem ^ ".vec"))
+                 with Sys_error _ -> ());
+                cc [])
       in
       let load so =
         match Emit_c.manifest bp.Blueprint.block with
@@ -193,80 +217,11 @@ let compile_blueprint ?cc ~name (bp : Blueprint.t) =
             Error (name ^ ": truncated object")
         | Ok mf -> (
             match cc_load so with
-            | entry ->
-                Ok
-                  ( { entry; mf },
-                    vec_remarks_of (Filename.remove_extension so ^ ".vec") )
+            | entry -> Ok { entry; mf; remarks = vec_remarks so }
             | exception Failure m ->
                 Error (Printf.sprintf "%s: dlopen failed: %s" name m))
       in
       Artifact_cache.get kind ~key ~build ~load
-      |> Result.map (fun (e : (fn * string list) Artifact_cache.entry) ->
-             let fn, vec_remarks = e.value in
-             {
-               key;
-               so = e.path;
-               cached = e.disposition <> Artifact_cache.Compiled;
-               disposition = e.disposition;
-               compile_s = e.build_s;
-               vec_remarks;
-               fn;
-             }))
-
-(* ---- execution --------------------------------------------------- *)
-
-let flat_dims dims =
-  Array.of_list (List.concat_map (fun (lo, hi) -> [ lo; hi ]) dims)
-
-let run ?(bindings = []) fn env =
-  Obs.span ~cat:"jit" "cc.run"
-  @@ fun () ->
-  let mf = fn.mf in
-  let geti n =
-    match List.assoc_opt n bindings with
-    | Some v -> v
-    | None -> if Env.has_iscalar env n then Env.iscalar env n else 0
-  in
-  let getf n = if Env.has_fscalar env n then Env.fscalar env n else 0.0 in
-  match
-    let fa =
-      Array.of_list
-        (List.map (fun (n, _) -> Env.farray_data env n) mf.Emit_c.m_farrays)
-    in
-    let fdim =
-      Array.concat
-        (List.map
-           (fun (n, _) -> flat_dims (Env.farray_dims env n))
-           mf.Emit_c.m_farrays)
-    in
-    let ia =
-      Array.of_list
-        (List.map (fun (n, _) -> Env.iarray_data env n) mf.Emit_c.m_iarrays)
-    in
-    let idim =
-      Array.concat
-        (List.map
-           (fun (n, _) -> flat_dims (Env.iarray_dims env n))
-           mf.Emit_c.m_iarrays)
-    in
-    let fsc = Array.of_list (List.map getf mf.Emit_c.m_fscalars) in
-    let isc = Array.of_list (List.map geti mf.Emit_c.m_iscalars) in
-    let msg = cc_run fn.entry (fa, fdim, ia, idim, fsc, isc) in
-    if msg = "" then begin
-      (* Scalar results back into the environment, mirroring the OCaml
-         plugins' seti/setf write-backs. *)
-      List.iteri
-        (fun i n ->
-          if List.mem n mf.Emit_c.m_fsc_w then Env.set_fscalar env n fsc.(i))
-        mf.Emit_c.m_fscalars;
-      List.iteri
-        (fun i n ->
-          if List.mem n mf.Emit_c.m_isc_w then Env.set_iscalar env n isc.(i))
-        mf.Emit_c.m_iscalars;
-      Ok ()
-    end
-    else Error msg
-  with
-  | r -> r
-  | exception Env.Error m -> Error m
-  | exception Failure m -> Error m
+      |> Result.map (fun (e : kernel Artifact_cache.entry) ->
+             Native.kernel ~tag ~key ~span:"cc.run" ~remarks:e.value.remarks bp
+               e call)

@@ -19,30 +19,12 @@
     in and out.  Results are bitwise comparable with the interpreter
     and the OCaml backend — that is the point. *)
 
-type fn
-(** A loaded kernel entry point plus its marshaling manifest. *)
-
-type loaded = {
-  key : string;  (** full cache key (blueprint x backend x compiler) *)
-  so : string;  (** path of the compiled shared object *)
-  cached : bool;
-  disposition : Artifact_cache.disposition;
-  compile_s : float;
-  vec_remarks : string list;
-      (** the compiler's vectorization remarks ([-fopt-info-vec]),
-          persisted as [bk_<key>.vec] beside the object so cache hits
-          still report them; [] when the flag is unsupported or no
-          loop vectorized *)
-  fn : fn;
-}
+val tag : string
+(** ["c"] *)
 
 val available : unit -> (unit, string) result
 (** [Ok ()] when a C compiler was found (on [PATH] as [cc], or via
     [BLOCKC_CC]); otherwise a one-line reason. *)
-
-val compiler : unit -> string option
-(** The C compiler {!compile_blueprint} uses by default: [BLOCKC_CC],
-    else [cc] on [PATH]. *)
 
 val version : string -> string
 (** The first line of [compiler --version], from the cache when a
@@ -65,17 +47,13 @@ val invocations : unit -> int
     kind). *)
 
 val compile_blueprint :
-  ?cc:string -> name:string -> Blueprint.t -> (loaded, string) result
-(** Compile (or fetch from cache) the shared object for a normalized
-    blueprint, under {!key}.  Emission only happens on a cache miss.
-    [cc] overrides compiler discovery.  Run the result with
-    {!run}[ ~bindings:bp.Blueprint.bindings]. *)
-
-val run :
-  ?bindings:(string * int) list -> fn -> Env.t -> (unit, string) result
-(** Execute a loaded kernel against an environment, with the same
-    contract as {!Jit.run}: arrays are shared with the environment,
-    written scalars are stored back, [bindings] take precedence over
-    the environment's integer scalars, and runtime failures (zero
-    step, negative SQRT, out-of-bounds checked access) come back as
-    [Error]. *)
+  name:string -> Blueprint.t -> (Native.compiled, string) result
+(** Compile (or fetch from cache) and load the shared object for a
+    normalized blueprint, under {!key}, with the compiler [BLOCKC_CC]
+    names, else [cc] on [PATH].  Emission only happens on a cache miss;
+    a warm call also [stat]s the compiler to find its cached version
+    line (11–27 µs in all).  [bk_remarks] are the compiler's
+    vectorization remarks ([-fopt-info-vec]), kept as [bk_<key>.vec]
+    beside the object so cache hits still report them, each naming the
+    kept source [bk_<key>.c]; [] when the flag is unsupported or no
+    loop vectorized. *)

@@ -11,41 +11,17 @@ type fn =
   * (string -> int -> unit)
   -> unit
 
-type disposition = Artifact_cache.disposition = Memo | Disk | Compiled
-
-type loaded = {
-  key : string;
-  cmxs : string;
-  cached : bool;
-  disposition : disposition;
-  compile_s : float;
-  fn : fn;
-}
-
+let tag = "ocaml"
 let disposition_name = Artifact_cache.disposition_name
 
 (* ---- compiler discovery ------------------------------------------ *)
 
-let find_ocamlopt () =
-  match Sys.getenv_opt "BLOCKC_OCAMLOPT" with
-  | Some p -> if Sys.file_exists p then Some p else None
-  | None ->
-      let path = Option.value (Sys.getenv_opt "PATH") ~default:"" in
-      List.find_map
-        (fun dir ->
-          if dir = "" then None
-          else
-            let p = Filename.concat dir "ocamlopt" in
-            if Sys.file_exists p then Some p else None)
-        (String.split_on_char ':' path)
-
-let available () =
+let compiler () =
   if not Dynlink.is_native then
     Error "bytecode host: Dynlink cannot load native plugins"
-  else
-    match find_ocamlopt () with
-    | Some _ -> Ok ()
-    | None -> Error "ocamlopt not found on PATH (set BLOCKC_OCAMLOPT)"
+  else Native.compiler ~var:"BLOCKC_OCAMLOPT" "ocamlopt"
+
+let available () = Result.map ignore (compiler ())
 
 (* ---- loading ------------------------------------------------------ *)
 
@@ -101,10 +77,6 @@ let kind : fn Artifact_cache.kind =
 
 let compiler_invocations () = (Artifact_cache.stats kind).builds
 
-let first_lines ?(n = 4) s =
-  let lines = String.split_on_char '\n' (String.trim s) in
-  String.concat " | " (List.filteri (fun i _ -> i < n) lines)
-
 (* Part of the key.  [-ccopt -nostdlib] leaves libc and the C start
    files out of the plugin's link, 9 of its 40 ms (EXPERIMENTS,
    COLD-COMPILE): its imports ([caml_*] and Stdlib symbols) resolve
@@ -120,23 +92,32 @@ let key ~revision (bp : Blueprint.t) =
             String.concat " " flags; "blueprint"; bp.Blueprint.key;
           ]))
 
+(* The calling convention: the plugin's entry point takes the
+   environment's readers and writers as one tuple. *)
+let call (fn : fn) env ~geti ~getf =
+  fn
+    ( geti,
+      getf,
+      Env.farray_data env,
+      Env.iarray_data env,
+      (fun n -> Native.flat_dims (Env.farray_dims env n)),
+      (fun n -> Native.flat_dims (Env.iarray_dims env n)),
+      Env.set_fscalar env,
+      Env.set_iscalar env );
+  Ok ()
+
 (* Build (or fetch) the plugin for a blueprint.  Emission only happens
-   on a build, so the warm path is a hash lookup and nothing else.  The
-   plugin's module name comes from its file name (the key), so the
-   emitted text must not vary with the caller's diagnostic name — one
-   blueprint, one source, one artifact. *)
-let compile_blueprint ?ocamlopt ~name (bp : Blueprint.t) =
+   on a build.  The plugin's module name comes from its file name (the
+   key), so the emitted text must not vary with the caller's diagnostic
+   name — one blueprint, one source, one artifact. *)
+let compile_blueprint ~name (bp : Blueprint.t) =
   let key = key ~revision:Emit.revision bp in
   Obs.span ~cat:"jit" "jit.compile_blueprint"
     ~args:[ ("kernel", Obs.Str name); ("blueprint", Obs.Str bp.Blueprint.key) ]
   @@ fun () ->
-  let compiler =
-    match ocamlopt with Some p -> Some p | None -> find_ocamlopt ()
-  in
-  match (Dynlink.is_native, compiler) with
-  | false, _ -> Error "bytecode host: Dynlink cannot load native plugins"
-  | true, None -> Error "ocamlopt not found on PATH (set BLOCKC_OCAMLOPT)"
-  | true, Some compiler -> (
+  match compiler () with
+  | Error _ as e -> e
+  | Ok compiler ->
       let build tmp =
         let ename = "bp_" ^ String.sub bp.Blueprint.key 0 12 in
         match
@@ -150,56 +131,11 @@ let compile_blueprint ?ocamlopt ~name (bp : Blueprint.t) =
             Obs.span ~cat:"jit" "jit.compile"
               ~args:[ ("kernel", Obs.Str name); ("key", Obs.Str key) ]
             @@ fun () ->
-            let stem = Filename.concat tmp ("bk_" ^ key) in
-            Artifact_cache.write_file (stem ^ ".ml") source;
-            let cmd =
-              Printf.sprintf "%s %s -o %s %s 2> %s"
-                (Filename.quote compiler) (String.concat " " flags)
-                (Filename.quote (stem ^ ".cmxs"))
-                (Filename.quote (stem ^ ".ml"))
-                (Filename.quote (stem ^ ".err"))
-            in
-            match Sys.command cmd with
-            | 0 -> Ok ()
-            | rc ->
-                Error
-                  (Printf.sprintf "%s: ocamlopt failed (exit %d): %s" name rc
-                     (first_lines (Artifact_cache.read_file (stem ^ ".err"))))
+            let stem = "bk_" ^ key in
+            Artifact_cache.write_file (Filename.concat tmp (stem ^ ".ml")) source;
+            Native.compile ~tool:"ocamlopt" ~name ~compiler tmp
+              (flags @ [ "-o"; stem ^ ".cmxs"; stem ^ ".ml" ])
       in
       Artifact_cache.get kind ~key ~build ~load:(load ~name)
-      |> Result.map (fun (e : fn Artifact_cache.entry) ->
-             {
-               key;
-               cmxs = e.path;
-               cached = e.disposition <> Compiled;
-               disposition = e.disposition;
-               compile_s = e.build_s;
-               fn = e.value;
-             }))
-
-(* ---- execution ---------------------------------------------------- *)
-
-let flat_dims dims =
-  Array.of_list (List.concat_map (fun (lo, hi) -> [ lo; hi ]) dims)
-
-let run ?(bindings = []) fn env =
-  Obs.span ~cat:"jit" "jit.run"
-  @@ fun () ->
-  let geti n =
-    match List.assoc_opt n bindings with
-    | Some v -> v
-    | None -> if Env.has_iscalar env n then Env.iscalar env n else 0
-  in
-  let getf n = if Env.has_fscalar env n then Env.fscalar env n else 0.0 in
-  let getfa = Env.farray_data env in
-  let getia = Env.iarray_data env in
-  let getfd n = flat_dims (Env.farray_dims env n) in
-  let getid n = flat_dims (Env.iarray_dims env n) in
-  let setf = Env.set_fscalar env in
-  let seti = Env.set_iscalar env in
-  match fn (geti, getf, getfa, getia, getfd, getid, setf, seti) with
-  | () -> Ok ()
-  | exception Env.Error m -> Error m
-  | exception Failure m -> Error m
-  | exception Division_by_zero -> Error "division by zero"
-  | exception Invalid_argument m -> Error ("out of bounds: " ^ m)
+      |> Result.map (fun e ->
+             Native.kernel ~tag ~key ~span:"jit.run" bp e call)

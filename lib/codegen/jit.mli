@@ -22,25 +22,8 @@
     [jit.compile_blueprint], [cache.load], [jit.run]) so [--trace] covers
     the native path. *)
 
-type fn
-(** A loaded kernel entry point. *)
-
-(** How a compile request was satisfied: from the in-process memo, from
-    the on-disk artifact cache, or by actually running [ocamlopt]. *)
-type disposition = Artifact_cache.disposition = Memo | Disk | Compiled
-
-val disposition_name : disposition -> string
-
-type loaded = {
-  key : string;  (** full cache key (blueprint digest) *)
-  cmxs : string;  (** path of the compiled plugin *)
-  cached : bool;  (** true when the compile step was skipped *)
-  disposition : disposition;
-  compile_s : float;
-      (** wall-clock seconds spent producing the artifact; 0 for memo
-          hits, the [ocamlopt] wall time for fresh compiles *)
-  fn : fn;
-}
+val tag : string
+(** ["ocaml"] *)
 
 val available : unit -> (unit, string) result
 (** [Ok ()] when native dynlink works and [ocamlopt] was found (on
@@ -54,25 +37,17 @@ val key : revision:string -> Blueprint.t -> string
     blueprint's key. *)
 
 val compile_blueprint :
-  ?ocamlopt:string -> name:string -> Blueprint.t -> (loaded, string) result
+  name:string -> Blueprint.t -> (Native.compiled, string) result
 (** Compile (or fetch) and load the plugin for a normalized blueprint,
-    under {!key}[ ~revision:Emit.revision].  Emission only
-    happens on a cache miss: the warm path is a hash lookup.  Run the
-    result with {!run}[ ~bindings:bp.Blueprint.bindings].  [name] is
-    only for diagnostics and spans; [ocamlopt] overrides compiler
-    discovery — pointing it at a non-compiler is how the fallback path
-    is tested. *)
-
-val run :
-  ?bindings:(string * int) list -> fn -> Env.t -> (unit, string) result
-(** Execute a loaded kernel against an environment: parameters and
-    scalars are read from it, array buffers are shared with it (the
-    kernel writes results in place), and scalar results are written
-    back.  [bindings] take precedence over the environment's integer
-    scalars — they close the parameters a {!Blueprint} hoisted.
-    Runtime failures (zero step, negative SQRT, out-of-bounds checked
-    access) come back as [Error]. *)
+    under {!key}[ ~revision:Emit.revision], with the compiler
+    [BLOCKC_OCAMLOPT] names, else [ocamlopt] on [PATH].  Emission only
+    happens on a cache miss; a warm call looks the compiler up on
+    [PATH], digests the key and finds the loaded plugin in the cache's
+    table (3–6 µs).  [name] is only for diagnostics and spans. *)
 
 val compiler_invocations : unit -> int
 (** [ocamlopt] runs so far in this process (builds of the cache's
     ["ocaml"] kind). *)
+
+val disposition_name : Artifact_cache.disposition -> string
+(** {!Artifact_cache.disposition_name}. *)

@@ -558,8 +558,6 @@ let compile ~backend entry variant =
               c_cm = cm;
             })
 
-let run c env = c.c_cm.Backend.bk_run ~bindings:c.c_bp.Blueprint.bindings env
-
 type native_result = {
   nt_backend : string;
   nt_point_s : float;
@@ -584,7 +582,7 @@ let native_verify ?block c ~bindings ~seed =
       | exception Env.Error m -> Some ("interpreter failed: " ^ m)
       | () -> (
           let env_n = make () in
-          match run c env_n with
+          match c.c_cm.Backend.bk_run env_n with
           | Error m -> Some ("native run failed: " ^ m)
           | Ok () ->
               Env.diff ~only:c.c_entry.kernel.Kernel_def.traced env_i env_n))
@@ -638,7 +636,7 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
           (fun m -> entry.name ^ ": " ^ variant_name c.c_variant ^ ": " ^ m)
           (time_runs
              (fun () -> env ?block entry c.c_variant ~bindings ~seed)
-             (run c) ~reps)
+             (fun env -> c.c_cm.Backend.bk_run env) ~reps)
       in
       let* tp = time point in
       let* tt = time transformed in
@@ -647,14 +645,15 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
         simulate_blocks ~machine:Arch.rs6000_540 entry
           ~bindings:verify_bindings ~seed point.c_block transformed.c_block
       in
+      let cached c = c.c_cm.Backend.bk_disposition <> Artifact_cache.Compiled in
       Ok
         {
           nt_backend = B.tag;
           nt_point_s = tp;
           nt_transformed_s = tt;
           nt_speedup = (if tt > 0.0 then tp /. tt else 0.0);
-          nt_point_cached = point.c_cm.Backend.bk_cached;
-          nt_transformed_cached = transformed.c_cm.Backend.bk_cached;
+          nt_point_cached = cached point;
+          nt_transformed_cached = cached transformed;
           nt_model_speedup =
             (if s.transformed_cycles > 0 then
                Some

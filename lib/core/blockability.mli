@@ -174,10 +174,6 @@ val compile :
     artifact per loop structure, whatever the sizes).  The artifact is
     named [<entry>_<variant>] in diagnostics and spans. *)
 
-val run : compiled -> Env.t -> (unit, string) result
-(** Run a compiled variant in an environment from {!env}, closing the
-    parameters its blueprint hoisted. *)
-
 (** Wall-clock comparison of the point and transformed variants compiled
     to native code (see {!Jit}).  Times are best-of-[reps] for one full
     kernel run; [cached] flags report whether the plugin came from the

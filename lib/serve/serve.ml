@@ -298,7 +298,7 @@ let run_one ?tm (c : Blockability.compiled) ~bindings ~seed =
   | exception (Invalid_argument m | Env.Error m) -> Error m
   | env -> (
       let t0 = Obs.now_ns () in
-      let r = Blockability.run c env in
+      let r = c.c_cm.Backend.bk_run env in
       let dt = Obs.now_ns () - t0 in
       (match tm with
       | Some tm -> tm.t_exec_ns <- tm.t_exec_ns + dt
@@ -330,7 +330,8 @@ let compile_fields (c : Blockability.compiled) =
   @ disposition_fields c
   @ [
     ("compile_s", J.Number c.c_cm.Backend.bk_compile_s);
-    ("cached", J.Bool c.c_cm.Backend.bk_cached);
+    ( "cached",
+      J.Bool (c.c_cm.Backend.bk_disposition <> Artifact_cache.Compiled) );
     (* "cmxs" kept for older clients; "artifact" is backend-neutral *)
     ("cmxs", jstr c.c_cm.Backend.bk_artifact);
     ("artifact", jstr c.c_cm.Backend.bk_artifact);

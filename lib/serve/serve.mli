@@ -26,8 +26,10 @@
       cache key, the cache ["disposition"] (["memo"] / ["disk"] /
       ["compiled"]), the compile wall time, and the on-disk
       ["artifact"] path (also echoed as ["cmxs"] for older clients).
-      Repeat compiles of one loop structure are a hash lookup
-      ({!Jit.compile_blueprint} / {!Cc.compile_blueprint}).  A
+      A repeat compile of one loop structure finds the loaded
+      artifact in the cache's table: the backend's share is 3–6 µs on
+      OCaml and 11–27 µs on C (compiler lookup on [PATH], key digests
+      and, on C, a [stat] of [cc] for its cached version line).  A
       transformed variant also reports where its derived IR came
       from, as ["derivation"]: ["memo"] (this process had it),
       ["disk"] (stored by an earlier process of the same executable)

@@ -32,6 +32,14 @@ let with_private_cache f =
   Unix.putenv "BLOCKC_JIT_CACHE" tmp;
   Fun.protect ~finally:(fun () -> Unix.putenv "BLOCKC_JIT_CACHE" saved) f
 
+(* [f ()] with the environment variable [var] set to [value], restored
+   after.  [""] is how a test unsets one: Unix has no unsetenv, and the
+   compiler lookups read an empty value as unset. *)
+let with_env var value f =
+  let saved = Option.value (Sys.getenv_opt var) ~default:"" in
+  Unix.putenv var value;
+  Fun.protect ~finally:(fun () -> Unix.putenv var saved) f
+
 (* [f ()] on another thread, failing the test if it has not returned
    within [s] seconds: a compile that blocks forever fails the test
    instead of hanging the suite. *)
@@ -69,10 +77,9 @@ let emit_ok ?unsafe ?shapes ~name block =
 
 (* Blueprint-normalize, compile (or fetch) and run a block natively. *)
 let native_run ?shapes ~name block env =
-  let bp = Blueprint.of_block ?shapes block in
-  match Jit.compile_blueprint ~name bp with
+  match Jit.compile_blueprint ~name (Blueprint.of_block ?shapes block) with
   | Error m -> Error m
-  | Ok l -> Jit.run ~bindings:bp.Blueprint.bindings l.Jit.fn env
+  | Ok c -> c.Backend.bk_run env
 
 (* ---- hoisted offsets and promoted elements ----------------------- *)
 
@@ -266,7 +273,7 @@ let pinned_c_emission =
    through the wrapper gets a key this process has not loaded yet,
    however many times the shared cache served the blueprint before. *)
 let fresh_cc dir =
-  let real = Option.get (Cc.compiler ()) in
+  let real = Result.get_ok (Native.compiler ~var:"BLOCKC_CC" "cc") in
   let path = Filename.concat dir "fresh-cc" in
   Artifact_cache.write_file path
     (Printf.sprintf
@@ -394,17 +401,61 @@ let suite =
           let probe = "FALLBACK_PROBE_NO_SUCH_COMPILER" in
           let block = [ Stmt.Assign (probe, [], B.fc 1.0) ] in
           (match
-             Jit.compile_blueprint ~ocamlopt:"/nonexistent/ocamlopt"
-               ~name:"probe" (Blueprint.of_block block)
+             with_env "BLOCKC_OCAMLOPT" "/bin/false" (fun () ->
+                 Jit.compile_blueprint ~name:"probe" (Blueprint.of_block block))
            with
           | Ok _ -> Alcotest.fail "expected a compile failure"
           | Error m ->
-              check_bool "mentions ocamlopt" true (contains m "ocamlopt"));
+              check_bool "the compiler ran and failed" true
+                (contains m "ocamlopt failed (exit "));
           (* The interpreter path is unaffected. *)
           let env = simple_env ~n:2 in
           Exec.run env block;
           check_bool "interpreter still works" true
             (Float.equal (Env.fscalar env probe) 1.0));
+      case "a compiler variable naming a missing file is named in the error"
+        (fun () ->
+          let bp = Blueprint.of_block [ B.setf "MISSING_PROBE" (B.fc 1.0) ] in
+          List.iter
+            (fun (var, (module Bk : Backend.S)) ->
+              with_env var "/nonexistent/compiler" @@ fun () ->
+              let expected = var ^ "=/nonexistent/compiler: no such file" in
+              (match Bk.available () with
+              | Ok () -> Alcotest.failf "%s: available" Bk.tag
+              | Error m -> check_string (Bk.tag ^ ": available") expected m);
+              match Bk.compile_blueprint ~name:"missing" bp with
+              | Ok _ -> Alcotest.failf "%s: compiled" Bk.tag
+              | Error m -> check_string (Bk.tag ^ ": compile") expected m)
+            [
+              ("BLOCKC_OCAMLOPT", (module Backend.Ocaml : Backend.S));
+              ("BLOCKC_CC", (module Backend.C : Backend.S));
+            ]);
+      case "a compiled kernel binds its blueprint's hoisted sizes itself"
+        (fun () ->
+          require_native ();
+          require_cc ();
+          let e = entry "lu_opt" in
+          let bindings = [ ("N", 40) ] in
+          List.iter
+            (fun backend ->
+              let c =
+                ok_or_fail "compile"
+                  (Blockability.compile ~backend e Blockability.Transformed)
+              in
+              check_bool "the blueprint hoists BP1" true
+                (List.mem_assoc "BP1" c.c_bp.Blueprint.bindings);
+              let make () =
+                Blockability.env e Blockability.Transformed ~bindings ~seed:9
+              in
+              let env_i = make () and env_n = make () in
+              Exec.run env_i c.c_block;
+              ok_or_fail
+                (c.c_cm.Backend.bk_tag ^ " run without bindings")
+                (c.c_cm.Backend.bk_run env_n);
+              match Env.diff ~only:e.kernel.Kernel_def.traced env_i env_n with
+              | None -> ()
+              | Some m -> Alcotest.failf "%s: %s" c.c_cm.Backend.bk_tag m)
+            Backend.all);
       case "native_compare verifies and times the lu pair" (fun () ->
           require_native ();
           let r =
@@ -468,11 +519,13 @@ let suite =
               check_int "exactly one ocamlopt invocation" 1
                 (Jit.compiler_invocations () - c0);
               check_bool "second compile is a memo hit" true
-                (l28.Jit.disposition = Jit.Memo);
-              check_string "one artifact" l24.Jit.cmxs l28.Jit.cmxs;
-              (* Bitwise vs the interpreter at both sizes. *)
+                (l28.Backend.bk_disposition = Artifact_cache.Memo);
+              check_string "one artifact" l24.Backend.bk_artifact
+                l28.Backend.bk_artifact;
+              (* Bitwise vs the interpreter at both sizes, each kernel
+                 binding its own blueprint's hoisted sizes. *)
               List.iter
-                (fun (n, block, (bp : Blueprint.t), (l : Jit.loaded)) ->
+                (fun (n, block, (c : Backend.compiled)) ->
                   let bindings = [ ("N", n) ] in
                   let env_i =
                     Kernel_def.make_env e.kernel ~bindings ~seed:11
@@ -481,12 +534,11 @@ let suite =
                   let env_n =
                     Kernel_def.make_env e.kernel ~bindings ~seed:11
                   in
-                  ok_or_fail "native run"
-                    (Jit.run ~bindings:bp.Blueprint.bindings l.Jit.fn env_n);
+                  ok_or_fail "native run" (c.Backend.bk_run env_n);
                   match Env.diff ~only:[ "A" ] env_i env_n with
                   | None -> ()
                   | Some m -> Alcotest.failf "N=%d: %s" n m)
-                [ (24, block24, bp24, l24); (28, block28, bp28, l28) ]));
+                [ (24, block24, l24); (28, block28, l28) ]));
       case "artifacts load once: A, B, A is one load per path" (fun () ->
           (* Loading a plugin again would re-run its initializer over
              static data it already set up (the debug runtime aborts in
@@ -555,8 +607,7 @@ let suite =
               let l =
                 ok_or_fail "cc compile" (Cc.compile_blueprint ~name:"kinds" bp)
               in
-              ok_or_fail "cc run"
-                (Cc.run ~bindings:bp.Blueprint.bindings l.Cc.fn env_c);
+              ok_or_fail "cc run" (l.Backend.bk_run env_c);
               let scalars env =
                 ( Env.has_iscalar env "FLAG",
                   Env.has_fscalar env "FLAG",
@@ -588,7 +639,7 @@ let suite =
               let keys =
                 List.map
                   (fun d ->
-                    (ok_or_fail "compile" (Domain.join d)).Jit.key)
+                    (ok_or_fail "compile" (Domain.join d)).Backend.bk_key)
                   ds
               in
               check_int "one ocamlopt for three requests" 1
@@ -619,10 +670,7 @@ let suite =
                 ok_or_fail "cc compile"
                   (Cc.compile_blueprint ~name:(name ^ "_c") bp)
               in
-              ok_or_fail "cc run"
-                (Cc.run
-                   ~bindings:(bindings @ bp.Blueprint.bindings)
-                   l.Cc.fn env_c);
+              ok_or_fail "cc run" (l.Backend.bk_run ~bindings env_c);
               match Env.diff ~only:e.kernel.Kernel_def.traced env_i env_c with
               | None -> ()
               | Some m -> Alcotest.failf "%s: %s" name m)
@@ -657,8 +705,7 @@ let suite =
           Env.add_iarray env "K" [ (1, 3) ];
           let bp = Blueprint.of_block block in
           let l = ok_or_fail "cc compile" (Cc.compile_blueprint ~name:"wb" bp) in
-          ok_or_fail "cc run"
-            (Cc.run ~bindings:bp.Blueprint.bindings l.Cc.fn env);
+          ok_or_fail "cc run" (l.Backend.bk_run env);
           check_int "T" 8 (Env.iscalar env "T");
           check_int "K(2)" 5 (Env.get_i env "K" [ 2 ]);
           check_bool "S" true (Float.equal (Env.fscalar env "S") 3.5));
@@ -671,7 +718,7 @@ let suite =
             let l =
               ok_or_fail "cc compile" (Cc.compile_blueprint ~name:"fail" bp)
             in
-            Cc.run ~bindings:bp.Blueprint.bindings l.Cc.fn env
+            l.Backend.bk_run env
           in
           (match
              run
@@ -709,12 +756,14 @@ let suite =
                 ok_or_fail "compile" (Cc.compile_blueprint ~name:"cache" bp)
               in
               check_int "one cc run" 1 (Cc.invocations () - c0);
-              check_bool "memo hit" true (l2.Cc.disposition = Jit.Memo);
+              check_bool "memo hit" true
+                (l2.Backend.bk_disposition = Artifact_cache.Memo);
               check_bool "so artifact" true
-                (Filename.check_suffix l1.Cc.so ".so");
+                (Filename.check_suffix l1.Backend.bk_artifact ".so");
               check_bool "disk stats count .so" true
                 ((Artifact_cache.disk_stats ()).Artifact_cache.entries >= 1)));
-      case "C memo hits keep the vectorization remarks" (fun () ->
+      case "C memo hits keep the vectorization remarks, which name the kept \
+            source" (fun () ->
           require_cc ();
           with_private_cache (fun () ->
               (* two scalar results: their write-back is one vector store *)
@@ -727,14 +776,26 @@ let suite =
               in
               let l1 = compile () in
               check_bool "the compiler reported vectorized code" true
-                (l1.Cc.vec_remarks <> []);
-              Sys.remove
-                (Filename.concat (Artifact_cache.dir ())
-                   ("bk_" ^ l1.Cc.key ^ ".vec"));
+                (l1.Backend.bk_remarks <> []);
+              let stem =
+                Filename.concat (Artifact_cache.dir ())
+                  ("bk_" ^ l1.Backend.bk_key)
+              in
+              List.iter
+                (fun r ->
+                  check_bool ("names the kept source: " ^ r) true
+                    (String.starts_with ~prefix:(stem ^ ".c:") r);
+                  check_bool ("names no build directory: " ^ r) false
+                    (contains r ".tmp-"))
+                l1.Backend.bk_remarks;
+              check_bool "the kept source exists" true
+                (Sys.file_exists (stem ^ ".c"));
+              Sys.remove (stem ^ ".vec");
               let l2 = compile () in
-              check_bool "memo hit" true (l2.Cc.disposition = Jit.Memo);
+              check_bool "memo hit" true
+                (l2.Backend.bk_disposition = Artifact_cache.Memo);
               check_bool "same remarks without the .vec file" true
-                (l2.Cc.vec_remarks = l1.Cc.vec_remarks)));
+                (l2.Backend.bk_remarks = l1.Backend.bk_remarks)));
       case "a build that raises leaves no backend wedged" (fun () ->
           require_native ();
           require_cc ();
@@ -805,7 +866,7 @@ let suite =
                   check_bool "evictions counted" true
                     (Artifact_cache.disk_evictions () - e0 >= 1);
                   check_bool "survivor is the newest" true
-                    (Sys.file_exists l2.Jit.cmxs))));
+                    (Sys.file_exists l2.Backend.bk_artifact))));
       qcase ~count:12 "hoisted offsets equal the direct formula (ranks 1-3)"
         gen_hoist_case
         (fun c ->
@@ -883,7 +944,7 @@ let suite =
             emit_ok ~name:"old" [ Stmt.Assign ("REVISION_PROBE", [], B.fc 1.5) ]
           in
           let ocamlopt =
-            Option.value (Sys.getenv_opt "BLOCKC_OCAMLOPT") ~default:"ocamlopt"
+            Result.get_ok (Native.compiler ~var:"BLOCKC_OCAMLOPT" "ocamlopt")
           in
           List.iter
             (fun old_key ->
@@ -903,11 +964,12 @@ let suite =
             ];
           let c0 = Jit.compiler_invocations () in
           let l = ok_or_fail "compile" (Jit.compile_blueprint ~name:"revision" bp) in
-          check_bool "rebuilt, not loaded" true (l.Jit.disposition = Jit.Compiled);
+          check_bool "rebuilt, not loaded" true
+            (l.Backend.bk_disposition = Artifact_cache.Compiled);
           check_int "one ocamlopt run" 1 (Jit.compiler_invocations () - c0);
-          check_string "under the new key" new_key l.Jit.key;
+          check_string "under the new key" new_key l.Backend.bk_key;
           let env = simple_env ~n:1 in
-          ok_or_fail "run" (Jit.run l.Jit.fn env);
+          ok_or_fail "run" (l.Backend.bk_run env);
           check_bool "runs" true (Float.equal (Env.fscalar env "REVISION_PROBE") 2.5));
       case "emitted C is pinned to Emit_c.revision" (fun () ->
           check_string "the pins' revision" pinned_c_revision Emit_c.revision;
@@ -928,7 +990,7 @@ let suite =
             never served" (fun () ->
           require_cc ();
           with_private_cache @@ fun () ->
-          let compiler = Option.get (Cc.compiler ()) in
+          let compiler = Result.get_ok (Native.compiler ~var:"BLOCKC_CC" "cc") in
           let version = Cc.version compiler in
           let bp =
             Blueprint.of_block [ Stmt.Assign ("C_REVISION_PROBE", [], B.fc 2.5) ]
@@ -962,11 +1024,12 @@ let suite =
                   (Filename.quote (stem ^ ".c"))));
           let c0 = Cc.invocations () in
           let l = ok_or_fail "compile" (Cc.compile_blueprint ~name:"revision" bp) in
-          check_bool "rebuilt, not loaded" true (l.Cc.disposition = Jit.Compiled);
+          check_bool "rebuilt, not loaded" true
+            (l.Backend.bk_disposition = Artifact_cache.Compiled);
           check_int "one cc run" 1 (Cc.invocations () - c0);
-          check_string "under the new key" new_key l.Cc.key;
+          check_string "under the new key" new_key l.Backend.bk_key;
           let env = simple_env ~n:1 in
-          ok_or_fail "run" (Cc.run ~bindings:bp.Blueprint.bindings l.Cc.fn env);
+          ok_or_fail "run" (l.Backend.bk_run env);
           check_bool "runs" true
             (Float.equal (Env.fscalar env "C_REVISION_PROBE") 2.5));
       case "an object importing a missing symbol fails to load and is rebuilt"
@@ -996,9 +1059,14 @@ let suite =
                   (Filename.quote (stem ^ ".so"))
                   (Filename.quote (stem ^ ".c"))));
           let corrupt0 = c_corrupt () in
-          let l = ok_or_fail "compile" (Cc.compile_blueprint ~cc ~name:"lu" bp) in
+          let l =
+            ok_or_fail "compile"
+              (with_env "BLOCKC_CC" cc (fun () ->
+                   Cc.compile_blueprint ~name:"lu" bp))
+          in
           check_int "counted corrupt once" 1 (c_corrupt () - corrupt0);
-          check_bool "rebuilt" true (l.Cc.disposition = Jit.Compiled);
+          check_bool "rebuilt" true
+            (l.Backend.bk_disposition = Artifact_cache.Compiled);
           check_bool "the recorded load error names the symbol" true
             (List.exists
                (fun (ev : Obs.event) ->
@@ -1011,8 +1079,7 @@ let suite =
           let env_i = Kernel_def.make_env e.kernel ~bindings ~seed:11 in
           Exec.run env_i e.kernel.Kernel_def.block;
           let env_c = Kernel_def.make_env e.kernel ~bindings ~seed:11 in
-          ok_or_fail "cc run"
-            (Cc.run ~bindings:(bindings @ bp.Blueprint.bindings) l.Cc.fn env_c);
+          ok_or_fail "cc run" (l.Backend.bk_run ~bindings env_c);
           match Env.diff ~only:e.kernel.Kernel_def.traced env_i env_c with
           | None -> ()
           | Some m -> Alcotest.fail m);
@@ -1038,13 +1105,11 @@ let suite =
           let p =
             ok_or_fail "ocaml compile" (Jit.compile_blueprint ~name:"literals" bp)
           in
-          ok_or_fail "plugin run"
-            (Jit.run ~bindings:bp.Blueprint.bindings p.Jit.fn env_o);
+          ok_or_fail "plugin run" (p.Backend.bk_run env_o);
           let l =
             ok_or_fail "cc compile" (Cc.compile_blueprint ~name:"literals" bp)
           in
-          ok_or_fail "cc run"
-            (Cc.run ~bindings:bp.Blueprint.bindings l.Cc.fn env_c);
+          ok_or_fail "cc run" (l.Backend.bk_run env_c);
           List.iteri
             (fun k x ->
               let bits env = Int64.bits_of_float (Env.fscalar env (name k)) in

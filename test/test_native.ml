@@ -26,7 +26,7 @@ let interp_point (e : Blockability.entry) ~bindings ~seed =
 
 (* Derivations and compiled plugins are shared by every case: one
    derivation and one compile per entry, process-wide. *)
-let compiled : (string, Jit.fn * (string * int) list) Hashtbl.t = Hashtbl.create 8
+let compiled : (string, Backend.compiled) Hashtbl.t = Hashtbl.create 8
 
 let compiled_variant (e : Blockability.entry) =
   match Hashtbl.find_opt compiled e.name with
@@ -34,10 +34,9 @@ let compiled_variant (e : Blockability.entry) =
   | None ->
       let { Blocker.result; _ } = ok_or_fail "derive" (Blockability.derive e) in
       let bp = Blueprint.of_block ~shapes:e.kernel.Kernel_def.shapes [ result ] in
-      let l =
+      let c =
         ok_or_fail "compile" (Jit.compile_blueprint ~name:(e.name ^ "_transformed") bp)
       in
-      let c = (l.Jit.fn, bp.Blueprint.bindings) in
       Hashtbl.replace compiled e.name c;
       c
 
@@ -47,11 +46,11 @@ let compiled_variant (e : Blockability.entry) =
 let compiled_matches_point name ?(extra = []) ~bindings ~seed () =
   let e = entry name in
   let reference = interp_point e ~bindings ~seed in
-  let fn, bp_bindings = compiled_variant e in
+  let c = compiled_variant e in
   let bindings = extra @ bindings in
   let env = Kernel_def.make_env e.kernel ~bindings ~seed in
   e.extra_setup env ~bindings;
-  match Jit.run ~bindings:bp_bindings fn env with
+  match c.Backend.bk_run env with
   | Error m -> QCheck2.Test.fail_reportf "%s: native run failed: %s" name m
   | Ok () -> (
       match Env.diff ~only:e.kernel.Kernel_def.traced reference env with
