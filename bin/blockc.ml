@@ -1,7 +1,7 @@
 (* blockc — command-line driver for the blockability toolkit.
 
    Subcommands: list, show, derive, verify, simulate, explain, profile,
-   sections, parse, lower, compile, fuzz, serve, stats.  `blockc
+   sections, parse, lower, compile, fuzz, serve, stats, top.  `blockc
    --explain KERNEL` is a shorthand for the explain subcommand.
 
    Exit convention (uniform across subcommands, see EXIT STATUS in the
@@ -12,6 +12,7 @@
    errors). *)
 
 open Cmdliner
+module J = Json_min
 
 let exits =
   Cmd.Exit.info 0 ~doc:"on success."
@@ -513,97 +514,95 @@ let print_validation (kp : Blockability.kernel_profile) =
 
 (* JSON emission ----------------------------------------------------- *)
 
-let jint i = Json_min.Number (float_of_int i)
-let jstr s = Json_min.String s
-let jobj fields = Json_min.Object fields
-let jarr items = Json_min.Array items
-
 (* A fixed-point figure, read back from its printed digits: the number a
    reader parses is the one the text shows. *)
 let jfixed digits x =
-  Json_min.Number (float_of_string (Printf.sprintf "%.*f" digits x))
+  J.Number (float_of_string (Printf.sprintf "%.*f" digits x))
 
 let json_of_stats (s : Cache.stats) =
-  jobj
+  J.Object
     [
-      ("accesses", jint s.accesses); ("hits", jint s.hits);
-      ("misses", jint s.misses);
-      ("evictions", jint s.evictions);
-      ("cold_misses", jint s.cold_misses);
-      ("capacity_misses", jint s.capacity_misses);
-      ("conflict_misses", jint s.conflict_misses);
+      ("accesses", J.int s.accesses); ("hits", J.int s.hits);
+      ("misses", J.int s.misses);
+      ("evictions", J.int s.evictions);
+      ("cold_misses", J.int s.cold_misses);
+      ("capacity_misses", J.int s.capacity_misses);
+      ("conflict_misses", J.int s.conflict_misses);
     ]
 
 let json_of_counts (c : Trace.ref_counts) =
   [
-    ("accesses", jint c.Trace.c_accesses);
-    ("l1_misses", jint c.Trace.c_l1_misses);
-    ("l2_misses", jint c.Trace.c_l2_misses);
-    ("mem", jint c.Trace.c_mem);
-    ("tlb_misses", jint c.Trace.c_tlb_misses);
-    ("cold", jint c.Trace.c_cold);
-    ("capacity", jint c.Trace.c_capacity);
-    ("conflict", jint c.Trace.c_conflict);
+    ("accesses", J.int c.Trace.c_accesses);
+    ("l1_misses", J.int c.Trace.c_l1_misses);
+    ("l2_misses", J.int c.Trace.c_l2_misses);
+    ("mem", J.int c.Trace.c_mem);
+    ("tlb_misses", J.int c.Trace.c_tlb_misses);
+    ("cold", J.int c.Trace.c_cold);
+    ("capacity", J.int c.Trace.c_capacity);
+    ("conflict", J.int c.Trace.c_conflict);
   ]
 
 let json_of_profile (kp : Blockability.kernel_profile) =
-  jobj
+  J.Object
     ([
-       ("variant", jstr kp.kp_variant);
+       ("variant", J.String kp.kp_variant);
        ( "block",
-         match kp.kp_block with Some b -> jint b | None -> Json_min.Null );
+         match kp.kp_block with Some b -> J.int b | None -> J.Null );
        ( "levels",
-         jarr
+         J.Array
            (List.map
-              (fun (name, s) -> jobj [ ("name", jstr name); ("stats", json_of_stats s) ])
+              (fun (name, s) ->
+                J.Object
+                  [ ("name", J.String name); ("stats", json_of_stats s) ])
               kp.kp_levels) );
        ("tlb", json_of_stats kp.kp_tlb);
-       ("cycles", jint kp.kp_cycles);
+       ("cycles", J.int kp.kp_cycles);
        ( "refs",
-         jarr
+         J.Array
            (List.filter_map
               (fun (r : Trace.ref_profile) ->
                 if r.counts.Trace.c_accesses = 0 then None
                 else
                   Some
-                    (jobj
+                    (J.Object
                        ([
-                          ("id", jint r.site.Exec.ref_id);
-                          ("ref", jstr r.site.Exec.ref_text);
-                          ("kind", jstr (kind_str r.site.Exec.ref_kind));
-                          ("nest", jstr (nest_str r.site));
+                          ("id", J.int r.site.Exec.ref_id);
+                          ("ref", J.String r.site.Exec.ref_text);
+                          ("kind", J.String (kind_str r.site.Exec.ref_kind));
+                          ("nest", J.String (nest_str r.site));
                         ]
                        @ json_of_counts r.counts)))
               kp.kp_refs) );
        ( "loops",
-         jarr
+         J.Array
            (List.filter_map
               (fun (nest, c) ->
                 if c.Trace.c_accesses = 0 then None
-                else Some (jobj (("nest", jstr nest) :: json_of_counts c)))
+                else
+                  Some (J.Object (("nest", J.String nest) :: json_of_counts c)))
               kp.kp_loops) );
        ( "reuse",
-         jobj
+         J.Object
            [
-             ("cold", jint kp.kp_cold);
-             ("footprint_lines", jint kp.kp_footprint_lines);
+             ("cold", J.int kp.kp_cold);
+             ("footprint_lines", J.int kp.kp_footprint_lines);
              ( "histogram",
-               jarr
+               J.Array
                  (List.map
-                    (fun (d, n) -> jarr [ jint d; jint n ])
+                    (fun (d, n) -> J.Array [ J.int d; J.int n ])
                     kp.kp_hist) );
              ( "miss_curve",
-               jarr
+               J.Array
                  (List.map
-                    (fun (l, m) -> jarr [ jint l; jint m ])
+                    (fun (l, m) -> J.Array [ J.int l; J.int m ])
                     kp.kp_miss_curve) );
            ] );
        ( "validation",
          let v = kp.kp_validation in
-         jobj
+         J.Object
            [
-             ("predicted_misses", jint v.Cost.v_predicted);
-             ("simulated_misses", jint v.Cost.v_simulated);
+             ("predicted_misses", J.int v.Cost.v_predicted);
+             ("simulated_misses", J.int v.Cost.v_simulated);
              ("divergence", jfixed 6 v.Cost.v_divergence);
              ("miss_ratio_gap", jfixed 6 v.Cost.v_ratio_gap);
            ] );
@@ -646,11 +645,11 @@ let profile_cmd =
     in
     if json then
       print_endline
-        (Json_min.to_string
-           (jobj
+        (J.to_string
+           (J.Object
               ([
-                 ("kernel", jstr e.Blockability.name);
-                 ("machine", jstr machine.Arch.name);
+                 ("kernel", J.String e.Blockability.name);
+                 ("machine", J.String machine.Arch.name);
                  ("point", json_of_profile point);
                  ("transformed", json_of_profile transformed);
                ]
@@ -659,11 +658,11 @@ let profile_cmd =
               else
                 [
                   ( "sweep",
-                    jarr
+                    J.Array
                       (List.map (fun (_, kp) -> json_of_profile kp) sweep_results)
                   );
                   ( "recommended_block",
-                    jint
+                    J.int
                       (Blocker.choose_block_size ~machine
                          ~sweep:
                            (List.map
@@ -823,21 +822,22 @@ let lower_cmd =
 (* ---- compile ---- *)
 
 let json_of_native (r : Blockability.native_result) =
-  jobj
+  J.Object
     [
-      ("backend", jstr r.nt_backend);
+      ("backend", J.String r.nt_backend);
       ("point_s", jfixed 6 r.nt_point_s);
       ("transformed_s", jfixed 6 r.nt_transformed_s);
       ("speedup", jfixed 4 r.nt_speedup);
-      ("point_cached", Json_min.Bool r.nt_point_cached);
-      ("transformed_cached", Json_min.Bool r.nt_transformed_cached);
+      ("point_cached", J.Bool r.nt_point_cached);
+      ("transformed_cached", J.Bool r.nt_transformed_cached);
       ( "model_speedup",
         match r.nt_model_speedup with
-        | None -> Json_min.Null
+        | None -> J.Null
         | Some x -> jfixed 4 x );
-      ("bindings", jobj (List.map (fun (k, v) -> (k, jint v)) r.nt_bindings));
-      ( "verify_bindings",
-        jobj (List.map (fun (k, v) -> (k, jint v)) r.nt_verify_bindings) );
+      ("bindings", J.int_object r.nt_bindings);
+      ("verify_bindings", J.int_object r.nt_verify_bindings);
+      (* a result exists only if the timed runs agreed *)
+      ("verified_at_timed_size", J.Bool true);
     ]
 
 let print_native (r : Blockability.native_result) =
@@ -849,6 +849,8 @@ let print_native (r : Blockability.native_result) =
      backend]\n"
     (show r.nt_verify_bindings) r.nt_backend;
   Printf.printf "timed at: %s (best of reps)\n" (show r.nt_bindings);
+  print_endline
+    "verified at the timed size: point and transformed bitwise equal";
   let cached c = if c then "  [jit cache hit]" else "  [compiled]" in
   Printf.printf "point:       %10.6f s%s\n" r.nt_point_s
     (cached r.nt_point_cached);
@@ -964,7 +966,7 @@ let compile_cmd =
           prerr_endline ("blockc compile: " ^ m);
           exit 1
       | Ok r ->
-          if json then print_endline (Json_min.to_string (json_of_native r))
+          if json then print_endline (J.to_string (json_of_native r))
           else print_native r
     end
     else
@@ -993,36 +995,15 @@ let compile_cmd =
           backend_or_exit ();
           match Blockability.compile ~backend e variant with
           | Error m -> fail m
+          | Ok c when json ->
+              print_endline
+                (J.to_string (J.Object (Blockability.compiled_fields c)))
           | Ok { c_bp = bp; c_cm = c; _ } ->
-              let disposition =
-                Artifact_cache.disposition_name c.Backend.bk_disposition
-              in
-              if json then
-                print_endline
-                  (Json_min.to_string
-                     (jobj
-                        [
-                          ("kernel", jstr e.Blockability.name);
-                          ("variant", jstr jname);
-                          ("backend", jstr c.Backend.bk_tag);
-                          ("blueprint", jstr bp.Blueprint.key);
-                          ("key", jstr c.Backend.bk_key);
-                          ("disposition", jstr disposition);
-                          ("compile_s", jfixed 6 c.Backend.bk_compile_s);
-                          ("artifact", jstr c.Backend.bk_artifact);
-                          ("cmxs", jstr c.Backend.bk_artifact);
-                          ( "cached",
-                            Json_min.Bool
-                              (c.Backend.bk_disposition
-                              <> Artifact_cache.Compiled) );
-                          ( "vec_remarks",
-                            jarr (List.map jstr c.Backend.bk_remarks) );
-                        ]))
-              else
-                Printf.printf "compiled %s -> %s (blueprint %s, %s, %.3fs)\n"
-                  jname c.Backend.bk_artifact
-                  (String.sub bp.Blueprint.key 0 12)
-                  disposition c.Backend.bk_compile_s)
+              Printf.printf "compiled %s -> %s (blueprint %s, %s, %.3fs)\n"
+                jname c.Backend.bk_artifact
+                (String.sub bp.Blueprint.key 0 12)
+                (Artifact_cache.disposition_name c.Backend.bk_disposition)
+                c.Backend.bk_compile_s)
   in
   Cmd.v
     (Cmd.info "compile"
@@ -1041,54 +1022,55 @@ let compile_cmd =
 (* ---- fuzz ---- *)
 
 let json_of_fuzz (s : Fuzz.summary) =
-  jobj
+  J.Object
     [
-      ("iters", jint s.iters);
-      ("seed", jint s.seed);
-      ("programs", jint s.programs);
-      ("depth_counts", jarr (Array.to_list (Array.map jint s.depth_counts)));
+      ("iters", J.int s.iters);
+      ("seed", J.int s.seed);
+      ("programs", J.int s.programs);
+      ( "depth_counts",
+        J.Array (Array.to_list (Array.map J.int s.depth_counts)) );
       ( "coverage",
-        jobj
+        J.Object
           [
-            ("rect", jint s.rect);
-            ("triangular", jint s.triangular);
-            ("trapezoidal", jint s.trapezoidal);
-            ("guarded", jint s.guarded);
+            ("rect", J.int s.rect);
+            ("triangular", J.int s.triangular);
+            ("trapezoidal", J.int s.trapezoidal);
+            ("guarded", J.int s.guarded);
           ] );
       ( "oracle",
-        jobj
+        J.Object
           [
-            ("checked", jint s.oracle_checked);
-            ("violations", jint s.oracle_violations);
+            ("checked", J.int s.oracle_checked);
+            ("violations", J.int s.oracle_violations);
           ] );
-      ("reparsed", jint s.reparsed);
+      ("reparsed", J.int s.reparsed);
       ( "native",
-        jobj
+        J.Object
           [
-            ("checked", jint s.native_checked);
-            ("c_checked", jint s.native_c_checked);
-            ("divergences", jint s.native_divergences);
-            ("blueprints", jint s.native_blueprints);
-            ("blueprint_reuses", jint s.native_blueprint_reuses);
-            ("unchecked", jint s.native_emitted.Emit.unchecked);
-            ("hoisted", jint s.native_emitted.Emit.hoisted);
-            ("promoted", jint s.native_emitted.Emit.promoted);
-            ("c_raw", jint s.native_c_raw);
+            ("checked", J.int s.native_checked);
+            ("c_checked", J.int s.native_c_checked);
+            ("divergences", J.int s.native_divergences);
+            ("blueprints", J.int s.native_blueprints);
+            ("blueprint_reuses", J.int s.native_blueprint_reuses);
+            ("unchecked", J.int s.native_emitted.Emit.unchecked);
+            ("hoisted", J.int s.native_emitted.Emit.hoisted);
+            ("promoted", J.int s.native_emitted.Emit.promoted);
+            ("c_raw", J.int s.native_c_raw);
           ] );
       ( "passes",
-        jarr
+        J.Array
           (List.map
              (fun (p : Fuzz.pass_stat) ->
-               jobj
+               J.Object
                  [
-                   ("name", jstr p.ps_name);
-                   ("applied", jint p.ps_applied);
-                   ("rejected", jint p.ps_rejected);
-                   ("diverged", jint p.ps_diverged);
+                   ("name", J.String p.ps_name);
+                   ("applied", J.int p.ps_applied);
+                   ("rejected", J.int p.ps_rejected);
+                   ("diverged", J.int p.ps_diverged);
                  ])
              s.passes) );
-      ("failures", jarr (List.map jstr s.failures));
-      ("ok", Json_min.Bool (Fuzz.ok s));
+      ("failures", J.Array (List.map (fun f -> J.String f) s.failures));
+      ("ok", J.Bool (Fuzz.ok s));
     ]
 
 let print_fuzz (s : Fuzz.summary) =
@@ -1178,7 +1160,7 @@ let fuzz_cmd =
         Printf.eprintf "blockc fuzz: %s\n" m;
         exit 2
     | Ok s ->
-        if json then print_endline (Json_min.to_string (json_of_fuzz s))
+        if json then print_endline (J.to_string (json_of_fuzz s))
         else print_fuzz s;
         if not (Fuzz.ok s) then exit 1
   in
@@ -1242,13 +1224,13 @@ let serve_cmd =
        ~doc:
          "Run the batched compile/execute request server: newline-delimited \
           JSON requests ($(b,ping), $(b,derive), $(b,compile), $(b,execute), \
-          $(b,batch), $(b,profile), $(b,status), $(b,shutdown)) over \
+          $(b,batch), $(b,simulate), $(b,status), $(b,shutdown)) over \
           stdin/stdout or a Unix socket, handled by $(b,--workers) request \
           lanes sharing one blueprint-keyed JIT cache."
        ~exits)
     (traced Term.(const run $ socket_arg $ workers_arg))
 
-(* ---- stats: scrape a serve daemon's telemetry over its socket ---- *)
+(* ---- stats and top: clients of a serve daemon's socket ---- *)
 
 let stats_exchange path line =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1272,53 +1254,72 @@ let stats_exchange path line =
           | exception End_of_file ->
               Error "connection closed before a response arrived")
 
-let jfield name = function
-  | Json_min.Object kvs -> List.assoc_opt name kvs
-  | _ -> None
+(* Send one op; the response must say "ok":true. *)
+let request path op =
+  let req = J.to_string (J.Object [ ("op", J.String op) ]) in
+  match stats_exchange path req with
+  | Error _ as e -> e
+  | Ok line -> (
+      match J.parse line with
+      | Error m -> Error ("unparseable response: " ^ m)
+      | Ok resp when J.bool_field "ok" resp = Some true -> Ok resp
+      | Ok _ -> Error ("daemon refused op " ^ op ^ ": " ^ line))
 
-let render_metrics resp =
-  match jfield "metrics" resp with
-  | Some (Json_min.String s) -> Ok s
-  | _ -> Error "response has no \"metrics\" field"
+(* Every [period] seconds, [fetch] and [show] the [n]th result, until
+   [iters] results are shown (0: forever).  A watch survives the daemon
+   restarting or the socket vanishing: a failed fetch is retried with
+   doubling backoff, with one warning line per outage, not an exit. *)
+let watch ~cmd ~path ~period ~iters fetch show =
+  let period = Float.max 0.1 period in
+  let backoff = ref period and down = ref false and n = ref 0 in
+  let continue () = iters <= 0 || !n < iters in
+  while continue () do
+    (match fetch () with
+    | Ok x ->
+        if !down then
+          Printf.eprintf "blockc %s: reconnected to %s\n%!" cmd path;
+        down := false;
+        backoff := period;
+        incr n;
+        show !n x
+    | Error m ->
+        if not !down then begin
+          Printf.eprintf "blockc %s: %s — retrying with backoff\n%!" cmd m;
+          down := true
+        end;
+        backoff := Float.min 30.0 (!backoff *. 2.));
+    if continue () then Unix.sleepf (if !down then !backoff else period)
+  done
 
-let render_flame resp =
-  match jfield "folded" resp with
-  | Some (Json_min.String s) -> Ok s
-  | _ -> Error "response has no \"folded\" field"
+let text_field name resp =
+  match J.string_field name resp with
+  | Some s -> Ok s
+  | None -> Error (Printf.sprintf "response has no %S field" name)
 
 (* One flight-recorder event per line: timestamp, kind, track, name and
    the trace ids — the human-readable view of the [dump] op. *)
 let render_dump resp =
-  match jfield "events" resp with
-  | Some (Json_min.Array evs) ->
+  match J.field "events" resp with
+  | Some (J.Array evs) ->
       let b = Buffer.create 1024 in
-      (match (jfield "n" resp, jfield "capacity" resp) with
-      | Some (Json_min.Number n), Some (Json_min.Number cap) ->
+      (match (J.int_field "n" resp, J.int_field "capacity" resp) with
+      | Some n, Some cap ->
           Buffer.add_string b
-            (Printf.sprintf "# flight recorder: %d of %d slots\n"
-               (int_of_float n) (int_of_float cap))
+            (Printf.sprintf "# flight recorder: %d of %d slots\n" n cap)
       | _ -> ());
       List.iter
         (fun ev ->
-          let str k =
-            match jfield k ev with Some (Json_min.String s) -> s | _ -> "?"
-          in
-          let num k =
-            match jfield k ev with
-            | Some (Json_min.Number x) -> int_of_float x
-            | _ -> 0
-          in
+          let str k = Option.value (J.string_field k ev) ~default:"?" in
           Buffer.add_string b
             (Printf.sprintf "%s %-2s t%d %-11s %s" (str "ts") (str "kind")
-               (num "track") (str "cat") (str "name"));
-          (match jfield "trace" ev with
-          | Some (Json_min.String t) ->
-              Buffer.add_string b (Printf.sprintf " trace=%s" t)
-          | _ -> ());
-          (match jfield "args" ev with
-          | Some (Json_min.Object kvs) when kvs <> [] ->
-              Buffer.add_string b
-                (" " ^ Json_min.to_string (Json_min.Object kvs))
+               (Option.value (J.int_field "track" ev) ~default:0)
+               (str "cat") (str "name"));
+          Option.iter
+            (fun t -> Buffer.add_string b (Printf.sprintf " trace=%s" t))
+            (J.string_field "trace" ev);
+          (match J.field "args" ev with
+          | Some (J.Object kvs as args) when kvs <> [] ->
+              Buffer.add_string b (" " ^ J.to_string args)
           | _ -> ());
           Buffer.add_char b '\n')
         evs;
@@ -1362,7 +1363,7 @@ let stats_cmd =
              metrics exposition; the output feeds flamegraph.pl or \
              speedscope directly.")
   in
-  let run socket watch dump flame () =
+  let run socket every dump flame () =
     let path =
       match socket with
       | Some p -> p
@@ -1372,62 +1373,31 @@ let stats_cmd =
              serve --socket PATH` daemon)";
           exit 2
     in
-    let req, render =
-      if dump then ({|{"op":"dump"}|}, render_dump)
-      else if flame then ({|{"op":"flame"}|}, render_flame)
-      else ({|{"op":"metrics"}|}, render_metrics)
+    let op, render =
+      if dump then ("dump", render_dump)
+      else if flame then ("flame", text_field "folded")
+      else ("metrics", text_field "metrics")
     in
-    let once () =
-      match stats_exchange path req with
-      | Error _ as e -> e
-      | Ok line -> (
-          match Json_min.parse line with
-          | Error m -> Error ("unparseable response: " ^ m)
-          | Ok resp -> (
-              match jfield "ok" resp with
-              | Some (Json_min.Bool true) -> render resp
-              | _ -> Error ("daemon refused the request: " ^ line)))
-    in
+    let fetch () = Result.bind (request path op) render in
     let print_text text =
       print_string text;
       if text = "" || text.[String.length text - 1] <> '\n' then
         print_newline ();
       flush stdout
     in
-    match watch with
+    match every with
     | None -> (
-        match once () with
+        match fetch () with
         | Ok text -> print_text text
         | Error m ->
             Printf.eprintf "blockc stats: %s\n" m;
             exit 2)
-    | Some secs ->
-        (* A watch must survive the daemon restarting or the socket
-           vanishing mid-flight: reconnect with doubling backoff and
-           one warning line per outage, not an exit. *)
-        let period = Float.max 0.1 secs in
-        let backoff = ref period in
-        let down = ref false in
-        while true do
-          (match once () with
-          | Ok text ->
-              if !down then
-                Printf.eprintf "blockc stats: reconnected to %s\n%!" path;
-              down := false;
-              backoff := period;
-              let t = Unix.localtime (Unix.gettimeofday ()) in
-              Printf.printf "--- %02d:%02d:%02d %s\n" t.Unix.tm_hour
-                t.Unix.tm_min t.Unix.tm_sec path;
-              print_text text
-          | Error m ->
-              if not !down then begin
-                Printf.eprintf
-                  "blockc stats: %s — retrying with backoff\n%!" m;
-                down := true
-              end;
-              backoff := Float.min 30.0 (!backoff *. 2.));
-          Unix.sleepf (if !down then !backoff else period)
-        done
+    | Some period ->
+        watch ~cmd:"stats" ~path ~period ~iters:0 fetch (fun _ text ->
+            let t = Unix.localtime (Unix.gettimeofday ()) in
+            Printf.printf "--- %02d:%02d:%02d %s\n" t.Unix.tm_hour
+              t.Unix.tm_min t.Unix.tm_sec path;
+            print_text text)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -1504,23 +1474,6 @@ let top_cmd =
             "Stop after $(docv) refreshes instead of running until \
              interrupted (0 = forever).")
   in
-  let scrape path op =
-    match stats_exchange path (Printf.sprintf {|{"op":%S}|} op) with
-    | Error _ as e -> e
-    | Ok line -> (
-        match Json_min.parse line with
-        | Error m -> Error ("unparseable response: " ^ m)
-        | Ok resp -> (
-            match jfield "ok" resp with
-            | Some (Json_min.Bool true) -> Ok resp
-            | _ -> Error ("daemon refused op " ^ op ^ ": " ^ line)))
-  in
-  let jnum resp name =
-    match jfield name resp with
-    | Some (Json_min.Number f) -> Some f
-    | _ -> None
-  in
-  let jnum0 resp name = Option.value (jnum resp name) ~default:0.0 in
   let fmt_rate = function
     | None -> "-"
     | Some r when Float.abs r >= 1e6 -> Printf.sprintf "%.2fM/s" (r /. 1e6)
@@ -1648,25 +1601,23 @@ let top_cmd =
     (match status with
     | None -> ()
     | Some st ->
+        let num j name = Option.value (J.number_field name j) ~default:0.0 in
+        let ocaml =
+          Option.bind (J.field "cache" st) (J.field "ocaml")
+          |> Option.value ~default:J.Null
+        in
         Buffer.add_string b
           (Printf.sprintf
              "jit: memo %.0f entries, %.0f hits | disk %.0f hits, %.0f \
               artifacts, %s, oldest %.0fs | ocamlopt %.0f\n"
-             (jnum0 st "memo_size") (jnum0 st "memo_hits")
-             (jnum0 st "disk_hits")
-             (jnum0 st "disk_entries")
-             (fmt_bytes (jnum0 st "disk_bytes"))
-             (jnum0 st "disk_oldest_age_s")
-             (jnum0 st "compiler_invocations"));
-        let running =
-          match jfield "sampler_running" st with
-          | Some (Json_min.Bool true) -> true
-          | _ -> false
-        in
+             (num ocaml "loaded") (num ocaml "memo_hits")
+             (num ocaml "disk_hits") (num st "disk_entries")
+             (fmt_bytes (num st "disk_bytes"))
+             (num st "disk_oldest_age_s") (num ocaml "builds"));
         Buffer.add_string b
-          (if running then
+          (if J.bool_field "sampler_running" st = Some true then
              Printf.sprintf "sampler: %g Hz, %.0f samples\n"
-               (jnum0 st "sampler_hz") (jnum0 st "sampler_samples")
+               (num st "sampler_hz") (num st "sampler_samples")
            else "sampler: off (BLOCKC_PROFILE_HZ or the flame op starts it)\n"));
     Buffer.contents b
   in
@@ -1680,47 +1631,26 @@ let top_cmd =
              serve --socket PATH` daemon)";
           exit 2
     in
-    let interval = Float.max 0.1 interval in
     let clear = Unix.isatty Unix.stdout in
     let prev = ref None in
-    let iter = ref 0 in
-    let down = ref false in
-    let backoff = ref interval in
-    let continue () = iters <= 0 || !iter < iters in
-    while continue () do
+    let fetch () =
       let t_scrape = float_of_int (Obs.now_ns ()) /. 1e9 in
-      (match scrape path "metrics" with
-      | Error m ->
-          if not !down then begin
-            Printf.eprintf "blockc top: %s — retrying with backoff\n%!" m;
-            down := true
-          end;
-          backoff := Float.min 30.0 (!backoff *. 2.)
-      | Ok metrics_resp ->
-          if !down then Printf.eprintf "blockc top: reconnected to %s\n%!" path;
-          down := false;
-          backoff := interval;
-          incr iter;
-          let samples =
-            match jfield "metrics" metrics_resp with
-            | Some (Json_min.String s) -> parse_prom s
-            | _ -> []
-          in
-          let status = Result.to_option (scrape path "status") in
-          let dt_s =
-            match !prev with Some (_, t_old) -> t_scrape -. t_old | None -> 0.0
-          in
-          let text =
-            render ~path ~iter:!iter ~dt_s
-              (Option.map (fun (s, t) -> (s, t)) !prev)
-              samples status
-          in
-          if clear then print_string "\027[2J\027[H";
-          print_string text;
-          flush stdout;
-          prev := Some (samples, t_scrape));
-      if continue () then Unix.sleepf (if !down then !backoff else interval)
-    done
+      Result.map (fun resp -> (t_scrape, resp)) (request path "metrics")
+    in
+    watch ~cmd:"top" ~path ~period:interval ~iters fetch
+    @@ fun iter (t_scrape, metrics) ->
+    let samples =
+      Option.fold ~none:[] ~some:parse_prom (J.string_field "metrics" metrics)
+    in
+    let status = Result.to_option (request path "status") in
+    let dt_s =
+      match !prev with Some (_, t_old) -> t_scrape -. t_old | None -> 0.0
+    in
+    let text = render ~path ~iter ~dt_s !prev samples status in
+    if clear then print_string "\027[2J\027[H";
+    print_string text;
+    flush stdout;
+    prev := Some (samples, t_scrape)
   in
   Cmd.v
     (Cmd.info "top"

@@ -71,7 +71,7 @@ type 'a kind = {
   prefix : string;
   ext : string;
   keep : string list;
-  table : (string, 'a) Hashtbl.t;
+  table : (string, 'a * string) Hashtbl.t; (* value, path it was loaded from *)
   in_flight : (string, unit) Hashtbl.t;
   counts : int array;
   metrics : Obs.Metrics.counter array;
@@ -315,9 +315,9 @@ let get k ~key ~build ~load =
   let path = Filename.concat (dir ()) (k.prefix ^ key ^ k.ext) in
   let rec claim waited =
     match Hashtbl.find_opt k.table key with
-    | Some value ->
+    | Some hit ->
         bump k s_memo;
-        Some value
+        Some hit
     | None when Hashtbl.mem k.in_flight key ->
         if not waited then bump k s_wait;
         Condition.wait done_cond mu;
@@ -327,7 +327,7 @@ let get k ~key ~build ~load =
         None
   in
   match locked (fun () -> claim false) with
-  | Some value -> Ok { value; path; disposition = Memo; build_s = 0.0 }
+  | Some (value, path) -> Ok { value; path; disposition = Memo; build_s = 0.0 }
   | None ->
       (* Whatever happens, the key leaves [in_flight]: a build that
          raised would otherwise leave its waiters blocked forever. *)
@@ -338,7 +338,7 @@ let get k ~key ~build ~load =
       locked (fun () ->
           (match r with
           | Ok e ->
-              Hashtbl.replace k.table key e.value;
+              Hashtbl.replace k.table key (e.value, e.path);
               if e.disposition = Disk then bump k s_disk
           | Error _ -> ());
           Hashtbl.remove k.in_flight key;

@@ -64,7 +64,10 @@ val kind : ?keep:string list -> string -> prefix:string -> ext:string -> 'a kind
 
 type 'a entry = {
   value : 'a;
-  path : string;  (** the entry's file in the cache *)
+  path : string;
+      (** the entry's file: on a [Memo] hit, the one it was loaded
+          from, which is in another directory if [BLOCKC_JIT_CACHE]
+          changed since *)
   disposition : disposition;
   build_s : float;  (** wall seconds in [build]; 0 unless [Compiled] *)
 }

@@ -558,6 +558,41 @@ let compile ~backend entry variant =
               c_cm = cm;
             })
 
+(* Where the artifact came from and, for a transformed variant, where
+   its derivation came from. *)
+let disposition_fields c =
+  ( "disposition",
+    Json_min.String
+      (Artifact_cache.disposition_name c.c_cm.Backend.bk_disposition) )
+  ::
+  (match c.c_derivation with
+  | Some Artifact_cache.Compiled ->
+      [ ("derivation", Json_min.String "derived") ]
+  | Some d ->
+      [ ("derivation", Json_min.String (Artifact_cache.disposition_name d)) ]
+  | None -> [])
+
+let compiled_fields c =
+  let cm = c.c_cm in
+  [
+    ("kernel", Json_min.String c.c_entry.name);
+    ("variant", Json_min.String (variant_name c.c_variant));
+    ("backend", Json_min.String cm.Backend.bk_tag);
+    ("blueprint", Json_min.String c.c_bp.Blueprint.key);
+    ("key", Json_min.String cm.Backend.bk_key);
+  ]
+  @ disposition_fields c
+  @ [
+      ("compile_s", Json_min.Number cm.Backend.bk_compile_s);
+      ( "cached",
+        Json_min.Bool (cm.Backend.bk_disposition <> Artifact_cache.Compiled) );
+      ("artifact", Json_min.String cm.Backend.bk_artifact);
+      ("hoisted", Json_min.int_object c.c_bp.Blueprint.bindings);
+      ( "vec_remarks",
+        Json_min.Array
+          (List.map (fun r -> Json_min.String r) cm.Backend.bk_remarks) );
+    ]
+
 type native_result = {
   nt_backend : string;
   nt_point_s : float;
@@ -588,25 +623,23 @@ let native_verify ?block c ~bindings ~seed =
               Env.diff ~only:c.c_entry.kernel.Kernel_def.traced env_i env_n))
 
 (* The best of [reps] runs, each on a fresh environment built outside
-   the clock. *)
+   the clock, and the last run's environment. *)
 let time_runs make_env run ~reps =
-  let best = ref infinity in
-  let failed = ref None in
-  for _ = 1 to max 1 reps do
-    if !failed = None then begin
-      let env = make_env () in
-      let t0 = Obs.now_ns () in
-      match run env with
-      | Error m -> failed := Some m
-      | Ok () ->
-          let dt = float_of_int (Obs.now_ns () - t0) /. 1e9 in
-          if dt < !best then best := dt
-    end
-  done;
-  match !failed with Some m -> Error m | None -> Ok !best
+  let rec go best i =
+    let env = make_env () in
+    let t0 = Obs.now_ns () in
+    match run env with
+    | Error m -> Error m
+    | Ok () ->
+        let dt = float_of_int (Obs.now_ns () - t0) /. 1e9 in
+        let best = Float.min best dt in
+        if i < reps then go best (i + 1) else Ok (best, env)
+  in
+  go infinity 1
 
 let native_time kernel run ~bindings ~seed ~reps =
   time_runs (fun () -> Kernel_def.make_env kernel ~bindings ~seed) run ~reps
+  |> Result.map fst
 
 let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
     ?verify_bindings ?(seed = 42) ?(reps = 3) ?block entry =
@@ -638,8 +671,18 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
              (fun () -> env ?block entry c.c_variant ~bindings ~seed)
              (fun env -> c.c_cm.Backend.bk_run env) ~reps)
       in
-      let* tp = time point in
-      let* tt = time transformed in
+      let* tp, env_p = time point in
+      let* tt, env_t = time transformed in
+      (* Point and transformed agree bitwise at the verified size; the
+         timed size gets the same check, outside the clock. *)
+      let* () =
+        match Env.diff ~only:entry.kernel.Kernel_def.traced env_p env_t with
+        | None -> Ok ()
+        | Some m ->
+            Error
+              (entry.name ^ ": timed runs diverge (point vs transformed): "
+             ^ m)
+      in
       (* The cache model simulates the two blocks just compiled. *)
       let s =
         simulate_blocks ~machine:Arch.rs6000_540 entry

@@ -174,6 +174,23 @@ val compile :
     artifact per loop structure, whatever the sizes).  The artifact is
     named [<entry>_<variant>] in diagnostics and spans. *)
 
+val compiled_fields : compiled -> (string * Json_min.t) list
+(** The one JSON form of a compile, printed by [blockc compile --json]
+    and by serve's [compile] op after its ["id"] and ["ok"]:
+    ["kernel"], ["variant"] (["point"] or ["transformed"]),
+    ["backend"], ["blueprint"], ["key"], then {!disposition_fields},
+    ["compile_s"], ["cached"] (not [Compiled]), ["artifact"] (the
+    on-disk path), ["hoisted"] (the blueprint's bindings) and
+    ["vec_remarks"] (the C compiler's vectorization remarks; [[]] on
+    OCaml). *)
+
+val disposition_fields : compiled -> (string * Json_min.t) list
+(** ["disposition"]: where the artifact came from (["memo"], ["disk"]
+    or ["compiled"]); for a transformed variant also ["derivation"]:
+    where its derived IR came from (["memo"], ["disk"] or
+    ["derived"]).  Serve's [execute] and [batch] responses carry these
+    too. *)
+
 (** Wall-clock comparison of the point and transformed variants compiled
     to native code (see {!Jit}).  Times are best-of-[reps] for one full
     kernel run; [cached] flags report whether the plugin came from the
@@ -207,12 +224,14 @@ val native_compare :
     allocator in the loop), check each is bitwise equal to the
     interpreter at [verify_bindings] (default: the entry's small
     default problem), then time both at [bindings] (default likewise —
-    pass something larger for meaningful numbers).  [block] overrides
-    the KS binding as in {!profile}.  Environments come from {!env},
-    and [nt_model_speedup] simulates the two blocks compiled, so a call
-    looks its derivation up once and derives at most once.  Any
-    divergence from the interpreter is an [Error]: the native path
-    never trades correctness for speed. *)
+    pass something larger for meaningful numbers), and check that the
+    last timed runs of the two variants agree bitwise, outside the
+    clock.  [block] overrides the KS binding as in {!profile}.
+    Environments come from {!env}, and [nt_model_speedup] simulates
+    the two blocks compiled, so a call looks its derivation up once
+    and derives at most once.  Any
+    divergence, from the interpreter or between the timed runs, is an
+    [Error]: the native path never trades correctness for speed. *)
 
 val native_time :
   Kernel_def.t ->

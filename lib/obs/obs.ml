@@ -228,52 +228,41 @@ let string_of_value = function
   | Float f -> Printf.sprintf "%g" f
   | Bool b -> string_of_bool b
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_of_value buf = function
-  | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape s);
-      Buffer.add_char buf '"'
-  | Int n -> Buffer.add_string buf (string_of_int n)
-  | Float f -> Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-
-let json_of_args buf args =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape k);
-      Buffer.add_string buf "\":";
-      json_of_value buf v)
-    args;
-  Buffer.add_char buf '}'
-
 let kind_name = function Begin -> "begin" | End -> "end" | Instant -> "instant"
 
-(* Trace-context args shared by the jsonl and chrome renderings. *)
+(* Trace-context args shared by every rendering. *)
 let ctx_args ev =
   if ev.trace = 0 then []
   else
     ("trace", Str (Ctx.id_hex ev.trace))
     :: ("span", Str (Ctx.id_hex ev.span_id))
     :: (if ev.parent = 0 then [] else [ ("parent", Str (Ctx.id_hex ev.parent)) ])
+
+let json_fields args =
+  List.map
+    (fun (k, v) ->
+      ( k,
+        match v with
+        | Str s -> Json_min.String s
+        | Int n -> Json_min.int n
+        | Float f -> Json_min.Number f
+        | Bool b -> Json_min.Bool b ))
+    args
+
+let json_of_event ev =
+  Json_min.Object
+    ([
+       ("name", Json_min.String ev.name);
+       ("cat", Json_min.String ev.cat);
+       ("kind", Json_min.String (kind_name ev.kind));
+       (* boot-relative nanoseconds pass 2^53, where a Json_min number
+          stops being exact, after 104 days of uptime *)
+       ("ts", Json_min.String (string_of_int ev.ts));
+       ("depth", Json_min.int ev.depth);
+       ("track", Json_min.int ev.track);
+     ]
+    @ json_fields (ctx_args ev)
+    @ [ ("args", Json_min.Object (json_fields ev.args)) ])
 
 let text oc =
   let emit ev =
@@ -289,28 +278,7 @@ let text oc =
 
 let jsonl oc =
   let emit ev =
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf "{\"name\":\"";
-    Buffer.add_string buf (json_escape ev.name);
-    Buffer.add_string buf "\",\"cat\":\"";
-    Buffer.add_string buf (json_escape ev.cat);
-    Buffer.add_string buf "\",\"kind\":\"";
-    Buffer.add_string buf (kind_name ev.kind);
-    Buffer.add_string buf
-      (Printf.sprintf "\",\"ts\":%d,\"depth\":%d,\"track\":%d" ev.ts ev.depth
-         ev.track);
-    if ev.trace <> 0 then begin
-      Buffer.add_string buf
-        (Printf.sprintf ",\"trace\":\"%s\",\"span\":\"%s\"" (Ctx.id_hex ev.trace)
-           (Ctx.id_hex ev.span_id));
-      if ev.parent <> 0 then
-        Buffer.add_string buf
-          (Printf.sprintf ",\"parent\":\"%s\"" (Ctx.id_hex ev.parent))
-    end;
-    Buffer.add_string buf ",\"args\":";
-    json_of_args buf ev.args;
-    Buffer.add_char buf '}';
-    output_string oc (Buffer.contents buf);
+    output_string oc (Json_min.to_string (json_of_event ev));
     output_char oc '\n'
   in
   { emit; flush_sink = (fun () -> Stdlib.flush oc) }
@@ -318,29 +286,32 @@ let jsonl oc =
 let chrome oc =
   let events = ref [] in
   let emit ev = events := ev :: !events in
+  let chrome_event ev =
+    let ph = match ev.kind with Begin -> "B" | End -> "E" | Instant -> "i" in
+    Json_min.Object
+      ([
+         ("name", Json_min.String ev.name);
+         ("cat", Json_min.String ev.cat);
+         ("ph", Json_min.String ph);
+         ("ts", Json_min.Number (float_of_int ev.ts /. 1e3));
+         ("pid", Json_min.int 1);
+         (* One Chrome "thread" track per emitting domain (+1 keeps the
+            main domain on the historical tid 1). *)
+         ("tid", Json_min.int (ev.track + 1));
+       ]
+      @ (match ev.kind with
+        | Instant -> [ ("s", Json_min.String "t") ]
+        | Begin | End -> [])
+      @ [ ("args", Json_min.Object (json_fields (ctx_args ev @ ev.args))) ])
+  in
   let flush_sink () =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\"traceEvents\":[";
-    List.iteri
-      (fun i ev ->
-        if i > 0 then Buffer.add_char buf ',';
-        let ph = match ev.kind with Begin -> "B" | End -> "E" | Instant -> "i" in
-        (* One Chrome "thread" track per emitting domain (+1 keeps the
-           main domain on the historical tid 1). *)
-        Buffer.add_string buf
-          (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-             (json_escape ev.name) (json_escape ev.cat) ph
-             (float_of_int ev.ts /. 1e3)
-             (ev.track + 1));
-        (match ev.kind with
-        | Instant -> Buffer.add_string buf ",\"s\":\"t\""
-        | Begin | End -> ());
-        Buffer.add_string buf ",\"args\":";
-        json_of_args buf (ctx_args ev @ ev.args);
-        Buffer.add_char buf '}')
-      (List.rev !events);
-    Buffer.add_string buf "]}";
-    output_string oc (Buffer.contents buf);
+    output_string oc
+      (Json_min.to_string
+         (Json_min.Object
+            [
+              ( "traceEvents",
+                Json_min.Array (List.rev_map chrome_event !events) );
+            ]));
     output_char oc '\n';
     Stdlib.flush oc
   in

@@ -1,8 +1,8 @@
 (** Observability: structured events, spans, trace contexts, decision
     tracing, a flight recorder and runtime metrics for the whole stack.
 
-    Depends only on the stdlib, [unix] and bechamel's monotonic clock
-    (see {!now_ns}); the
+    Depends only on the stdlib, [unix], bechamel's monotonic clock
+    (see {!now_ns}) and {!Json_min}; the
     runtime library sits below every other subsystem and links this.
     The disabled state is the default and near-free: [enabled ()] is a
     single bool-ref read, so hot paths guard with
@@ -76,9 +76,16 @@ val null : sink
 val text : out_channel -> sink
 (** One indented human-readable line per event. *)
 
+val json_of_event : event -> Json_min.t
+(** The one JSON form of an event, written by the [json] sink and
+    embedded by serve's [dump] op: [name], [cat], [kind] (["begin"],
+    ["end"] or ["instant"]), [ts] as a decimal string (boot-relative
+    nanoseconds pass 2{^53}, where a {!Json_min} number stops being
+    exact, after 104 days of uptime), [depth], [track], under a trace
+    the [trace]/[span]/[parent] hex ids, and [args] as an object. *)
+
 val jsonl : out_channel -> sink
-(** One JSON object per line (parseable by [Json_min]); carries
-    [track] and, under a trace, [trace]/[span]/[parent] hex ids. *)
+(** One {!json_of_event} object per line. *)
 
 val chrome : out_channel -> sink
 (** Chrome [trace_event] format: buffers events, writes the complete

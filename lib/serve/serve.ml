@@ -2,20 +2,14 @@
 
 module J = Json_min
 
-(* ---- JSON construction helpers ---------------------------------- *)
-
 (* Json_min escapes string contents on output, so raw messages (with
    quotes, newlines, compiler stderr) can be wrapped directly. *)
-let jstr s = J.String s
-let jint n = J.Number (float_of_int n)
-let jbindings bs = J.Object (List.map (fun (k, v) -> (k, jint v)) bs)
-
 let wrap ?id ok fields =
   let fields = ("ok", J.Bool ok) :: fields in
   J.Object (match id with None -> fields | Some id -> ("id", id) :: fields)
 
 let errorf ?id fmt =
-  Printf.ksprintf (fun m -> wrap ?id false [ ("error", jstr m) ]) fmt
+  Printf.ksprintf (fun m -> wrap ?id false [ ("error", J.String m) ]) fmt
 
 (* ---- request telemetry ------------------------------------------- *)
 
@@ -80,19 +74,7 @@ let record_gc_delta tm p0 p1 =
   tm.t_allocated_words <-
     int_of_float (allocated_words p1 -. allocated_words p0)
 
-let ok_of resp =
-  match resp with
-  | J.Object kvs -> (
-      match List.assoc_opt "ok" kvs with Some (J.Bool b) -> b | _ -> true)
-  | _ -> true
-
-let error_text resp =
-  match resp with
-  | J.Object kvs -> (
-      match List.assoc_opt "error" kvs with
-      | Some (J.String s) -> Some s
-      | _ -> None)
-  | _ -> None
+let ok_of resp = Option.value (J.bool_field "ok" resp) ~default:true
 
 (* Labelled error accounting: [serve.errors] total plus one
    [serve.errors{class=...}] counter per failure class ("parse",
@@ -187,32 +169,21 @@ let with_telemetry ~trace_hex ~queue_ns ~tm ~total_ns resp =
                  clients strip or match the whole block with {[^}]*}. *)
               J.Object
                 [
-                  ("queue_ns", jint queue_ns);
-                  ("compile_ns", jint tm.t_compile_ns);
-                  ("exec_ns", jint tm.t_exec_ns);
-                  ("total_ns", jint total_ns);
-                  ("minor_gcs", jint tm.t_minor_gcs);
-                  ("major_gcs", jint tm.t_major_gcs);
-                  ("promoted_words", jint tm.t_promoted_words);
-                  ("allocated_words", jint tm.t_allocated_words);
+                  ("queue_ns", J.int queue_ns);
+                  ("compile_ns", J.int tm.t_compile_ns);
+                  ("exec_ns", J.int tm.t_exec_ns);
+                  ("total_ns", J.int total_ns);
+                  ("minor_gcs", J.int tm.t_minor_gcs);
+                  ("major_gcs", J.int tm.t_major_gcs);
+                  ("promoted_words", J.int tm.t_promoted_words);
+                  ("allocated_words", J.int tm.t_allocated_words);
                 ] );
           ])
   | other -> other
 
 (* ---- request decoding ------------------------------------------- *)
 
-let field req name =
-  match req with J.Object kvs -> List.assoc_opt name kvs | _ -> None
-
-let str_field req name =
-  match field req name with Some (J.String s) -> Some s | _ -> None
-
-let as_int = function
-  | J.Number f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
-
-let int_field req name = Option.bind (field req name) as_int
-let request_id req = field req "id"
+let request_id req = J.field "id" req
 
 let bindings_of_json j =
   match j with
@@ -220,7 +191,7 @@ let bindings_of_json j =
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | (k, v) :: rest -> (
-            match as_int v with
+            match J.as_int v with
             | Some n -> go ((k, n) :: acc) rest
             | None -> Error ("binding " ^ k ^ " is not an integer"))
       in
@@ -228,16 +199,16 @@ let bindings_of_json j =
   | _ -> Error "bindings must be an object of integers"
 
 let bindings_field req =
-  match field req "bindings" with
+  match J.field "bindings" req with
   | None -> Ok []
   | Some j -> bindings_of_json j
 
-let seed_field req = Option.value (int_field req "seed") ~default:42
+let seed_field req = Option.value (J.int_field "seed" req) ~default:42
 
 (* ---- kernel / variant plumbing ---------------------------------- *)
 
 let kernel_of req =
-  match str_field req "kernel" with
+  match J.string_field "kernel" req with
   | None -> Error "missing \"kernel\""
   | Some name -> (
       match Blockability.find name with
@@ -249,7 +220,7 @@ let kernel_of req =
             ^ ")"))
 
 let variant_of req =
-  match Option.value (str_field req "variant") ~default:"point" with
+  match Option.value (J.string_field "variant" req) ~default:"point" with
   | "point" -> Ok Blockability.Point
   | "transformed" -> Ok Blockability.Transformed
   | v -> Error ("unknown variant \"" ^ v ^ "\" (point | transformed)")
@@ -259,17 +230,13 @@ let variant_of req =
    field only costs a compile the first time a (kernel, variant,
    backend) triple is seen. *)
 let backend_of req =
-  let tag = Option.value (str_field req "backend") ~default:"ocaml" in
+  let tag = Option.value (J.string_field "backend" req) ~default:"ocaml" in
   match Backend.of_tag tag with
   | Some b -> Ok b
   | None ->
       Error
         (Printf.sprintf "unknown backend \"%s\" (%s)" tag
            (String.concat " | " Backend.names))
-
-let derivation_name = function
-  | Artifact_cache.Compiled -> "derived"
-  | d -> Artifact_cache.disposition_name d
 
 let compile_variant ~tm ~backend entry variant =
   let t0 = Obs.now_ns () in
@@ -309,45 +276,18 @@ let run_one ?tm (c : Blockability.compiled) ~bindings ~seed =
 
 (* ---- per-op handlers -------------------------------------------- *)
 
-(* Where the artifact came from, and for a transformed variant where
-   its derivation came from. *)
-let disposition_fields (c : Blockability.compiled) =
-  ( "disposition",
-    jstr (Artifact_cache.disposition_name c.c_cm.Backend.bk_disposition) )
-  ::
-  (match c.c_derivation with
-  | Some d -> [ ("derivation", jstr (derivation_name d)) ]
-  | None -> [])
-
-let compile_fields (c : Blockability.compiled) =
-  [
-    ("kernel", jstr c.c_entry.Blockability.name);
-    ("variant", jstr (Blockability.variant_name c.c_variant));
-    ("backend", jstr c.c_cm.Backend.bk_tag);
-    ("blueprint", jstr c.c_bp.Blueprint.key);
-    ("key", jstr c.c_cm.Backend.bk_key);
-  ]
-  @ disposition_fields c
-  @ [
-    ("compile_s", J.Number c.c_cm.Backend.bk_compile_s);
-    ( "cached",
-      J.Bool (c.c_cm.Backend.bk_disposition <> Artifact_cache.Compiled) );
-    (* "cmxs" kept for older clients; "artifact" is backend-neutral *)
-    ("cmxs", jstr c.c_cm.Backend.bk_artifact);
-    ("artifact", jstr c.c_cm.Backend.bk_artifact);
-    ("hoisted", jbindings c.c_bp.Blueprint.bindings);
-  ]
-
 let handle_kernels ?id () =
   let one (e : Blockability.entry) =
     J.Object
       [
-        ("name", jstr e.Blockability.name);
-        ("paper_ref", jstr e.Blockability.paper_ref);
+        ("name", J.String e.Blockability.name);
+        ("paper_ref", J.String e.Blockability.paper_ref);
         ( "params",
           J.Array
-            (List.map jstr e.Blockability.kernel.Kernel_def.params) );
-        ("default_bindings", jbindings e.Blockability.default_bindings);
+            (List.map
+               (fun p -> J.String p)
+               e.Blockability.kernel.Kernel_def.params) );
+        ("default_bindings", J.int_object e.Blockability.default_bindings);
         ("blockable", J.Bool e.Blockability.blockable);
       ]
   in
@@ -365,24 +305,24 @@ let handle_derive ?id req =
              outcome for a non-blockable kernel, not a server error. *)
           wrap ?id true
             [
-              ("kernel", jstr name);
+              ("kernel", J.String name);
               ("blockable", J.Bool false);
-              ("reason", jstr reason);
+              ("reason", J.String reason);
             ]
       | Ok { Blocker.result; steps } ->
           let step (s : Blocker.trace_step) =
             J.Object
               [
-                ("name", jstr s.Blocker.name);
-                ("detail", jstr s.Blocker.detail);
+                ("name", J.String s.Blocker.name);
+                ("detail", J.String s.Blocker.detail);
               ]
           in
           wrap ?id true
             [
-              ("kernel", jstr name);
+              ("kernel", J.String name);
               ("blockable", J.Bool true);
               ("steps", J.Array (List.map step steps));
-              ("result", jstr (Stmt.block_to_string [ result ]));
+              ("result", J.String (Stmt.block_to_string [ result ]));
             ])
 
 let handle_compile ~tm ?id req =
@@ -391,7 +331,7 @@ let handle_compile ~tm ?id req =
   | Ok entry, Ok variant, Ok backend -> (
       match compile_variant ~tm ~backend entry variant with
       | Error m -> errorf ?id "%s" m
-      | Ok c -> wrap ?id true (compile_fields c))
+      | Ok c -> wrap ?id true (Blockability.compiled_fields c))
 
 let handle_execute ~tm ?id req =
   match
@@ -409,16 +349,17 @@ let handle_execute ~tm ?id req =
           | Ok (digest, run_ns) ->
               wrap ?id true
                 ([
-                   ("kernel", jstr entry.Blockability.name);
-                   ("variant", jstr (Blockability.variant_name variant));
-                   ("backend", jstr c.c_cm.Backend.bk_tag);
-                   ("digest", jstr digest);
+                   ("kernel", J.String entry.Blockability.name);
+                   ( "variant",
+                     J.String (Blockability.variant_name variant) );
+                   ("backend", J.String c.c_cm.Backend.bk_tag);
+                   ("digest", J.String digest);
                    ("run_s", J.Number (float_of_int run_ns /. 1e9));
                  ]
-                @ disposition_fields c)))
+                @ Blockability.disposition_fields c)))
 
 let batch_items entry req =
-  match (field req "bindings_list", field req "sizes") with
+  match (J.field "bindings_list" req, J.field "sizes" req) with
   | Some (J.Array items), None ->
       let rec go acc i = function
         | [] -> Ok (List.rev acc)
@@ -434,7 +375,7 @@ let batch_items entry req =
       let rec go acc i = function
         | [] -> Ok (List.rev acc)
         | j :: rest -> (
-            match as_int j with
+            match J.as_int j with
             | Some n -> go (List.map (fun p -> (p, n)) params :: acc) (i + 1) rest
             | None -> Error (Printf.sprintf "size %d is not an integer" i))
       in
@@ -512,33 +453,34 @@ let handle_batch ~exec_pool ~tm ?id req =
                   let oks =
                     Array.to_list results |> List.map Result.get_ok
                   in
-                  let digests = List.map (fun (d, _, _) -> jstr d) oks in
+                  let digests = List.map (fun (d, _, _) -> J.String d) oks in
                   let item_json (digest, dt, itm) =
                     J.Object
                       [
-                        ("digest", jstr digest);
-                        ("ns", jint dt);
-                        ("minor_gcs", jint itm.t_minor_gcs);
-                        ("major_gcs", jint itm.t_major_gcs);
-                        ("promoted_words", jint itm.t_promoted_words);
-                        ("allocated_words", jint itm.t_allocated_words);
+                        ("digest", J.String digest);
+                        ("ns", J.int dt);
+                        ("minor_gcs", J.int itm.t_minor_gcs);
+                        ("major_gcs", J.int itm.t_major_gcs);
+                        ("promoted_words", J.int itm.t_promoted_words);
+                        ("allocated_words", J.int itm.t_allocated_words);
                       ]
                   in
                   wrap ?id true
                     ([
-                       ("kernel", jstr entry.Blockability.name);
-                       ("variant", jstr (Blockability.variant_name variant));
-                       ("backend", jstr c.c_cm.Backend.bk_tag);
-                       ("n", jint n);
+                       ("kernel", J.String entry.Blockability.name);
+                       ( "variant",
+                     J.String (Blockability.variant_name variant) );
+                       ("backend", J.String c.c_cm.Backend.bk_tag);
+                       ("n", J.int n);
                      ]
-                    @ disposition_fields c
+                    @ Blockability.disposition_fields c
                     @ [
                         ("digests", J.Array digests);
                         ("items", J.Array (List.map item_json oks));
                         ("run_s", J.Number (float_of_int run_ns /. 1e9));
                       ]))))
 
-let handle_profile ?id req =
+let handle_simulate ?id req =
   match (kernel_of req, bindings_field req) with
   | Error m, _ | _, Error m -> errorf ?id "%s" m
   | Ok entry, Ok bindings -> (
@@ -554,51 +496,44 @@ let handle_profile ?id req =
       | Ok s ->
           wrap ?id true
             [
-              ("kernel", jstr entry.Blockability.name);
+              ("kernel", J.String entry.Blockability.name);
               ( "point_misses",
-                jint s.Blockability.point_stats.Cache.misses );
+                J.int s.Blockability.point_stats.Cache.misses );
               ( "transformed_misses",
-                jint s.Blockability.transformed_stats.Cache.misses );
-              ("point_cycles", jint s.Blockability.point_cycles);
+                J.int s.Blockability.transformed_stats.Cache.misses );
+              ("point_cycles", J.int s.Blockability.point_cycles);
               ( "transformed_cycles",
-                jint s.Blockability.transformed_cycles );
+                J.int s.Blockability.transformed_cycles );
             ])
 
 let handle_status ?id () =
   let module A = Artifact_cache in
   let d = A.disk_stats () in
   let kinds = A.all_stats () in
-  let ocaml = List.find (fun (s : A.stats) -> s.A.kind_name = "ocaml") kinds in
   let kind (s : A.stats) =
     ( s.A.kind_name,
       J.Object
         [
-          ("loaded", jint s.A.loaded);
-          ("memo_hits", jint s.A.memo_hits);
-          ("disk_hits", jint s.A.disk_hits);
-          ("builds", jint s.A.builds);
-          ("corrupt", jint s.A.corrupt);
-          ("dedup_waits", jint s.A.dedup_waits);
+          ("loaded", J.int s.A.loaded);
+          ("memo_hits", J.int s.A.memo_hits);
+          ("disk_hits", J.int s.A.disk_hits);
+          ("builds", J.int s.A.builds);
+          ("corrupt", J.int s.A.corrupt);
+          ("dedup_waits", J.int s.A.dedup_waits);
         ] )
   in
   wrap ?id true
     [
-      ("compiler_invocations", jint ocaml.A.builds);
-      ("memo_size", jint ocaml.A.loaded);
-      ("memo_hits", jint ocaml.A.memo_hits);
-      ("disk_hits", jint ocaml.A.disk_hits);
-      ("dedup_waits", jint ocaml.A.dedup_waits);
       ("cache", J.Object (List.map kind kinds));
-      ("cache_dir", jstr (A.dir ()));
-      ("disk_entries", jint d.A.entries);
-      ("disk_bytes", jint d.A.bytes);
+      ("cache_dir", J.String (A.dir ()));
+      ("disk_entries", J.int d.A.entries);
+      ("disk_bytes", J.int d.A.bytes);
       ("disk_oldest_age_s", J.Number d.A.oldest_age_s);
-      ("disk_evictions", jint (A.disk_evictions ()));
-      ("cc_invocations", jint (Cc.invocations ()));
+      ("disk_evictions", J.int (A.disk_evictions ()));
       ("cc_available", J.Bool (Result.is_ok (Cc.available ())));
       ("sampler_running", J.Bool (Obs.Sampler.running ()));
       ("sampler_hz", J.Number (Obs.Sampler.hz ()));
-      ("sampler_samples", jint (Obs.Sampler.samples ()));
+      ("sampler_samples", J.int (Obs.Sampler.samples ()));
     ]
 
 (* The flame op: first call (or a ["hz"] field) starts the sampler if
@@ -608,75 +543,34 @@ let handle_status ?id () =
    interval profiles. *)
 let handle_flame ?id req =
   let hz =
-    match field req "hz" with
-    | Some (J.Number f) when f > 0. -> Some f
-    | _ -> None
+    match J.number_field "hz" req with Some f when f > 0. -> Some f | _ -> None
   in
   Obs.Sampler.ensure ?hz ();
   let resp =
     wrap ?id true
       [
         ("hz", J.Number (Obs.Sampler.hz ()));
-        ("samples", jint (Obs.Sampler.samples ()));
-        ("folded", jstr (Obs.Sampler.folded_text ()));
+        ("samples", J.int (Obs.Sampler.samples ()));
+        ("folded", J.String (Obs.Sampler.folded_text ()));
       ]
   in
-  (match field req "reset" with
-  | Some (J.Bool true) -> Obs.Sampler.reset ()
-  | _ -> ());
+  if J.bool_field "reset" req = Some true then Obs.Sampler.reset ();
   resp
 
 let handle_metrics ?id () =
   wrap ?id true
     [
-      ("metrics", jstr (Obs.Metrics.prometheus ()));
+      ("metrics", J.String (Obs.Metrics.prometheus ()));
       ("metrics_enabled", J.Bool (Obs.Metrics.enabled ()));
     ]
-
-let json_of_obs_value = function
-  | Obs.Str s -> jstr s
-  | Obs.Int n -> jint n
-  | Obs.Float f -> J.Number f
-  | Obs.Bool b -> J.Bool b
-
-let json_of_recorded (e : Obs.event) =
-  let base =
-    [
-      (* boot-relative nanoseconds (Obs.now_ns) pass double precision
-         after 104 days of uptime: ship as a string *)
-      ("ts", jstr (string_of_int e.Obs.ts));
-      ("cat", jstr e.Obs.cat);
-      ("name", jstr e.Obs.name);
-      ( "kind",
-        jstr
-          (match e.Obs.kind with
-          | Obs.Begin -> "begin"
-          | Obs.End -> "end"
-          | Obs.Instant -> "instant") );
-      ("track", jint e.Obs.track);
-    ]
-  in
-  let ctx =
-    if e.Obs.trace = 0 then []
-    else
-      ("trace", jstr (Obs.Ctx.id_hex e.Obs.trace))
-      :: ("span", jstr (Obs.Ctx.id_hex e.Obs.span_id))
-      ::
-      (if e.Obs.parent = 0 then []
-       else [ ("parent", jstr (Obs.Ctx.id_hex e.Obs.parent)) ])
-  in
-  let args =
-    List.map (fun (k, v) -> (k, json_of_obs_value v)) e.Obs.args
-  in
-  J.Object (base @ ctx @ [ ("args", J.Object args) ])
 
 let handle_dump ?id () =
   let events = Obs.Recorder.recent () in
   wrap ?id true
     [
-      ("capacity", jint (Obs.Recorder.capacity ()));
-      ("n", jint (List.length events));
-      ("events", J.Array (List.map json_of_recorded events));
+      ("capacity", J.int (Obs.Recorder.capacity ()));
+      ("n", J.int (List.length events));
+      ("events", J.Array (List.map Obs.json_of_event events));
     ]
 
 (* ---- dispatch ---------------------------------------------------- *)
@@ -699,7 +593,7 @@ let handle_request ?(queue_ns = 0) ~exec_pool req =
   let t0 = Obs.now_ns () in
   let g0 = gc_probe () in
   let op_name, (resp, stop), bad_op =
-    match str_field req "op" with
+    match J.string_field "op" req with
     | None -> ("(none)", (errorf ?id "missing \"op\"", false), Some "missing_op")
     | Some op ->
         let result =
@@ -719,7 +613,7 @@ let handle_request ?(queue_ns = 0) ~exec_pool req =
               | "compile" -> ((handle_compile ~tm ?id req, false), None)
               | "execute" -> ((handle_execute ~tm ?id req, false), None)
               | "batch" -> ((handle_batch ~exec_pool ~tm ?id req, false), None)
-              | "profile" -> ((handle_profile ?id req, false), None)
+              | "simulate" -> ((handle_simulate ?id req, false), None)
               | op -> ((errorf ?id "unknown op \"%s\"" op, false), Some "unknown_op"))
         in
         let (resp, stop), cls = result in
@@ -738,7 +632,7 @@ let handle_request ?(queue_ns = 0) ~exec_pool req =
       (("op", Obs.Str op_name) :: ("ok", Obs.Bool ok)
        :: ("ns", Obs.Int total_ns)
        ::
-       (match error_text resp with
+       (match J.string_field "error" resp with
        | Some m when not ok -> [ ("error", Obs.Str m) ]
        | _ -> []));
   (with_telemetry ~trace_hex ~queue_ns ~tm ~total_ns resp, stop)
@@ -769,7 +663,7 @@ let handle_line ?queue_ns ~exec_pool line =
 
 let is_shutdown line =
   match J.parse line with
-  | Ok req -> str_field req "op" = Some "shutdown"
+  | Ok req -> J.string_field "op" req = Some "shutdown"
   | Error _ -> false
 
 (* Lines read but not yet taken by a lane, stamped with their read

@@ -22,10 +22,14 @@
     - [compile {"kernel","variant","backend"?}] — blueprint-normalize
       and compile the ["point"] (default) or ["transformed"] variant on
       the requested {!Backend} (["ocaml"], the default, or ["c"]);
-      replies with the backend tag, the blueprint digest, the full
-      cache key, the cache ["disposition"] (["memo"] / ["disk"] /
-      ["compiled"]), the compile wall time, and the on-disk
-      ["artifact"] path (also echoed as ["cmxs"] for older clients).
+      replies with {!Blockability.compiled_fields}, the body
+      [blockc compile --json] prints: ["kernel"], ["variant"],
+      ["backend"], ["blueprint"] (digest), ["key"] (the full cache
+      key), ["disposition"] (["memo"] / ["disk"] / ["compiled"]),
+      ["derivation"] (transformed only, below), ["compile_s"],
+      ["cached"], ["artifact"] (the on-disk path), ["hoisted"] (the
+      blueprint's bindings) and ["vec_remarks"] (the C compiler's
+      vectorization remarks; empty on OCaml).
       A repeat compile of one loop structure finds the loaded
       artifact in the cache's table: the backend's share is 3–6 µs on
       OCaml and 11–27 µs on C (compiler lookup on [PATH], key digests
@@ -60,19 +64,20 @@
       time (["ns"]) and GC deltas (["minor_gcs"], ["major_gcs"],
       ["promoted_words"], ["allocated_words"]) measured on the
       executing lane.
-    - [profile {"kernel","bindings","seed"}] — cache-simulate both
-      variants on the paper's RS/6000-540 model; replies with per-
-      variant miss and memory-cycle counts.
-    - [status] — process-wide JIT cache counters ([ocamlopt] runs, memo
-      size and hits, disk hits, single-flight dedup waits), the same
-      counters for every kind of {!Artifact_cache} entry under
-      ["cache"] (["ocaml"], ["cc_probe"], ["c"], ["derivation"], each
-      with ["loaded"], ["memo_hits"], ["disk_hits"], ["builds"],
-      ["corrupt"] and ["dedup_waits"]),
+    - [simulate {"kernel","bindings","seed"}] — what [blockc simulate]
+      runs: cache-simulate both variants on the paper's RS/6000-540
+      model; replies with per-variant miss and memory-cycle counts
+      (["point_misses"], ["transformed_misses"], ["point_cycles"],
+      ["transformed_cycles"]).
+    - [status] — the process-wide cache counters of every kind of
+      {!Artifact_cache} entry under ["cache"] (["ocaml"] plugins,
+      ["cc_probe"], ["c"] objects, ["derivation"], each with
+      ["loaded"], ["memo_hits"], ["disk_hits"], ["builds"] (compiler
+      runs, for the two backends), ["corrupt"] and ["dedup_waits"]),
       the cache directory plus its on-disk shape (["disk_entries"],
       ["disk_bytes"], ["disk_oldest_age_s"], ["disk_evictions"] — see
-      [BLOCKC_JIT_DISK_CAP]), the C backend state (["cc_available"],
-      ["cc_invocations"]), and the
+      [BLOCKC_JIT_DISK_CAP]), whether the C backend is available
+      (["cc_available"]), and the
       {!Obs.Sampler} state (["sampler_running"], ["sampler_hz"],
       ["sampler_samples"]).
     - [flame {"hz"?,"reset"?}] — continuous-profiling readout: starts
@@ -88,9 +93,11 @@
       [blockc stats --socket PATH] is the scraping client.
     - [dump] — flush the {!Obs.Recorder} flight recorder: the bounded
       ring of recent events (every request and error is noted there
-      even without tracing), as structured JSON, oldest first.  An
-      event's ["ts"] is a decimal string of {!Obs.now_ns}: nanoseconds
-      since boot, not since the epoch.
+      even without tracing), oldest first, each as {!Obs.json_of_event}
+      writes it for the [json] trace sink: ["name"], ["cat"],
+      ["kind"], ["ts"] (a decimal string of {!Obs.now_ns}: nanoseconds
+      since boot, not since the epoch), ["depth"], ["track"], under a
+      trace ["trace"]/["span"]/["parent"], and ["args"].
     - [shutdown] — acknowledge and stop the server loop.
 
     {b Response telemetry.}  Every response object additionally carries
@@ -122,7 +129,8 @@
     < {"id":1,"ok":true,"pong":true}
     > {"id":2,"op":"compile","kernel":"lu","variant":"transformed"}
     < {"id":2,"ok":true,"kernel":"lu","variant":"transformed",
-       "blueprint":"9f...","key":"c1...","disposition":"compiled",
+       "backend":"ocaml","blueprint":"9f...","key":"c1...",
+       "disposition":"compiled","derivation":"derived",
        "compile_s":0.103,...}
     > {"id":3,"op":"batch","kernel":"lu","variant":"transformed","sizes":[8,12,16]}
     < {"id":3,"ok":true,"n":3,"disposition":"memo","digests":[...],...}

@@ -37,25 +37,21 @@ let parse_time_cell s =
 
 type table = { id : string; headers : string list; rows : string list list }
 
-let field name = function
-  | Json_min.Object kvs -> List.assoc_opt name kvs
-  | _ -> None
-
 let as_string_list = function
   | Json_min.Array vs ->
       Some (List.map (function Json_min.String s -> s | _ -> "") vs)
   | _ -> None
 
 let tables_of_json doc =
-  match field "tables" doc with
+  match Json_min.field "tables" doc with
   | Some (Json_min.Array ts) ->
       let parse_one t =
-        match (field "id" t, field "table" t) with
+        match (Json_min.field "id" t, Json_min.field "table" t) with
         | Some (Json_min.String id), Some tbl -> (
             let headers =
-              Option.bind (field "headers" tbl) as_string_list
+              Option.bind (Json_min.field "headers" tbl) as_string_list
             in
-            match (headers, field "rows" tbl) with
+            match (headers, Json_min.field "rows" tbl) with
             | Some headers, Some (Json_min.Array rows) ->
                 let rows = List.filter_map as_string_list rows in
                 Ok { id; headers; rows }
@@ -183,15 +179,13 @@ let append_trajectory_entry ~date ~label ~tables entries =
 type drift_step = { ds_from : string; ds_to : string; ds_verdict : verdict }
 
 let entry_name e =
-  let s name =
-    match field name e with Some (Json_min.String s) -> s | _ -> "?"
-  in
+  let s name = Option.value (Json_min.string_field name e) ~default:"?" in
   s "date" ^ " [" ^ s "label" ^ "]"
 
 let drift ?(tolerance = 1.2) ?(slack_s = 0.002) entries =
   let rec go acc = function
     | a :: (b :: _ as rest) -> (
-        match (field "tables" a, field "tables" b) with
+        match (Json_min.field "tables" a, Json_min.field "tables" b) with
         | Some baseline, Some current -> (
             match compare ~tolerance ~slack_s ~baseline ~current () with
             | Error e ->

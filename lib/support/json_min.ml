@@ -244,6 +244,28 @@ let parse s =
 
 let validate s = Result.map (fun _ -> ()) (parse s)
 
+let int n = Number (float_of_int n)
+let int_object kvs = Object (List.map (fun (k, v) -> (k, int v)) kvs)
+
+let field name = function
+  | Object kvs -> List.assoc_opt name kvs
+  | _ -> None
+
+let as_int = function
+  | Number f when Float.is_integer f -> Some (int_of_float f)
+  | _ -> None
+
+let string_field name j =
+  match field name j with Some (String s) -> Some s | _ -> None
+
+let number_field name j =
+  match field name j with Some (Number f) -> Some f | _ -> None
+
+let bool_field name j =
+  match field name j with Some (Bool b) -> Some b | _ -> None
+
+let int_field name j = Option.bind (field name j) as_int
+
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else

@@ -1,6 +1,8 @@
-(** A minimal JSON reader/printer: just enough for the benchmark
-    harness's [--json] output and the serve protocol, without
-    depending on an external JSON library.
+(** A minimal JSON reader/printer: every JSON the system prints (the
+    serve protocol, [blockc]'s and the benchmark harness's [--json]
+    output, the trace sinks) is a {!t} rendered by {!to_string}, and
+    the readers of those documents share the field readers below; no
+    external JSON library is needed.
 
     Supports the full RFC 8259 grammar (objects, arrays, strings with
     escapes, numbers, [true]/[false]/[null]).  String escapes are
@@ -31,3 +33,25 @@ val to_string : t -> string
     contents (embedded compiler stderr, kernel error messages);
     [parse s |> to_string |> parse] is the identity.  Integral numbers
     print without a decimal point. *)
+
+val int : int -> t
+(** [Number] of an integer. *)
+
+val int_object : (string * int) list -> t
+(** An object of integers, e.g. a kernel's bindings. *)
+
+(** {1 Reading}
+
+    Each reader is [None] when the value, or the object's field, is
+    missing or of another type. *)
+
+val field : string -> t -> t option
+(** A field of an [Object]. *)
+
+val as_int : t -> int option
+(** An integral [Number]. *)
+
+val string_field : string -> t -> string option
+val number_field : string -> t -> float option
+val bool_field : string -> t -> bool option
+val int_field : string -> t -> int option

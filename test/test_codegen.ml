@@ -576,6 +576,25 @@ let suite =
           check_int "two artifacts per backend" 4
             (List.length (List.sort_uniq compare loads));
           check_int "each loaded once" 4 (List.length loads));
+      case "a memo hit names the file it was loaded from" (fun () ->
+          (* BLOCKC_JIT_CACHE changes between the two compiles: the
+             process holds the plugin loaded from the first cache, and
+             the second cache has no file for it *)
+          require_native ();
+          let bp = Blueprint.of_block [ Stmt.Assign ("S", [], B.fc 13.0625) ] in
+          let compile () =
+            ok_or_fail "compile" (Jit.compile_blueprint ~name:"memo_path" bp)
+          in
+          let first = with_private_cache compile in
+          check_bool "built" true
+            (first.Backend.bk_disposition = Artifact_cache.Compiled);
+          with_private_cache @@ fun () ->
+          let again = compile () in
+          check_bool "memo hit" true
+            (again.Backend.bk_disposition = Artifact_cache.Memo);
+          check_string "the first cache's file" first.Backend.bk_artifact
+            again.Backend.bk_artifact;
+          check_bool "which exists" true (Sys.file_exists again.Backend.bk_artifact));
       case "blueprint keys see scalar kinds; both kinds run bitwise on C"
         (fun () ->
           require_cc ();
