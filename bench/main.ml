@@ -1,9 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation.  See DESIGN.md's experiment index (T1-T5, F1-F11, X1).
 
-   Usage:  main.exe [t1|t2|t3|t4|t5|figures|cache|ablation|obs|profile|native|native-c|serve|all]
-                    [--quick] [--json PATH]
-                    [--baseline PATH] [--check] [--tolerance F]
+   Usage:  main.exe [t1|t2|t3|t4|t5|figures|cache|ablation|obs|profile|native|serve|all]
+                    [--quick] [--json PATH] [--baseline PATH] [--check]
                     [--trajectory OUT] [--trajectory-base PATH]
 
    Absolute 1992 seconds are not reproducible; the claim checked here is
@@ -12,58 +11,46 @@
    kernel and its derived form, compiled natively and verified bitwise
    against the interpreter before the clock starts
    (Blockability.native_compare).  The hand-written baselines with no
-   derivation by design (Hand_kernels) run on the same data through the
-   same timing path.
+   derivation by design (Hand_kernels) run on the same data.  Every time
+   is a Measure summary of interleaved samples, shown as the median and
+   the spread; [--quick] changes problem sizes, not the sample count.
 
    [--json PATH] additionally dumps every table produced by the run as
-   machine-readable JSON (see Table.json_of_tables), so successive PRs
-   leave a perf trajectory behind (BENCH_*.json).
+   machine-readable JSON (see Table.json_of_tables; a time cell is its
+   summary's numbers), so successive PRs leave a perf trajectory behind.
 
    [--trajectory OUT] writes the dated perf trajectory: the entries of
    [--trajectory-base PATH] (the committed bench/BENCH_trajectory.json;
    missing or empty means the trajectory is just starting) plus one new
    entry holding this run's tables.  See EXPERIMENTS.md for the schema.
 
-   [--baseline PATH] compares this run's tables against a previous
+   [--baseline PATH] compares this run's medians against a previous
    [--json] dump through Bench_gate and prints the verdict; with
-   [--check] a flagged regression exits non-zero (the CI regression
-   gate, see `dune build @bench-check`).  [--tolerance F] overrides the
-   default slowdown factor (1.5); [--slack S] the absolute seconds of
-   grace added on top (0.002). *)
+   [--check] a flagged regression, or a run that compares no time cell
+   of the baseline, exits non-zero (the CI regression gate, see
+   `dune build @bench-check`). *)
 
 let argv = List.tl (Array.to_list Sys.argv)
 let quick = List.mem "--quick" argv
 
-let json_path, baseline_path, check_mode, tolerance, slack, traj_out, traj_base, selected =
-  let rec go sel json base check tol slack tout tbase = function
-    | [] -> (json, base, check, tol, slack, tout, tbase, List.rev sel)
-    | "--quick" :: rest -> go sel json base check tol slack tout tbase rest
-    | "--check" :: rest -> go sel json base true tol slack tout tbase rest
-    | "--json" :: path :: rest -> go sel (Some path) base check tol slack tout tbase rest
-    | "--baseline" :: path :: rest -> go sel json (Some path) check tol slack tout tbase rest
-    | "--trajectory" :: path :: rest -> go sel json base check tol slack (Some path) tbase rest
+let json_path, baseline_path, check_mode, traj_out, traj_base, selected =
+  let rec go sel json base check tout tbase = function
+    | [] -> (json, base, check, tout, tbase, List.rev sel)
+    | "--quick" :: rest -> go sel json base check tout tbase rest
+    | "--check" :: rest -> go sel json base true tout tbase rest
+    | "--json" :: path :: rest -> go sel (Some path) base check tout tbase rest
+    | "--baseline" :: path :: rest -> go sel json (Some path) check tout tbase rest
+    | "--trajectory" :: path :: rest -> go sel json base check (Some path) tbase rest
     | "--trajectory-base" :: path :: rest ->
-        go sel json base check tol slack tout (Some path) rest
-    | "--tolerance" :: f :: rest -> (
-        match float_of_string_opt f with
-        | Some t when t > 0.0 -> go sel json base check (Some t) slack tout tbase rest
-        | _ ->
-            Printf.eprintf "main.exe: --tolerance wants a positive float, got %s\n" f;
-            exit 2)
-    | "--slack" :: f :: rest -> (
-        match float_of_string_opt f with
-        | Some s when s >= 0.0 -> go sel json base check tol (Some s) tout tbase rest
-        | _ ->
-            Printf.eprintf "main.exe: --slack wants a non-negative float, got %s\n" f;
-            exit 2)
-    | [ ("--json" | "--baseline" | "--tolerance" | "--slack" | "--trajectory"
-        | "--trajectory-base") as flag ] ->
+        go sel json base check tout (Some path) rest
+    | [ ("--json" | "--baseline" | "--trajectory" | "--trajectory-base") as flag ]
+      ->
         Printf.eprintf "main.exe: %s requires an argument\n" flag;
         exit 2
-    | a :: rest -> go (a :: sel) json base check tol slack tout tbase rest
+    | a :: rest -> go (a :: sel) json base check tout tbase rest
   in
-  let json, base, check, tol, slack, tout, tbase, sel =
-    go [] None None false None None None None argv
+  let json, base, check, tout, tbase, sel =
+    go [] None None false None None argv
   in
   (* Fail fast on an unwritable path rather than after the whole run. *)
   (match json with
@@ -84,12 +71,11 @@ let json_path, baseline_path, check_mode, tolerance, slack, traj_out, traj_base,
     prerr_endline "main.exe: --check requires --baseline PATH";
     exit 2
   end;
-  (json, base, check, tol, slack, tout, tbase,
-   match sel with [] -> [ "all" ] | l -> l)
+  (json, base, check, tout, tbase, match sel with [] -> [ "all" ] | l -> l)
 
 let selectors =
   [ "t1"; "t2"; "t3"; "t4"; "t5"; "figures"; "cache"; "ablation"; "obs";
-    "profile"; "native"; "native-c"; "serve"; "all" ]
+    "profile"; "native"; "serve"; "all" ]
 
 let () =
   match List.find_opt (fun s -> not (List.mem s selectors)) selected with
@@ -109,24 +95,8 @@ let output ~id tbl =
   Table.print tbl;
   registry := !registry @ [ (id, tbl) ]
 
-(* ------------------------------------------------------------------ *)
-(* timing                                                              *)
-(* ------------------------------------------------------------------ *)
-
 (* Honour BLOCKABILITY_TRACE for whole-run traces. *)
 let () = Obs.init_from_env ()
-
-let time_once f =
-  let t0 = Obs.now_ns () in
-  f ();
-  float_of_int (Obs.now_ns () - t0) /. 1e9
-
-let reps = if quick then 2 else 3
-
-let time f =
-  ignore (time_once f) (* warmup *);
-  let samples = List.init reps (fun _ -> time_once f) in
-  List.fold_left min (List.hd samples) samples
 
 let banner title =
   Printf.printf "\n================ %s ================\n%!" title
@@ -138,43 +108,51 @@ let banner title =
 let seed = 42
 let entry name = Option.get (Blockability.find name)
 
-(* Point vs derived form of a registry kernel, compiled on the OCaml
-   backend, verified bitwise against the interpreter, then timed; a
-   failure is printed and drops the row. *)
-let compiled ?verify_bindings ?block name bindings =
+(* Point vs derived form of a registry kernel, compiled natively,
+   verified bitwise against the interpreter, then timed as two
+   interleaved arms; a failure is printed and drops the row. *)
+let compiled ?(backend = (module Backend.Ocaml : Backend.S)) ?verify_bindings
+    ?block name bindings =
   match
-    Blockability.native_compare ~bindings ?verify_bindings ~seed ~reps ?block
-      (entry name)
+    Blockability.native_compare ~backend ~bindings ?verify_bindings ~seed
+      ?block (entry name)
   with
   | Ok r -> Some r
   | Error m ->
-      Printf.printf "%s: %s\n" name m;
+      let module B = (val backend) in
+      Printf.printf "%s (%s): %s\n" name B.tag m;
       None
 
-(* A hand-written kernel on the flat data of [kernel]'s array [arr],
-   timed through the same path as the compiled columns. *)
-let hand_time kernel arr ~bindings run =
-  Blockability.native_time kernel
-    (fun env ->
-      run (Env.farray_data env arr);
-      Ok ())
-    ~bindings ~seed ~reps
+(* A hand-written kernel on the flat data of [kernel]'s array [arr], as
+   an arm: the kernel's own set-up runs outside the clock. *)
+let hand_arm kernel arr ~bindings run () =
+  let a = Env.farray_data (Kernel_def.make_env kernel ~bindings ~seed) arr in
+  fun () ->
+    run a;
+    Ok ()
 
 (* The LU baselines ("1", "Rec") must equal the interpreted point IR bit
-   for bit on the same data: checked at [verify_n], then timed at [n]. *)
-let hand_lu ~verify_n ~n run =
+   for bit on the same data: checked at [verify_n], before any timing. *)
+let check_hand_lu ~verify_n run =
   let kernel = (entry "lu").Blockability.kernel in
-  let at n = [ ("N", n) ] in
-  let reference = Kernel_def.run kernel ~bindings:(at verify_n) ~seed in
-  let env = Kernel_def.make_env kernel ~bindings:(at verify_n) ~seed in
+  let at = [ ("N", verify_n) ] in
+  let reference = Kernel_def.run kernel ~bindings:at ~seed in
+  let env = Kernel_def.make_env kernel ~bindings:at ~seed in
   run ~n:verify_n (Env.farray_data env "A");
   match Env.diff ~only:kernel.Kernel_def.traced reference env with
   | Some m -> Error ("diverges from the interpreter: " ^ m)
-  | None -> hand_time kernel "A" ~bindings:(at n) (run ~n)
+  | None -> Ok ()
 
 (* Blocked LU columns are verified at an order with several blocks and
    a ragged last one. *)
 let verify_n block = (2 * block) + 5
+
+let text cells = List.map (fun s -> Table.Text s) cells
+let params bs = String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) bs)
+
+(* A compared pair's Point, Xformed and Speedup cells. *)
+let pair (r : Blockability.native_result) =
+  Table.[ Time r.nt_point; Time r.nt_transformed; Text (cell_f r.nt_speedup) ]
 
 (* ------------------------------------------------------------------ *)
 (* T1: §3.2 — Aconv / Conv                                             *)
@@ -201,12 +179,7 @@ let t1 () =
       List.iter
         (fun (loop, name) ->
           Option.iter
-            (fun (r : Blockability.native_result) ->
-              Table.add_row tbl
-                [
-                  loop; string_of_int n1; Table.cell_s r.nt_point_s;
-                  Table.cell_s r.nt_transformed_s; Table.cell_f r.nt_speedup;
-                ])
+            (fun r -> Table.add_row tbl (text [ loop; string_of_int n1 ] @ pair r))
             (compiled name bindings))
         [ ("Aconv", "aconv"); ("Conv", "conv") ])
     sizes;
@@ -233,12 +206,7 @@ let t2 () =
   List.iter
     (fun freq_pct ->
       Option.iter
-        (fun (r : Blockability.native_result) ->
-          Table.add_row tbl
-            [
-              Printf.sprintf "%d%%" freq_pct; Table.cell_s r.nt_point_s;
-              Table.cell_s r.nt_transformed_s; Table.cell_f r.nt_speedup;
-            ])
+        (fun r -> Table.add_row tbl (text [ Printf.sprintf "%d%%" freq_pct ] @ pair r))
         (compiled "matmul" [ ("N", n); ("FREQ_PCT", freq_pct) ]))
     [ 2; 10; 50 ];
   output ~id:"t2" tbl;
@@ -264,41 +232,37 @@ let t3 () =
       ]
   in
   let sizes = if quick then [ (200, [ 32 ]) ] else [ (300, [ 32; 64 ]); (500, [ 32; 64 ]) ] in
+  let lu = (entry "lu").Blockability.kernel in
   List.iter
     (fun (n, blocks) ->
       let bindings = [ ("N", n) ] in
-      (* cache-oblivious comparison column: no block parameter to tune
-         (its base panels are 16 columns wide) *)
-      let t_rec =
-        hand_lu ~verify_n:(verify_n 16) ~n (fun ~n a ->
-            Hand_kernels.lu_recursive ~n a)
-      in
       List.iter
         (fun b ->
           let verify_bindings = [ ("N", verify_n b) ] in
-          let t_1 =
-            hand_lu ~verify_n:(verify_n b) ~n (Hand_kernels.lu_sorensen ~block:b)
+          let one = Hand_kernels.lu_sorensen ~block:b in
+          (* cache-oblivious comparison column: no block parameter to
+             tune (its base panels are 16 columns wide) *)
+          let rec_ ~n a = Hand_kernels.lu_recursive ~n a in
+          let hand =
+            let ( let* ) = Result.bind in
+            let* () = check_hand_lu ~verify_n:(verify_n b) one in
+            let* () = check_hand_lu ~verify_n:(verify_n 16) rec_ in
+            Measure.run
+              [ hand_arm lu "A" ~bindings (one ~n); hand_arm lu "A" ~bindings (rec_ ~n) ]
           in
           match
             ( compiled ~verify_bindings ~block:b "lu" bindings,
               compiled ~verify_bindings ~block:b "lu_opt" bindings,
-              t_1, t_rec )
+              hand )
           with
-          | Some r2, Some r2p, Ok t_1, Ok t_rec ->
-              (* both compare the one compiled point LU: keep the faster *)
-              let t_point =
-                Float.min r2.Blockability.nt_point_s r2p.Blockability.nt_point_s
-              in
-              let t_2p = r2p.Blockability.nt_transformed_s in
-              Table.add_row tbl
-                [
-                  string_of_int n; string_of_int b; Table.cell_s t_point;
-                  Table.cell_s t_1; Table.cell_s r2.Blockability.nt_transformed_s;
-                  Table.cell_s t_2p; Table.cell_s t_rec;
-                  Table.cell_f (t_point /. t_2p);
-                ]
-          | _, _, Error m, _ | _, _, _, Error m ->
-              Printf.printf "T3 hand kernel at N=%d: %s\n" n m
+          | Some r2, Some r2p, Ok [ t_1; t_rec ] ->
+              (* Point and Speedup: the lu_opt pair's one measurement *)
+              Table.(
+                add_row tbl
+                  (text [ string_of_int n; string_of_int b ]
+                  @ [ Time r2p.nt_point; Time t_1; Time r2.nt_transformed;
+                      Time r2p.nt_transformed; Time t_rec; Text (cell_f r2p.nt_speedup) ]))
+          | _, _, Error m -> Printf.printf "T3 hand kernel at N=%d: %s\n" n m
           | _ -> ())
         blocks)
     sizes;
@@ -329,16 +293,12 @@ let t4 () =
               compiled ~verify_bindings ~block:b "lu_pivot_opt" bindings )
           with
           | Some r1, Some r1p ->
-              let t_point =
-                Float.min r1.Blockability.nt_point_s r1p.Blockability.nt_point_s
-              in
-              let t_1p = r1p.Blockability.nt_transformed_s in
-              Table.add_row tbl
-                [
-                  string_of_int n; string_of_int b; Table.cell_s t_point;
-                  Table.cell_s r1.Blockability.nt_transformed_s;
-                  Table.cell_s t_1p; Table.cell_f (t_point /. t_1p);
-                ]
+              (* Point and Speedup: the lu_pivot_opt pair's one measurement *)
+              Table.(
+                add_row tbl
+                  (text [ string_of_int n; string_of_int b ]
+                  @ [ Time r1p.nt_point; Time r1.nt_transformed;
+                      Time r1p.nt_transformed; Text (cell_f r1p.nt_speedup) ]))
           | _ -> ())
         blocks)
     sizes;
@@ -362,12 +322,7 @@ let t5 () =
   List.iter
     (fun n ->
       Option.iter
-        (fun (r : Blockability.native_result) ->
-          Table.add_row tbl
-            [
-              Printf.sprintf "%dx%d" n n; Table.cell_s r.nt_point_s;
-              Table.cell_s r.nt_transformed_s; Table.cell_f r.nt_speedup;
-            ])
+        (fun r -> Table.add_row tbl (text [ Printf.sprintf "%dx%d" n n ] @ pair r))
         (compiled "givens" [ ("M", n); ("N", n) ]))
     sizes;
   output ~id:"t5-givens" tbl;
@@ -386,20 +341,21 @@ which reproduces the factor on the simulated 64KB cache)\n";
   in
   List.iter
     (fun n ->
-      let time run =
-        hand_time K_householder.kernel "A" ~bindings:[ ("M", n); ("N", n) ] run
-      in
+      let arm = hand_arm K_householder.kernel "A" ~bindings:[ ("M", n); ("N", n) ] in
       match
-        ( time (Hand_kernels.householder_point ~m:n ~n),
-          time (Hand_kernels.householder_wy ~block:32 ~m:n ~n) )
+        Measure.run
+          [
+            arm (Hand_kernels.householder_point ~m:n ~n);
+            arm (Hand_kernels.householder_wy ~block:32 ~m:n ~n);
+          ]
       with
-      | Ok t_point, Ok t_blk ->
-          Table.add_row tbl2
-            [
-              Printf.sprintf "%dx%d" n n; Table.cell_s t_point; Table.cell_s t_blk;
-              Table.cell_f (t_point /. t_blk);
-            ]
-      | Error m, _ | _, Error m -> Printf.printf "householder: %s\n" m)
+      | Ok [ t_point; t_blk ] ->
+          Table.(
+            add_row tbl2
+              [ Text (Printf.sprintf "%dx%d" n n); Time t_point; Time t_blk;
+                Text (cell_f (Measure.ratio t_point t_blk)) ])
+      | Ok _ -> ()
+      | Error m -> Printf.printf "householder: %s\n" m)
     sizes;
   output ~id:"t5-householder" tbl2
 
@@ -527,20 +483,20 @@ let cache_ablation () =
       | Error e -> Printf.printf "%s: %s\n" name e
       | Ok r ->
           Table.add_row tbl
-            [
-              name;
-              machine.Arch.name;
-              String.concat " "
-                (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) bindings);
-              string_of_int r.point_stats.misses;
-              string_of_int r.transformed_stats.misses;
-              Printf.sprintf "%.1f%% -> %.1f%%"
-                (100.0 *. Cache.miss_ratio r.point_stats)
-                (100.0 *. Cache.miss_ratio r.transformed_stats);
-              Table.cell_f
-                (Cost.speedup ~baseline:r.point_cycles
-                   ~optimized:r.transformed_cycles);
-            ])
+            (text
+               [
+                 name;
+                 machine.Arch.name;
+                 params bindings;
+                 string_of_int r.point_stats.misses;
+                 string_of_int r.transformed_stats.misses;
+                 Printf.sprintf "%.1f%% -> %.1f%%"
+                   (100.0 *. Cache.miss_ratio r.point_stats)
+                   (100.0 *. Cache.miss_ratio r.transformed_stats);
+                 Table.cell_f
+                   (Cost.speedup ~baseline:r.point_cycles
+                      ~optimized:r.transformed_cycles);
+               ]))
     cases;
   output ~id:"x1-cache" tbl
 
@@ -559,11 +515,9 @@ let ablation () =
     (fun b ->
       Option.iter
         (fun (r : Blockability.native_result) ->
-          Table.add_row tbl
-            [
-              string_of_int b; Table.cell_s r.nt_transformed_s;
-              Table.cell_f r.nt_speedup;
-            ])
+          Table.(
+            add_row tbl
+              [ Text (string_of_int b); Time r.nt_transformed; Text (cell_f r.nt_speedup) ]))
         (compiled ~block:b "lu_opt" [ ("N", n) ]))
     [ 8; 16; 32; 64; 128; 256 ];
   output ~id:"ablation-block-size" tbl;
@@ -588,11 +542,12 @@ let ablation () =
       with
       | Ok r ->
           Table.add_row tbl2
-            [
-              string_of_int ks;
-              string_of_int r.transformed_stats.misses;
-              Printf.sprintf "%.1f%%" (100.0 *. Cache.miss_ratio r.transformed_stats);
-            ]
+            (text
+               [
+                 string_of_int ks;
+                 string_of_int r.transformed_stats.misses;
+                 Printf.sprintf "%.1f%%" (100.0 *. Cache.miss_ratio r.transformed_stats);
+               ])
       | Error m -> Printf.printf "%s\n" m)
     [ 2; 4; 8; 16; 32 ];
   output ~id:"ablation-simulated-ks" tbl2
@@ -601,13 +556,33 @@ let ablation () =
 (* OBS: overhead of the observability layer itself                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Labelled times against the first row's: Variant | Time | vs [base]. *)
+let relative ~id ~title ~base rows =
+  let tbl =
+    Table.create ~title
+      [ ("Variant", Table.Left); ("Time", Table.Right); (base, Table.Right) ]
+  in
+  let first = snd (List.hd rows) in
+  List.iter
+    (fun (label, t) ->
+      Table.(add_row tbl [ Text label; Time t; Text (cell_f (Measure.ratio t first)) ]))
+    rows;
+  output ~id tbl
+
+(* Labelled arms, interleaved, as a [relative] table. *)
+let interleaved ~id ~title ~base arms =
+  match Measure.run (List.map snd arms) with
+  | Error m -> Printf.printf "%s: %s\n" id m
+  | Ok ts -> relative ~id ~title ~base (List.combine (List.map fst arms) ts)
+
 (* The claim being timed: with the null sink and metrics off, the
    instrumented runtime is indistinguishable from the seed (the guards
    are single bool-ref reads), and even metrics-on overhead stays small
    because blocked kernels amortize each chunk over real work.  The
    workload is the daemon's own fan-out path: one [batch] request for
    the transformed lu_opt through [Serve.handle_line], its items spread
-   over a 2-lane pool. *)
+   over a 2-lane pool.  Each arm sets its observability state in its
+   set-up, so the four states interleave sample by sample. *)
 let obs_suite () =
   banner "OBS: observability overhead (untraced vs traced serve batch)";
   match Jit.available () with
@@ -622,77 +597,68 @@ let obs_suite () =
       in
       let run () =
         match Json_min.parse (fst (Serve.handle_line ~exec_pool:pool line)) with
-        | Ok (Json_min.Object kvs)
-          when List.assoc_opt "ok" kvs = Some (Json_min.Bool true) ->
-            ()
-        | _ -> failwith "obs suite: the batch request failed"
+        | Ok j when Json_min.bool_field "ok" j = Some true -> Ok ()
+        | _ -> Error "the batch request failed"
       in
       let workload =
-        Printf.sprintf "Serve batch of %d x lu_opt at N=%d on 2 lanes" items n
+        Printf.sprintf "Serve batch of %d x lu_opt at N=%d on 2 lanes, " items n
       in
-      let tbl =
-        Table.create
-          ~title:(workload ^ ", observability on/off")
-          [ ("Variant", Table.Left); ("Time", Table.Right); ("vs off", Table.Right) ]
+      let state sink metrics () =
+        Obs.set_sink sink;
+        Obs.Metrics.set_enabled metrics;
+        run
       in
-      let t_off = time run in
-      Table.add_row tbl
-        [ "metrics off (null sink)"; Table.cell_s t_off; Table.cell_f 1.0 ];
-      (* serve-daemon default: no tracing sink, no metrics, but the flight
-         recorder ring captures every event — the "always on" cost. *)
-      Obs.set_sink (Obs.Recorder.sink ());
-      let t_rec = time run in
-      Obs.set_sink Obs.null;
-      Obs.Recorder.clear ();
-      Table.add_row tbl
-        [ "recorder only (ring sink)"; Table.cell_s t_rec; Table.cell_f (t_rec /. t_off) ];
-      Obs.Metrics.set_enabled true;
-      let t_on = time run in
-      Obs.Metrics.set_enabled false;
-      Table.add_row tbl
-        [ "metrics on"; Table.cell_s t_on; Table.cell_f (t_on /. t_off) ];
       let mem, _events = Obs.memory () in
-      Obs.set_sink mem;
-      Obs.Metrics.set_enabled true;
-      let t_trace = time run in
-      Obs.Metrics.set_enabled false;
-      Obs.set_sink Obs.null;
-      Table.add_row tbl
+      interleaved ~id:"obs-overhead" ~title:(workload ^ "observability on/off")
+        ~base:"vs off"
         [
-          "metrics + memory sink"; Table.cell_s t_trace;
-          Table.cell_f (t_trace /. t_off);
+          ("metrics off (null sink)", state Obs.null false);
+          (* serve-daemon default: no tracing sink, no metrics, but the
+             flight recorder ring captures every event — the "always
+             on" cost. *)
+          ("recorder only (ring sink)", state (Obs.Recorder.sink ()) false);
+          ("metrics on", state Obs.null true);
+          ("metrics + memory sink", state mem true);
         ];
-      output ~id:"obs-overhead" tbl;
+      Obs.set_sink Obs.null;
+      Obs.Metrics.set_enabled false;
+      Obs.Recorder.clear ();
       (* PROF-CONT: overhead of the continuous span-stack sampler on the
          same workload.  The sampled domains only pay for maintaining the
-         per-domain span stack (one cons per span); the ticker domain does
-         the folding.  The acceptance bar is < 5% at ~100 Hz. *)
-      let ptbl =
-        Table.create
-          ~title:(workload ^ ", span-stack sampler on/off")
-          [ ("Variant", Table.Left); ("Time", Table.Right); ("vs off", Table.Right) ]
+         per-domain span stack (one cons per span); the ticker thread
+         does the folding.  The sampler starts a thread, so each row is
+         one block of samples, the set-up starting the sampler (a no-op
+         once it runs).  The acceptance bar is < 5% at ~100 Hz. *)
+      let sampled (label, hz) =
+        let t =
+          Measure.run
+            [ (fun () -> Option.iter (fun hz -> Obs.Sampler.start ~hz ()) hz; run) ]
+        in
+        if hz <> None then begin
+          Obs.Sampler.stop ();
+          (* On a 1-core box the busy bench thread starves the ticker
+             thread of its own domain (samples land only at yield
+             points); the pool's other lane is sampled at the full
+             rate. *)
+          Printf.printf "  %s: %d samples, %d distinct stacks\n%!" label
+            (Obs.Sampler.samples ())
+            (List.length (Obs.Sampler.folded ()));
+          Obs.Sampler.reset ()
+        end;
+        match t with
+        | Ok ts -> Some (label, List.hd ts)
+        | Error m ->
+            Printf.printf "%s: %s\n" label m;
+            None
       in
-      let t_base = time run in
-      Table.add_row ptbl [ "sampler off"; Table.cell_s t_base; Table.cell_f 1.0 ];
-      let sampled hz label =
-        Obs.Sampler.start ~hz ();
-        let t = time run in
-        Obs.Sampler.stop ();
-        (* On a 1-core box the busy bench thread starves the ticker thread
-           of its own domain (samples land only at yield points); the
-           pool's other lane is sampled at the full rate. *)
-        Printf.printf "  %s: %d samples, %d distinct stacks\n%!" label
-          (Obs.Sampler.samples ())
-          (List.length (Obs.Sampler.folded ()));
-        Obs.Sampler.reset ();
-        Table.add_row ptbl [ label; Table.cell_s t; Table.cell_f (t /. t_base) ]
-      in
-      sampled 97. "sampler 97 Hz";
-      sampled 997. "sampler 997 Hz";
-      output ~id:"prof-cont" ptbl;
+      relative ~id:"prof-cont" ~title:(workload ^ "span-stack sampler on/off")
+        ~base:"vs off"
+        (List.filter_map sampled
+           [ ("sampler off", None); ("sampler 97 Hz", Some 97.); ("sampler 997 Hz", Some 997.) ]);
+      print_string "each row is one block of samples: the sampler starts a thread\n";
       (* and what the metrics actually recorded, as a smoke test *)
       Obs.Metrics.set_enabled true;
-      run ();
+      ignore (run ());
       Pool.shutdown pool;
       print_string (Obs.Metrics.report ());
       Obs.Metrics.set_enabled false;
@@ -706,192 +672,110 @@ let obs_suite () =
    interpreter's hook signature carries a [ref_id], but without a refmap
    the bare run and the flat single-level trace are exactly the seed's
    code paths; only opting into the full profiler (hierarchy walk +
-   reuse-distance engine + per-reference counters) pays for it. *)
+   reuse-distance engine + per-reference counters) pays for it.  Each
+   tier's set-up builds its sample's environment. *)
 let profile_suite () =
   banner "PROFILE: per-reference attribution overhead (interpreted LU)";
-  let entry = Option.get (Blockability.find "lu") in
-  let kernel = entry.Blockability.kernel in
+  let kernel = (entry "lu").Blockability.kernel in
   let n = if quick then 32 else 64 in
-  let bindings = [ ("N", n) ] in
   let block = kernel.Kernel_def.block in
   let arrays = kernel.Kernel_def.traced in
   let machine = Arch.rs6000_540 in
-  let fresh () = Kernel_def.make_env kernel ~bindings ~seed:42 in
-  let tbl =
-    Table.create
-      ~title:(Printf.sprintf "Interpreted LU at N=%d: hook tiers" n)
-      [ ("Variant", Table.Left); ("Time", Table.Right); ("vs bare", Table.Right) ]
+  let tier f () =
+    let env = Kernel_def.make_env kernel ~bindings:[ ("N", n) ] ~seed in
+    fun () ->
+      f env;
+      Ok ()
   in
-  let t_bare = time (fun () -> Exec.run (fresh ()) block) in
-  Table.add_row tbl [ "no hook"; Table.cell_s t_bare; Table.cell_f 1.0 ];
-  let t_flat =
-    time (fun () -> ignore (Trace.run machine (fresh ()) ~arrays block))
-  in
-  Table.add_row tbl
+  interleaved ~id:"profile-overhead"
+    ~title:(Printf.sprintf "Interpreted LU at N=%d: hook tiers" n)
+    ~base:"vs bare"
     [
-      "flat cache trace (attribution off)"; Table.cell_s t_flat;
-      Table.cell_f (t_flat /. t_bare);
-    ];
-  let t_prof =
-    time (fun () -> ignore (Trace.run_profile machine (fresh ()) ~arrays block))
-  in
-  Table.add_row tbl
-    [
-      "hierarchy profiler (attribution on)"; Table.cell_s t_prof;
-      Table.cell_f (t_prof /. t_bare);
-    ];
-  output ~id:"profile-overhead" tbl
+      ("no hook", tier (fun env -> Exec.run env block));
+      ( "flat cache trace (attribution off)",
+        tier (fun env -> ignore (Trace.run machine env ~arrays block)) );
+      ( "hierarchy profiler (attribution on)",
+        tier (fun env -> ignore (Trace.run_profile machine env ~arrays block)) );
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* NATIVE: JIT-compiled kernels — the paper's speedups on real hardware *)
+(* NATIVE: compiled kernels — the paper's speedups on real hardware    *)
 (* ------------------------------------------------------------------ *)
 
 (* The registry's headline kernels side by side, each lowered by
-   lib/codegen and verified bitwise against the interpreter before the
-   clock starts (native_compare refuses to time a diverging plugin).
-   The Model column is the cache simulator's memory-cycle ratio at the
-   verification size — prediction next to measurement, which is the
-   paper's whole argument. *)
+   lib/codegen on every available backend and verified bitwise against
+   the interpreter before the clock starts (native_compare refuses to
+   time a diverging kernel), so the two backends are transitively
+   bitwise-equal.  The paper's blocking argument is about memory
+   traffic, so the Speedup column should roughly agree across backends:
+   a divergence would mean the ratio was an artifact of one compiler,
+   not of the blocking.  The Model column is the cache simulator's
+   memory-cycle ratio at the verification size — prediction next to
+   measurement, which is the paper's whole argument. *)
 let native_suite () =
-  banner "NATIVE  JIT-compiled point vs transformed kernels";
-  match Jit.available () with
-  | Error m -> Printf.printf "native suite skipped: %s\n" m
-  | Ok () ->
-      let tbl =
-        Table.create ~title:"Native (JIT) point vs transformed, bitwise-verified"
-          [
-            ("Kernel", Table.Left); ("Params", Table.Left);
-            ("Point", Table.Right); ("Xformed", Table.Right);
-            ("Speedup", Table.Right); ("Model", Table.Right);
-          ]
-      in
-      let cases =
-        if quick then
-          [
-            ("lu", [ ("N", 256) ], Some 32);
-            ("lu_opt", [ ("N", 256) ], Some 32);
-            ("lu_opt", [ ("N", 512) ], Some 32);
-            ("lu_pivot", [ ("N", 256) ], Some 32);
-            ("lu_pivot_opt", [ ("N", 256) ], Some 32);
-            ("matmul", [ ("N", 192); ("FREQ_PCT", 10) ], None);
-            ("givens", [ ("M", 192); ("N", 192) ], None);
-          ]
-        else
-          [
-            ("lu", [ ("N", 384) ], Some 32);
-            ("lu", [ ("N", 640) ], Some 32);
-            ("lu_opt", [ ("N", 384) ], Some 32);
-            ("lu_opt", [ ("N", 640) ], Some 32);
-            ("lu_opt", [ ("N", 1024) ], Some 32);
-            ("lu_pivot", [ ("N", 384) ], Some 32);
-            ("lu_pivot_opt", [ ("N", 384) ], Some 32);
-            ("lu_pivot_opt", [ ("N", 640) ], Some 32);
-            ("matmul", [ ("N", 320); ("FREQ_PCT", 10) ], None);
-            ("givens", [ ("M", 384); ("N", 384) ], None);
-            ("conv", [ ("N1", 1200); ("N2", 1200); ("N3", 1600) ], None);
-          ]
-      in
+  banner "NATIVE  point vs transformed, per code-generation backend";
+  let backends =
+    List.filter
+      (fun b ->
+        let module B = (val b : Backend.S) in
+        B.available () = Ok ())
+      Backend.all
+  in
+  let tbl =
+    Table.create ~title:"Native point vs transformed, per backend, bitwise-verified"
+      [
+        ("Kernel", Table.Left); ("Params", Table.Left); ("Backend", Table.Left);
+        ("Point", Table.Right); ("Xformed", Table.Right);
+        ("Speedup", Table.Right); ("Model", Table.Right);
+      ]
+  in
+  let cases =
+    if quick then
+      [
+        ("lu", [ ("N", 256) ], Some 32);
+        ("lu_opt", [ ("N", 256) ], Some 32);
+        ("lu_opt", [ ("N", 512) ], Some 32);
+        ("lu_pivot", [ ("N", 256) ], Some 32);
+        ("lu_pivot_opt", [ ("N", 256) ], Some 32);
+        ("matmul", [ ("N", 192); ("FREQ_PCT", 10) ], None);
+        ("givens", [ ("M", 192); ("N", 192) ], None);
+      ]
+    else
+      [
+        ("lu", [ ("N", 384) ], Some 32);
+        ("lu", [ ("N", 640) ], Some 32);
+        ("lu_opt", [ ("N", 384) ], Some 32);
+        ("lu_opt", [ ("N", 640) ], Some 32);
+        ("lu_opt", [ ("N", 1024) ], Some 32);
+        ("lu_pivot", [ ("N", 384) ], Some 32);
+        ("lu_pivot_opt", [ ("N", 384) ], Some 32);
+        ("lu_pivot_opt", [ ("N", 640) ], Some 32);
+        ("matmul", [ ("N", 320); ("FREQ_PCT", 10) ], None);
+        ("givens", [ ("M", 384); ("N", 384) ], None);
+        ("conv", [ ("N1", 1200); ("N2", 1200); ("N3", 1600) ], None);
+      ]
+  in
+  List.iter
+    (fun (name, bindings, block) ->
       List.iter
-        (fun (name, bindings, block) ->
-          let entry = Option.get (Blockability.find name) in
-          match Blockability.native_compare ~bindings ~reps ?block entry with
-          | Error m -> Printf.printf "%s: %s\n" name m
-          | Ok r ->
+        (fun backend ->
+          Option.iter
+            (fun (r : Blockability.native_result) ->
+              let model =
+                match r.nt_model_speedup with
+                | None -> "-"
+                | Some m -> Printf.sprintf "%.2fx" m
+              in
               Table.add_row tbl
-                [
-                  name;
-                  String.concat " "
-                    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-                       r.Blockability.nt_bindings);
-                  Table.cell_s r.Blockability.nt_point_s;
-                  Table.cell_s r.Blockability.nt_transformed_s;
-                  Table.cell_f r.Blockability.nt_speedup;
-                  (match r.Blockability.nt_model_speedup with
-                  | None -> "-"
-                  | Some m -> Printf.sprintf "%.2fx" m);
-                ])
-        cases;
-      output ~id:"native" tbl;
-      print_string
-        "every row is bitwise-verified against the interpreter before timing,\n\
-         and point vs transformed bitwise at the timed size after it;\n\
-         paper (RS/6000-540): blocked LU 2.5-3.2x, Givens 2.04-5.49x\n"
-
-(* ------------------------------------------------------------------ *)
-(* NATIVE-C: the same measurement through the C backend               *)
-(* ------------------------------------------------------------------ *)
-
-(* The paper's blocking argument is about memory traffic, so the
-   point-vs-blocked ratio should survive a change of scalar code
-   generator.  This table runs native_compare once per backend on the
-   same kernels: each row is bitwise-verified against the interpreter
-   (so the two backends are transitively bitwise-equal), and the
-   Speedup column should roughly agree down the pairs — a divergence
-   would mean the ratio was an artifact of one compiler, not of the
-   blocking. *)
-let native_c_suite () =
-  banner "NATIVE-C  point vs transformed, per code-generation backend";
-  match (Jit.available (), Cc.available ()) with
-  | Error m, _ -> Printf.printf "native-c suite skipped: %s\n" m
-  | _, Error m -> Printf.printf "native-c suite skipped: %s\n" m
-  | Ok (), Ok () ->
-      let tbl =
-        Table.create ~title:"Native point vs transformed, per backend"
-          [
-            ("Kernel", Table.Left); ("Params", Table.Left);
-            ("Backend", Table.Left); ("Point", Table.Right);
-            ("Xformed", Table.Right); ("Speedup", Table.Right);
-          ]
-      in
-      let cases =
-        if quick then
-          [
-            ("lu", [ ("N", 256) ], Some 32);
-            ("lu_opt", [ ("N", 256) ], Some 32);
-            ("lu_pivot_opt", [ ("N", 256) ], Some 32);
-            ("givens", [ ("M", 192); ("N", 192) ], None);
-          ]
-        else
-          [
-            ("lu", [ ("N", 384) ], Some 32);
-            ("lu_opt", [ ("N", 384) ], Some 32);
-            ("lu_opt", [ ("N", 640) ], Some 32);
-            ("lu_pivot_opt", [ ("N", 384) ], Some 32);
-            ("givens", [ ("M", 384); ("N", 384) ], None);
-          ]
-      in
-      List.iter
-        (fun (name, bindings, block) ->
-          let entry = Option.get (Blockability.find name) in
-          List.iter
-            (fun backend ->
-              match
-                Blockability.native_compare ~backend ~bindings ~reps ?block
-                  entry
-              with
-              | Error m ->
-                  let module B = (val backend : Backend.S) in
-                  Printf.printf "%s (%s): %s\n" name B.tag m
-              | Ok r ->
-                  Table.add_row tbl
-                    [
-                      name;
-                      String.concat " "
-                        (List.map
-                           (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-                           r.Blockability.nt_bindings);
-                      r.Blockability.nt_backend;
-                      Table.cell_s r.Blockability.nt_point_s;
-                      Table.cell_s r.Blockability.nt_transformed_s;
-                      Table.cell_f r.Blockability.nt_speedup;
-                    ])
-            Backend.all)
-        cases;
-      output ~id:"native-c" tbl;
-      print_string
-        "same IR, same buffers, two code generators; the point-vs-blocked\n\
-         ratio should survive the backend swap; each row is verified\n\
-         against the interpreter, and point vs transformed at the timed size\n"
+                (text [ name; params r.nt_bindings; r.nt_backend ] @ pair r @ text [ model ]))
+            (compiled ~backend ?block name bindings))
+        backends)
+    cases;
+  output ~id:"native" tbl;
+  print_string
+    "every row is bitwise-verified against the interpreter before timing,\n\
+     and point vs transformed bitwise at the timed size after it;\n\
+     paper (RS/6000-540): blocked LU 2.5-3.2x, Givens 2.04-5.49x\n"
 
 (* ------------------------------------------------------------------ *)
 (* SERVE: the batched compile/execute request service                  *)
@@ -903,7 +787,8 @@ let native_c_suite () =
    ocamlopt run (its backend share measured at 3–6 us on OCaml, see
    serve.mli), and a batch dispatch over the domain pool beats the same
    executions issued one request at a time — with identical result
-   digests, since every item runs in its own environment. *)
+   digests, since every item runs in its own environment.  A cold
+   compile happens once per process, so it is one sample. *)
 let serve_suite () =
   banner "SERVE  blueprint-keyed compile/execute service";
   match Jit.available () with
@@ -912,104 +797,103 @@ let serve_suite () =
       (* A fresh on-disk cache so each structure's first compile is a
          real ocamlopt run; the kernels here are ones no other suite
          compiles, so the in-process memo is cold too. *)
-      let tmp = Filename.temp_file "blockc-serve-bench" "" in
-      Sys.remove tmp;
-      Unix.mkdir tmp 0o700;
-      Unix.putenv "BLOCKC_JIT_CACHE" tmp;
+      Unix.putenv "BLOCKC_JIT_CACHE" (Filename.temp_dir "blockc-serve-bench" "");
       let exec_pool = Pool.default () in
-      let request line =
-        let t0 = Obs.now_ns () in
-        let resp, _ = Serve.handle_line ~exec_pool line in
-        (resp, float_of_int (Obs.now_ns () - t0) /. 1e9)
+      let read name j = Option.value (Json_min.string_field name j) ~default:"?" in
+      (* One request: [Error] unless it succeeded, and came from the memo
+         where [memo] says so. *)
+      let call ?(memo = false) line =
+        match Json_min.parse (fst (Serve.handle_line ~exec_pool line)) with
+        | Error m -> Error ("serve response did not parse: " ^ m)
+        | Ok j when Json_min.bool_field "ok" j <> Some true -> Error (read "error" j)
+        | Ok j when memo && read "disposition" j <> "memo" ->
+            Error ("not served from the memo: " ^ line)
+        | Ok j -> Ok j
       in
-      let parse resp =
-        match Json_min.parse resp with
-        | Ok v -> v
-        | Error m -> failwith ("serve response did not parse: " ^ m)
-      in
-      let read name resp =
-        Option.value (Json_min.string_field name (parse resp)) ~default:"?"
+      let compile kernel variant =
+        Printf.sprintf "{\"op\":\"compile\",\"kernel\":\"%s\",\"variant\":\"%s\"}"
+          kernel variant
       in
       let tbl =
-        Table.create ~title:"serve: cold vs warm-blueprint compile requests"
+        Table.create ~title:"serve: cold (one request, n=1) vs warm-blueprint compile requests"
           [
-            ("Kernel", Table.Left); ("Cold", Table.Right);
-            ("Warm", Table.Right); ("Ratio", Table.Right);
-            ("Dispositions", Table.Left);
+            ("Kernel", Table.Left); ("Cold", Table.Right); ("Warm", Table.Right);
+            ("Ratio", Table.Right); ("Dispositions", Table.Left);
           ]
       in
       List.iter
         (fun kernel ->
-          let line =
-            Printf.sprintf
-              "{\"op\":\"compile\",\"kernel\":\"%s\",\"variant\":\"transformed\"}"
-              kernel
+          let disposition = ref "?" in
+          let arm () () =
+            Result.map
+              (fun j -> disposition := read "disposition" j)
+              (call (compile kernel "transformed"))
           in
-          let r1, cold = request line in
-          let r2, warm = request line in
-          let d1 = read "disposition" r1 and d2 = read "disposition" r2 in
-          Table.add_row tbl
-            [
-              kernel; Table.cell_s cold; Table.cell_s warm;
-              Printf.sprintf "%.0fx" (cold /. warm);
-              Printf.sprintf "%s -> %s" d1 d2;
-            ])
+          let cold = Measure.once arm in
+          let first = !disposition in
+          match (cold, Measure.run [ arm ]) with
+          | Ok cold, Ok [ warm ] ->
+              Table.add_row tbl
+                Table.
+                  [
+                    Text kernel; Time cold; Time warm;
+                    Text (Printf.sprintf "%.0fx" (Measure.ratio cold warm));
+                    Text (Printf.sprintf "%s -> %s" first !disposition);
+                  ]
+          | Error m, _ | _, Error m -> Printf.printf "serve %s: %s\n" kernel m
+          | _ -> ())
         [ "cholesky"; "trisolve" ];
       output ~id:"serve_compile" tbl;
-      let tbl =
-        Table.create
-          ~title:"serve: batched vs sequential execution of one blueprint"
-          [
-            ("Dispatch", Table.Left); ("Requests", Table.Right);
-            ("Total", Table.Right); ("Speedup", Table.Right);
-            ("Results", Table.Left);
-          ]
-      in
+      (* Both dispatches run warm: the point blueprint they ask for is
+         compiled before timing, and every timed response must come from
+         the memo. *)
       let sizes = List.init (if quick then 8 else 16) (fun i -> 48 + (8 * i)) in
-      let n = List.length sizes in
-      let digests_of j =
-        match Json_min.field "digests" j with
-        | Some (Json_min.Array ds) ->
-            List.map (function Json_min.String s -> s | _ -> "?") ds
-        | _ -> []
+      ignore (call (compile "cholesky" "point"));
+      let seq_digests = ref [] and batch_digests = ref [] in
+      let rec sequential acc = function
+        | [] ->
+            seq_digests := List.rev acc;
+            Ok ()
+        | sz :: rest ->
+            Printf.sprintf
+              "{\"op\":\"execute\",\"kernel\":\"cholesky\",\"bindings\":{\"N\":%d}}" sz
+            |> call ~memo:true
+            |> Fun.flip Result.bind (fun j -> sequential (read "digest" j :: acc) rest)
       in
-      let seq_digests = ref [] in
-      let seq_s =
-        time_once (fun () ->
-            seq_digests :=
-              List.map
-                (fun sz ->
-                  let line =
-                    Printf.sprintf
-                      "{\"op\":\"execute\",\"kernel\":\"cholesky\",\"bindings\":{\"N\":%d}}"
-                      sz
-                  in
-                  read "digest" (fst (request line)))
-                sizes)
+      let batched () =
+        Printf.sprintf "{\"op\":\"batch\",\"kernel\":\"cholesky\",\"sizes\":[%s]}"
+          (String.concat "," (List.map string_of_int sizes))
+        |> call ~memo:true
+        |> Result.map (fun j ->
+               batch_digests :=
+                 match Json_min.field "digests" j with
+                 | Some (Json_min.Array ds) ->
+                     List.map (function Json_min.String s -> s | _ -> "?") ds
+                 | _ -> [])
       in
-      let batch_digests = ref [] in
-      let batch_s =
-        time_once (fun () ->
-            let line =
-              Printf.sprintf
-                "{\"op\":\"batch\",\"kernel\":\"cholesky\",\"sizes\":[%s]}"
-                (String.concat "," (List.map string_of_int sizes))
-            in
-            batch_digests := digests_of (parse (fst (request line))))
-      in
-      let bitwise =
-        if !seq_digests = !batch_digests && !batch_digests <> [] then
-          "bitwise equal"
-        else "DIGEST MISMATCH"
-      in
-      Table.add_row tbl
-        [ "sequential"; string_of_int n; Table.cell_s seq_s; "1.00x"; "-" ];
-      Table.add_row tbl
-        [
-          "batched"; "1"; Table.cell_s batch_s;
-          Printf.sprintf "%.2fx" (seq_s /. batch_s); bitwise;
-        ];
-      output ~id:"serve_batch" tbl;
+      (match Measure.run [ (fun () () -> sequential [] sizes); (fun () -> batched) ] with
+      | Error m -> Printf.printf "serve batch: %s\n" m
+      | Ok [ seq; bat ] ->
+          let tbl =
+            Table.create ~title:"serve: batched vs sequential execution of one warm blueprint"
+              [
+                ("Dispatch", Table.Left); ("Requests", Table.Right); ("Total", Table.Right);
+                ("Speedup", Table.Right); ("Results", Table.Left);
+              ]
+          in
+          let bitwise =
+            if !seq_digests = !batch_digests && !batch_digests <> [] then "bitwise equal"
+            else "DIGEST MISMATCH"
+          in
+          Table.(
+            add_row tbl
+              [ Text "sequential"; Text (string_of_int (List.length sizes)); Time seq;
+                Text "1.00x"; Text "-" ];
+            add_row tbl
+              [ Text "batched"; Text "1"; Time bat;
+                Text (Printf.sprintf "%.2fx" (Measure.ratio seq bat)); Text bitwise ]);
+          output ~id:"serve_batch" tbl
+      | Ok _ -> ());
       Printf.printf
         "a warm compile finds the loaded artifact in the cache's table; \
          the batch is one request fanned across %d domains\n"
@@ -1019,25 +903,17 @@ let serve_suite () =
 (* the regression gate                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let run_gate path =
   let fail msg =
     Printf.eprintf "bench gate: %s\n" msg;
     exit 2
   in
   let baseline =
-    match Json_min.parse (read_file path) with
+    match Json_min.parse (In_channel.with_open_bin path In_channel.input_all) with
     | Ok v -> v
     | Error m -> fail (path ^ ": " ^ m)
   in
-  let current = Table.json_of_tables !registry in
-  match Bench_gate.compare ?tolerance ?slack_s:slack ~baseline ~current () with
+  match Bench_gate.compare ~baseline ~current:(Table.json_of_tables !registry) with
   | Error m -> fail m
   | Ok verdict ->
       Printf.printf "\n%s" (Bench_gate.report verdict);
@@ -1055,56 +931,42 @@ let () =
   if want "obs" then obs_suite ();
   if want "profile" then profile_suite ();
   if want "native" then native_suite ();
-  if want "native-c" then native_c_suite ();
   if want "serve" then serve_suite ();
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Json_min.to_string (Table.json_of_tables !registry));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "\nwrote %d table(s) to %s\n" (List.length !registry) path);
+  let write path json =
+    let oc = open_out path in
+    output_string oc (Json_min.to_string json ^ "\n");
+    close_out oc
+  in
+  let tables = Table.json_of_tables !registry in
+  Option.iter
+    (fun path ->
+      write path tables;
+      Printf.printf "\nwrote %d table(s) to %s\n" (List.length !registry) path)
+    json_path;
   (match traj_out with
   | None -> ()
   | Some out ->
       let entries =
-        match traj_base with
+        match Option.map Bench_gate.load_trajectory traj_base with
         | None -> []
-        | Some path -> (
-            match Bench_gate.load_trajectory path with
-            | Ok [] ->
-                Printf.printf "\ntrajectory %s is empty: starting one\n" path;
-                []
-            | Ok entries -> entries
-            | Error m ->
-                Printf.eprintf "main.exe: %s\n" m;
-                exit 2)
+        | Some (Ok entries) -> entries
+        | Some (Error m) ->
+            Printf.eprintf "main.exe: %s\n" m;
+            exit 2
       in
-      let tables = Table.json_of_tables !registry in
       let date =
         let t = Unix.gmtime (Unix.time ()) in
         Printf.sprintf "%04d-%02d-%02d" (t.Unix.tm_year + 1900)
           (t.Unix.tm_mon + 1) t.Unix.tm_mday
       in
-      let label =
-        String.concat " " selected ^ (if quick then " --quick" else "")
-      in
-      let doc = Bench_gate.append_trajectory_entry ~date ~label ~tables entries in
-      let oc = open_out out in
-      output_string oc doc;
-      close_out oc;
-      Printf.printf "trajectory: %d entr%s -> %s\n"
-        (List.length entries + 1)
-        (if entries = [] then "y" else "ies")
-        out;
+      let label = String.concat " " selected ^ if quick then " --quick" else "" in
+      let all = entries @ [ Bench_gate.trajectory_entry ~date ~label ~tables ] in
+      write out (Json_min.Array all);
+      Printf.printf "trajectory: %d entries -> %s\n" (List.length all) out;
       (* Neighbour drift: each run vs the very next one, at a tighter
          tolerance than the gate — surfaces a slope of small slowdowns
          before the 1.5x baseline gate would trip.  Informational: the
          trajectory build must not fail on it. *)
-      let all =
-        entries @ [ Bench_gate.trajectory_entry ~date ~label ~tables ]
-      in
       match Bench_gate.drift all with
       | Error m -> Printf.eprintf "main.exe: drift: %s\n" m
       | Ok steps -> print_string (Bench_gate.drift_report steps));

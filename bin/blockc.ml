@@ -78,7 +78,13 @@ let machine_arg =
     & opt machine_conv Arch.rs6000_540
     & info [ "machine" ] ~doc:"Cache model: rs6000, small, or modern.")
 
-let or_default bindings = if bindings = [] then None else Some bindings
+(* [None] for the default problem; a missing parameter is unusable input. *)
+let checked_bindings e bindings =
+  match Blockability.check_bindings e bindings with
+  | Error m when bindings <> [] ->
+      prerr_endline ("blockc: " ^ m);
+      exit 2
+  | _ -> if bindings = [] then None else Some bindings
 
 (* ---- tracing flags (shared by the transformation-running commands) ---- *)
 
@@ -190,10 +196,8 @@ let derive_cmd =
 
 let verify_cmd =
   let run name bindings seed () =
-    match
-      Blockability.verify ?bindings:(or_default bindings) ~seed
-        (resolve_kernel name)
-    with
+    let e = resolve_kernel name in
+    match Blockability.verify ?bindings:(checked_bindings e bindings) ~seed e with
     | Ok () -> print_endline "equivalent: transformed kernel matches the point kernel"
     | Error m ->
         prerr_endline m;
@@ -219,7 +223,8 @@ let simulate_cmd =
   let run name bindings seed machine () =
     let e = resolve_kernel name in
     match
-      Blockability.simulate ?bindings:(or_default bindings) ~seed ~machine e
+      Blockability.simulate ?bindings:(checked_bindings e bindings) ~seed
+        ~machine e
     with
     | Error m ->
         prerr_endline m;
@@ -293,6 +298,7 @@ let print_explain_event (ev : Obs.event) =
       Printf.printf "%s-- %s%s\n" indent ev.name (args_suffix ev.args)
 
 let explain_run e bindings seed machine =
+  let bindings = checked_bindings e bindings in
   Printf.printf "kernel: %s (%s)\n%s\n\n" e.Blockability.name
     e.Blockability.paper_ref e.Blockability.kernel.Kernel_def.description;
   (* Collect every event the derivation emits, on top of whatever sink
@@ -310,9 +316,7 @@ let explain_run e bindings seed machine =
   | Ok { Blocker.result = stmt; _ } -> (
       Printf.printf "\nverdict: blockable — final block structure:\n\n%s"
         (Stmt.to_string stmt);
-      match
-        Blockability.simulate ?bindings:(or_default bindings) ~seed ~machine e
-      with
+      match Blockability.simulate ?bindings ~seed ~machine e with
       | Error m -> Printf.printf "\ncache report unavailable: %s\n" m
       | Ok r ->
           Printf.printf "\ncache report (machine %s):\n" machine.Arch.name;
@@ -394,6 +398,8 @@ let kind_str = function Ir_util.Read -> "read" | Ir_util.Write -> "write"
 let nest_str (site : Exec.ref_site) =
   match site.Exec.ref_loops with [] -> "(top)" | l -> String.concat ">" l
 
+let text_row tbl cells = Table.add_row tbl (List.map (fun s -> Table.Text s) cells)
+
 let level_table (kp : Blockability.kernel_profile) =
   let tbl =
     Table.create
@@ -408,7 +414,7 @@ let level_table (kp : Blockability.kernel_profile) =
   in
   List.iter
     (fun (name, (s : Cache.stats)) ->
-      Table.add_row tbl
+      text_row tbl
         [
           name; string_of_int s.accesses; string_of_int s.misses;
           pct s.misses s.accesses; string_of_int s.evictions;
@@ -435,7 +441,7 @@ let ref_table (kp : Blockability.kernel_profile) =
     (fun (r : Trace.ref_profile) ->
       let c = r.counts in
       if c.Trace.c_accesses > 0 then
-        Table.add_row tbl
+        text_row tbl
           [
             string_of_int r.site.Exec.ref_id; r.site.Exec.ref_text;
             kind_str r.site.Exec.ref_kind; nest_str r.site;
@@ -460,7 +466,7 @@ let loop_table (kp : Blockability.kernel_profile) =
   List.iter
     (fun (nest, (c : Trace.ref_counts)) ->
       if c.Trace.c_accesses > 0 then
-        Table.add_row tbl
+        text_row tbl
           [
             nest; string_of_int c.Trace.c_accesses;
             string_of_int c.Trace.c_l1_misses;
@@ -622,7 +628,7 @@ let print_profile kp =
 let profile_cmd =
   let run name bindings seed machine block sweep json () =
     let e = resolve_kernel name in
-    let bindings = or_default bindings in
+    let bindings = checked_bindings e bindings in
     let fail m =
       prerr_endline ("blockc profile: " ^ m);
       exit 1
@@ -697,7 +703,7 @@ let profile_cmd =
               | _ :: (_, (s : Cache.stats)) :: _ -> s.misses
               | _ -> 0
             in
-            Table.add_row tbl
+            text_row tbl
               [
                 string_of_int b; string_of_int (l1_misses kp); string_of_int l2;
                 string_of_int kp.kp_cycles;
@@ -825,8 +831,8 @@ let json_of_native (r : Blockability.native_result) =
   J.Object
     [
       ("backend", J.String r.nt_backend);
-      ("point_s", jfixed 6 r.nt_point_s);
-      ("transformed_s", jfixed 6 r.nt_transformed_s);
+      ("point", Measure.to_json r.nt_point);
+      ("transformed", Measure.to_json r.nt_transformed);
       ("speedup", jfixed 4 r.nt_speedup);
       ("point_cached", J.Bool r.nt_point_cached);
       ("transformed_cached", J.Bool r.nt_transformed_cached);
@@ -848,14 +854,19 @@ let print_native (r : Blockability.native_result) =
     "verified: both variants bitwise equal to the interpreter (%s) [%s \
      backend]\n"
     (show r.nt_verify_bindings) r.nt_backend;
-  Printf.printf "timed at: %s (best of reps)\n" (show r.nt_bindings);
+  Printf.printf
+    "timed at: %s (median of %d interleaved runs per variant, quartiles in \
+     brackets)\n"
+    (show r.nt_bindings) r.nt_point.Measure.n;
   print_endline
     "verified at the timed size: point and transformed bitwise equal";
-  let cached c = if c then "  [jit cache hit]" else "  [compiled]" in
-  Printf.printf "point:       %10.6f s%s\n" r.nt_point_s
-    (cached r.nt_point_cached);
-  Printf.printf "transformed: %10.6f s%s\n" r.nt_transformed_s
-    (cached r.nt_transformed_cached);
+  let line label (m : Measure.summary) cached =
+    Printf.printf "%-12s %10.6f s  [%.6f, %.6f]  [%s]\n" label
+      (Measure.seconds m) (m.q1_ns /. 1e9) (m.q3_ns /. 1e9)
+      (if cached then "jit cache hit" else "compiled")
+  in
+  line "point:" r.nt_point r.nt_point_cached;
+  line "transformed:" r.nt_transformed r.nt_transformed_cached;
   Printf.printf "speedup: %.2fx%s\n" r.nt_speedup
     (match r.nt_model_speedup with
     | None -> ""
@@ -959,8 +970,8 @@ let compile_cmd =
     if do_run then begin
       backend_or_exit ();
       match
-        Blockability.native_compare ~backend ?bindings:(or_default bindings)
-          ~seed ?block e
+        Blockability.native_compare ~backend
+          ?bindings:(checked_bindings e bindings) ~seed ?block e
       with
       | Error m ->
           prerr_endline ("blockc compile: " ^ m);
@@ -1108,7 +1119,7 @@ let print_fuzz (s : Fuzz.summary) =
   in
   List.iter
     (fun (p : Fuzz.pass_stat) ->
-      Table.add_row tbl
+      text_row tbl
         [
           p.ps_name; string_of_int p.ps_applied; string_of_int p.ps_rejected;
           string_of_int p.ps_diverged;

@@ -46,7 +46,7 @@ let () =
             "%-5s n=%d: original %.2fms, split+unroll-and-jam %.2fms \
              (speedup %.2f), verified bitwise\n"
             name n1
-            (r.Blockability.nt_point_s *. 1e3)
-            (r.Blockability.nt_transformed_s *. 1e3)
+            (Measure.seconds r.Blockability.nt_point *. 1e3)
+            (Measure.seconds r.Blockability.nt_transformed *. 1e3)
             r.Blockability.nt_speedup)
     [ "aconv"; "conv" ]

@@ -31,7 +31,7 @@ let () =
       | Ok r ->
           Printf.printf "  %4dx%-4d point %8.1fms  optimized %8.1fms  speedup %.2f\n"
             n n
-            (r.Blockability.nt_point_s *. 1e3)
-            (r.Blockability.nt_transformed_s *. 1e3)
+            (Measure.seconds r.Blockability.nt_point *. 1e3)
+            (Measure.seconds r.Blockability.nt_transformed *. 1e3)
             r.Blockability.nt_speedup)
     [ 100; 200; 400 ]

@@ -34,7 +34,7 @@ let () =
       | Error m -> Printf.printf "%9d%% %s\n" freq_pct m
       | Ok r ->
           Printf.printf "%9d%% %9.2fms %9.2fms %10.2f\n" freq_pct
-            (r.Blockability.nt_point_s *. 1e3)
-            (r.Blockability.nt_transformed_s *. 1e3)
+            (Measure.seconds r.Blockability.nt_point *. 1e3)
+            (Measure.seconds r.Blockability.nt_transformed *. 1e3)
             r.Blockability.nt_speedup)
     [ 2; 10; 25; 50; 90 ]

@@ -253,8 +253,16 @@ let env ?block entry variant ~bindings ~seed =
   entry.extra_setup env ~bindings;
   env
 
+let check_bindings { kernel = k; _ } bindings =
+  match List.filter (fun p -> not (List.mem_assoc p bindings)) k.params with
+  | [] -> Ok ()
+  | p :: _ -> Error (Printf.sprintf "kernel %s: missing parameter %s" k.name p)
+
+let ( let* ) = Result.bind
+
 let verify ?bindings ?(seed = 42) entry =
   let bindings = Option.value bindings ~default:entry.default_bindings in
+  let* () = check_bindings entry bindings in
   match derive entry with
   | Error e -> Error ("derivation failed: " ^ e)
   | Ok { result; _ } -> (
@@ -369,6 +377,7 @@ let profile_block ~machine ~spec ~kernel_name ~variant ~block env ~arrays
 let profile ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec ?block
     entry =
   let bindings = Option.value bindings ~default:entry.default_bindings in
+  let* () = check_bindings entry bindings in
   match derive entry with
   | Error e -> Error ("derivation failed: " ^ e)
   | Ok { result; _ } -> (
@@ -432,6 +441,7 @@ let simulate_blocks ~machine entry ~bindings ~seed point transformed =
 
 let simulate ?bindings ?(seed = 42) ~machine entry =
   let bindings = Option.value bindings ~default:entry.default_bindings in
+  let* () = check_bindings entry bindings in
   match derive entry with
   | Error e -> Error ("derivation failed: " ^ e)
   | Ok { result; _ } ->
@@ -595,8 +605,8 @@ let compiled_fields c =
 
 type native_result = {
   nt_backend : string;
-  nt_point_s : float;
-  nt_transformed_s : float;
+  nt_point : Measure.summary;
+  nt_transformed : Measure.summary;
   nt_speedup : float;
   nt_point_cached : bool;
   nt_transformed_cached : bool;
@@ -622,33 +632,15 @@ let native_verify ?block c ~bindings ~seed =
           | Ok () ->
               Env.diff ~only:c.c_entry.kernel.Kernel_def.traced env_i env_n))
 
-(* The best of [reps] runs, each on a fresh environment built outside
-   the clock, and the last run's environment. *)
-let time_runs make_env run ~reps =
-  let rec go best i =
-    let env = make_env () in
-    let t0 = Obs.now_ns () in
-    match run env with
-    | Error m -> Error m
-    | Ok () ->
-        let dt = float_of_int (Obs.now_ns () - t0) /. 1e9 in
-        let best = Float.min best dt in
-        if i < reps then go best (i + 1) else Ok (best, env)
-  in
-  go infinity 1
-
-let native_time kernel run ~bindings ~seed ~reps =
-  time_runs (fun () -> Kernel_def.make_env kernel ~bindings ~seed) run ~reps
-  |> Result.map fst
-
 let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
-    ?verify_bindings ?(seed = 42) ?(reps = 3) ?block entry =
+    ?verify_bindings ?(seed = 42) ?block entry =
   let module B = (val backend) in
   let bindings = Option.value bindings ~default:entry.default_bindings in
   let verify_bindings =
     Option.value verify_bindings ~default:entry.default_bindings
   in
-  let ( let* ) = Result.bind in
+  let* () = check_bindings entry bindings in
+  let* () = check_bindings entry verify_bindings in
   let* _ = block_bindings entry block in
   (* The transformed variant first: a kernel that does not block fails
      before anything is compiled. *)
@@ -664,17 +656,25 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
   with
   | Some m -> Error (entry.name ^ ": native diverges: " ^ m)
   | None ->
-      let time c =
-        Result.map_error
-          (fun m -> entry.name ^ ": " ^ variant_name c.c_variant ^ ": " ^ m)
-          (time_runs
-             (fun () -> env ?block entry c.c_variant ~bindings ~seed)
-             (fun env -> c.c_cm.Backend.bk_run env) ~reps)
+      (* Point and transformed are two interleaved arms, each sample in a
+         fresh environment built outside the clock; an arm's last
+         environment is its last timed run. *)
+      let last = Hashtbl.create 2 in
+      let arm c () =
+        let env = env ?block entry c.c_variant ~bindings ~seed in
+        Hashtbl.replace last c.c_variant env;
+        fun () ->
+          Result.map_error (( ^ ) (variant_name c.c_variant ^ ": ")) (c.c_cm.Backend.bk_run env)
       in
-      let* tp, env_p = time point in
-      let* tt, env_t = time transformed in
+      let* tp, tt =
+        match Measure.run [ arm point; arm transformed ] with
+        | Ok [ tp; tt ] -> Ok (tp, tt)
+        | Ok _ -> assert false
+        | Error m -> Error (entry.name ^ ": " ^ m)
+      in
       (* Point and transformed agree bitwise at the verified size; the
          timed size gets the same check, outside the clock. *)
+      let env_p = Hashtbl.find last Point and env_t = Hashtbl.find last Transformed in
       let* () =
         match Env.diff ~only:entry.kernel.Kernel_def.traced env_p env_t with
         | None -> Ok ()
@@ -692,9 +692,9 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
       Ok
         {
           nt_backend = B.tag;
-          nt_point_s = tp;
-          nt_transformed_s = tt;
-          nt_speedup = (if tt > 0.0 then tp /. tt else 0.0);
+          nt_point = tp;
+          nt_transformed = tt;
+          nt_speedup = Measure.ratio tp tt;
           nt_point_cached = cached point;
           nt_transformed_cached = cached transformed;
           nt_model_speedup =

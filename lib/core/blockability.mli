@@ -66,6 +66,12 @@ val env :
     [block] on an entry without KS, and [Env.Error] for sizes that
     declare an empty array. *)
 
+val check_bindings : entry -> (string * int) list -> (unit, string) result
+(** [Error] naming the first kernel parameter that [bindings] leave
+    unbound.  {!verify}, {!simulate}, {!profile} and {!native_compare}
+    check their bindings with it before they build an environment;
+    {!env} does not, and raises instead. *)
+
 val verify :
   ?bindings:(string * int) list -> ?seed:int -> entry -> (unit, string) result
 (** Derive, then check interpreter equivalence of point vs transformed
@@ -192,14 +198,15 @@ val disposition_fields : compiled -> (string * Json_min.t) list
     too. *)
 
 (** Wall-clock comparison of the point and transformed variants compiled
-    to native code (see {!Jit}).  Times are best-of-[reps] for one full
-    kernel run; [cached] flags report whether the plugin came from the
-    on-disk JIT cache (first compiles cost ~100ms of [ocamlopt]). *)
+    to native code (see {!Backend}).  Each time is a {!Measure} summary
+    of one full kernel run, point and transformed interleaved; [cached]
+    flags report whether the artifact came from the cache (first
+    compiles cost ~100ms of [ocamlopt]). *)
 type native_result = {
   nt_backend : string;  (** which {!Backend} produced the numbers *)
-  nt_point_s : float;
-  nt_transformed_s : float;
-  nt_speedup : float;  (** point / transformed *)
+  nt_point : Measure.summary;
+  nt_transformed : Measure.summary;
+  nt_speedup : float;  (** point median / transformed median *)
   nt_point_cached : bool;
   nt_transformed_cached : bool;
   nt_model_speedup : float option;
@@ -215,7 +222,6 @@ val native_compare :
   ?bindings:(string * int) list ->
   ?verify_bindings:(string * int) list ->
   ?seed:int ->
-  ?reps:int ->
   ?block:int ->
   entry ->
   (native_result, string) result
@@ -224,26 +230,14 @@ val native_compare :
     allocator in the loop), check each is bitwise equal to the
     interpreter at [verify_bindings] (default: the entry's small
     default problem), then time both at [bindings] (default likewise —
-    pass something larger for meaningful numbers), and check that the
-    last timed runs of the two variants agree bitwise, outside the
-    clock.  [block] overrides the KS binding as in {!profile}.
-    Environments come from {!env}, and [nt_model_speedup] simulates
-    the two blocks compiled, so a call looks its derivation up once
-    and derives at most once.  Any
-    divergence, from the interpreter or between the timed runs, is an
-    [Error]: the native path never trades correctness for speed. *)
-
-val native_time :
-  Kernel_def.t ->
-  (Env.t -> (unit, string) result) ->
-  bindings:(string * int) list ->
-  seed:int ->
-  reps:int ->
-  (float, string) result
-(** The timing path of {!native_compare}, for any runner: the best of
-    [reps] (at least one) wall-clock runs of [run], each on a fresh
-    {!Kernel_def.make_env} environment built outside the clock.  The
-    first [Error] from [run] is returned. *)
+    pass something larger for meaningful numbers) as two interleaved
+    {!Measure} arms, each sample in a fresh {!env} built outside the
+    clock, and check that the last timed runs of the two variants
+    agree bitwise, outside the clock.  [block] overrides the KS binding
+    as in {!profile}.  [nt_model_speedup] simulates the two blocks
+    compiled, so a call derives at most once.  Missing parameters
+    ({!check_bindings}) and any divergence are an [Error]: the native
+    path never trades correctness for speed. *)
 
 val profile_sweep :
   ?bindings:(string * int) list ->

@@ -23,10 +23,7 @@ let null = { emit = (fun _ -> ()); flush_sink = (fun () -> ()) }
 (* Clock                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* CLOCK_MONOTONIC, read by bechamel's allocation-free stub: never
-   stepped, and one clock for every domain, so a stamp taken on one
-   lane and read on another (serve's queue wait) gives a duration. *)
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let now_ns = Measure.now_ns
 
 (* ------------------------------------------------------------------ *)
 (* Trace context and per-domain state                                  *)

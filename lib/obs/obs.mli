@@ -1,8 +1,8 @@
 (** Observability: structured events, spans, trace contexts, decision
     tracing, a flight recorder and runtime metrics for the whole stack.
 
-    Depends only on the stdlib, [unix], bechamel's monotonic clock
-    (see {!now_ns}) and {!Json_min}; the
+    Depends only on the stdlib, [unix], {!Measure}'s clock (see
+    {!now_ns}) and {!Json_min}; the
     runtime library sits below every other subsystem and links this.
     The disabled state is the default and near-free: [enabled ()] is a
     single bool-ref read, so hot paths guard with
@@ -111,10 +111,8 @@ val enabled : unit -> bool
 val flush : unit -> unit
 
 val now_ns : unit -> int
-(** [CLOCK_MONOTONIC] in nanoseconds: time since boot, not since the
-    epoch, so only differences mean anything.  The one clock for every
-    duration the system reports and every event timestamp; it is never
-    stepped and is shared by all domains.  Allocates nothing. *)
+(** {!Measure.now_ns}: [CLOCK_MONOTONIC] in nanoseconds.  The one clock
+    for every duration the system reports and every event timestamp. *)
 
 val instant : ?cat:string -> ?args:(string * value) list -> string -> unit
 

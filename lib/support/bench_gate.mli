@@ -1,26 +1,25 @@
 (** Benchmark regression gate.
 
     Compares two of the harness's [--json] dumps
-    (see {!Table.json_of_tables}) and flags timing cells that got
-    slower than the baseline beyond a tolerance.  Built on {!Json_min},
-    so the gate — like the rest of the repo — has no external
-    dependencies.
+    (see {!Table.json_of_tables}) and flags time cells whose median got
+    slower than the baseline's beyond a tolerance.  Built on
+    {!Json_min}, so the gate — like the rest of the repo — has no
+    external dependencies.
 
-    Only cells that parse as times in BOTH dumps are compared
-    ("4.59s", "0.123s", "12.30ms", "850ns", "3.1us"); speedup ratios,
-    miss counts and labels are ignored — those are claims about shape,
-    not wall-clock, and the tier-2 bench tests already check them.
-    Structural drift (a table or row present on one side only) is a
-    warning, not a failure: adding a benchmark must not fail the
-    gate. *)
+    Only cells that are {!Measure} summaries in BOTH dumps are
+    compared; text cells (speedup ratios, miss counts, labels) never
+    are — those are claims about shape, not wall-clock, and the tier-2
+    bench tests already check them.  Structural drift (a table or row
+    present on one side only) is a warning, not a failure: adding a
+    benchmark must not fail the gate. *)
 
 type regression = {
   table : string;  (** table id, e.g. ["t1"] *)
   row : int;  (** 0-based row index *)
   row_label : string;  (** first cell of the row *)
   header : string;  (** column header *)
-  base_s : float;
-  cur_s : float;
+  base_s : float;  (** baseline median, seconds *)
+  cur_s : float;  (** current median, seconds *)
   ratio : float;  (** [cur_s /. base_s] *)
 }
 
@@ -30,22 +29,16 @@ type verdict = {
   warnings : string list;  (** structural mismatches *)
 }
 
-val parse_time_cell : string -> float option
-(** Seconds from a rendered cell; [None] when the cell is not a time. *)
-
 val compare :
-  ?tolerance:float ->
-  ?slack_s:float ->
-  baseline:Json_min.t ->
-  current:Json_min.t ->
-  unit ->
-  (verdict, string) result
-(** [compare ~baseline ~current ()] flags every time cell with
-    [cur > base *. tolerance +. slack_s].  [tolerance] defaults to 1.5
-    (shared machines jitter; the gate hunts order-of-magnitude
-    regressions, not percent drift) and [slack_s] to 0.002 so
-    microsecond-scale cells never trip on noise.  [Error] only when a
-    dump is not structurally a [json_of_tables] document. *)
+  baseline:Json_min.t -> current:Json_min.t -> (verdict, string) result
+(** [compare ~baseline ~current] flags every time cell whose median
+    has [cur > base *. 1.5 +. 0.002] seconds: shared machines jitter, so
+    the gate hunts order-of-magnitude regressions, not percent drift,
+    and the 2 ms slack keeps microsecond-scale cells from tripping on
+    noise.  [Error] when a dump is not structurally a [json_of_tables]
+    document, and when the baseline holds time cells and the run
+    matched none of them: a gate that compares nothing must not
+    pass. *)
 
 val ok : verdict -> bool
 (** No regressions (warnings don't fail the gate). *)
@@ -71,11 +64,6 @@ val trajectory_entry :
 (** One run entry of the trajectory array.  [tables] is the
     [Table.json_of_tables] document of the run being recorded. *)
 
-val append_trajectory_entry :
-  date:string -> label:string -> tables:Json_min.t -> Json_min.t list -> string
-(** The trajectory document with one more entry appended (rendered,
-    newline-terminated). *)
-
 (** {1 Drift}
 
     The 1.5x regression gate compares against one committed baseline,
@@ -90,17 +78,14 @@ type drift_step = {
   ds_verdict : verdict;  (** neighbour comparison at drift tolerance *)
 }
 
-val drift :
-  ?tolerance:float ->
-  ?slack_s:float ->
-  Json_min.t list ->
-  (drift_step list, string) result
+val drift : Json_min.t list -> (drift_step list, string) result
 (** Compare each adjacent pair of trajectory entries ({!load_trajectory}
-    order, oldest first) with [tolerance] defaulting to 1.2 — stricter
-    than the gate's 1.5, because each step is one run against the very
-    next, not against a months-old baseline.  Fewer than two entries
-    yield [Ok []]. *)
+    order, oldest first) at a tolerance of 1.2 — stricter than the
+    gate's 1.5, because each step is one run against the very next, not
+    against a months-old baseline.  A step that matches no time cell
+    (across a change of cell format) compares nothing; its verdict says
+    so.  Fewer than two entries yield [Ok []]. *)
 
 val drift_report : drift_step list -> string
-(** Human-readable summary: step count plus one [DRIFT] line per
-    flagged cell. *)
+(** Human-readable summary: step count, then per step how many cells
+    it compared and one [DRIFT] line per flagged cell. *)

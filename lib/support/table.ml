@@ -1,10 +1,11 @@
 type align = Left | Right
+type cell = Text of string | Time of Measure.summary
 
 type t = {
   title : string option;
   headers : string list;
   aligns : align list;
-  mutable rows : string list list; (* reversed *)
+  mutable rows : cell list list; (* reversed *)
 }
 
 let create ?title columns =
@@ -15,22 +16,31 @@ let add_row t cells =
     invalid_arg "Table.add_row: wrong number of cells";
   t.rows <- cells :: t.rows
 
-let pad align width s =
-  let n = String.length s in
-  if n >= width then s
+let text = function Text s -> s | Time m -> Measure.to_string m
+
+(* Display width: UTF-8 continuation bytes (a time's "±") take no
+   column. *)
+let width s =
+  String.fold_left
+    (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1)
+    0 s
+
+let pad align w s =
+  let n = width s in
+  if n >= w then s
   else
     match align with
-    | Left -> s ^ String.make (width - n) ' '
-    | Right -> String.make (width - n) ' ' ^ s
+    | Left -> s ^ String.make (w - n) ' '
+    | Right -> String.make (w - n) ' ' ^ s
 
 let render t =
-  let rows = List.rev t.rows in
+  let rows = List.rev_map (List.map text) t.rows in
   let widths =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun acc row -> max acc (String.length (List.nth row i)))
-          (String.length h) rows)
+          (fun acc row -> max acc (width (List.nth row i)))
+          (width h) rows)
       t.headers
   in
   let buf = Buffer.create 256 in
@@ -57,15 +67,15 @@ let render t =
 
 let print t = print_string (render t)
 
-let strings cells = Json_min.Array (List.map (fun c -> Json_min.String c) cells)
-
 let to_json t =
+  let array f l = Json_min.Array (List.map f l) in
+  let cell = function Text s -> Json_min.String s | Time m -> Measure.to_json m in
   Json_min.Object
     [
       ( "title",
         match t.title with Some s -> Json_min.String s | None -> Json_min.Null );
-      ("headers", strings t.headers);
-      ("rows", Json_min.Array (List.rev_map strings t.rows));
+      ("headers", array (fun h -> Json_min.String h) t.headers);
+      ("rows", Json_min.Array (List.rev_map (array cell) t.rows));
     ]
 
 let json_of_tables tables =
@@ -78,10 +88,5 @@ let json_of_tables tables =
                Json_min.Object [ ("id", Json_min.String id); ("table", to_json t) ])
              tables) );
     ]
-
-let cell_s secs =
-  if secs >= 10.0 then Printf.sprintf "%.2fs" secs
-  else if secs >= 0.1 then Printf.sprintf "%.3fs" secs
-  else Printf.sprintf "%.2fms" (secs *. 1000.0)
 
 let cell_f r = Printf.sprintf "%.2f" r

@@ -123,7 +123,7 @@ let native_compare_registry () =
             ignore
               (ok_or_fail
                  (Printf.sprintf "%s on %s" e.name B.tag)
-                 (Blockability.native_compare ~backend ~reps:1 e)))
+                 (Blockability.native_compare ~backend e)))
           Backend.all)
     Blockability.entries
 
@@ -151,7 +151,7 @@ let native_compare_derives_once () =
       (fun () ->
         ignore
           (ok_or_fail "native_compare"
-             (Blockability.native_compare ~reps:1 (entry "lu_opt"))));
+             (Blockability.native_compare (entry "lu_opt"))));
     ( List.length
         (List.filter (fun (e : Obs.event) -> e.cat = "decision") (events ())),
       lookups () - l0 )

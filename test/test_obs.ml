@@ -655,27 +655,35 @@ let per_array_stats_sum () =
 
 (* ---- bench regression gate ---- *)
 
-let gate_doc rows =
+(* A time cell of 11 equal samples of [secs]. *)
+let secs_cell secs =
+  Table.Time (Measure.summarize (List.init 11 (fun _ -> int_of_float (secs *. 1e9))))
+
+let gate_table rows =
   let tbl =
     Table.create ~title:"t"
       [ ("K", Table.Left); ("Time", Table.Right); ("Speedup", Table.Right) ]
   in
   List.iter
-    (fun (k, secs, sp) -> Table.add_row tbl [ k; Table.cell_s secs; Table.cell_f sp ])
+    (fun (k, time, sp) -> Table.(add_row tbl [ Text k; time; Text (cell_f sp) ]))
     rows;
-  Table.json_of_tables [ ("g", tbl) ]
+  tbl
+
+let gate_doc rows =
+  Table.json_of_tables
+    [ ("g", gate_table (List.map (fun (k, secs, sp) -> (k, secs_cell secs, sp)) rows)) ]
 
 let gate_passes_and_fails () =
   let baseline = gate_doc [ ("lu", 1.0, 1.8); ("mm", 0.004, 1.5) ] in
   (* same timings: passes *)
-  (match Bench_gate.compare ~baseline ~current:baseline () with
+  (match Bench_gate.compare ~baseline ~current:baseline with
   | Error m -> Alcotest.fail m
   | Ok v ->
       check_bool "identical run passes" true (Bench_gate.ok v);
       check_int "compared both time cells" 2 v.compared);
   (* artificially slowed table: flagged, with the cell identified *)
   let slowed = gate_doc [ ("lu", 10.0, 1.8); ("mm", 0.004, 1.5) ] in
-  (match Bench_gate.compare ~baseline ~current:slowed () with
+  (match Bench_gate.compare ~baseline ~current:slowed with
   | Error m -> Alcotest.fail m
   | Ok v -> (
       check_bool "slowdown flagged" false (Bench_gate.ok v);
@@ -686,34 +694,72 @@ let gate_passes_and_fails () =
       | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l)));
   (* jitter within tolerance (and within slack for the ms cell) *)
   let jitter = gate_doc [ ("lu", 1.4, 1.8); ("mm", 0.005, 1.5) ] in
-  match Bench_gate.compare ~baseline ~current:jitter () with
+  match Bench_gate.compare ~baseline ~current:jitter with
   | Error m -> Alcotest.fail m
   | Ok v -> check_bool "jitter tolerated" true (Bench_gate.ok v)
 
 let gate_structural_drift_warns () =
-  let baseline = gate_doc [ ("lu", 1.0, 1.8) ] in
-  match
-    Bench_gate.compare ~baseline
-      ~current:
-        (match Json_min.parse {|{"tables":[]}|} with
-        | Ok v -> v
-        | Error m -> Alcotest.failf "parse: %s" m)
-      ()
-  with
+  let baseline =
+    Table.json_of_tables
+      [
+        ("g", gate_table [ ("lu", secs_cell 1.0, 1.8) ]);
+        ("h", gate_table [ ("mm", secs_cell 0.5, 1.5) ]);
+      ]
+  in
+  match Bench_gate.compare ~baseline ~current:(gate_doc [ ("lu", 1.0, 1.8) ]) with
   | Error m -> Alcotest.fail m
   | Ok v ->
       check_bool "missing table is only a warning" true (Bench_gate.ok v);
       check_int "one warning" 1 (List.length v.Bench_gate.warnings)
 
-let parse_time_cells () =
-  let t = Alcotest.(check (option (float 1e-9))) in
-  t "seconds" (Some 4.59) (Bench_gate.parse_time_cell "4.59s");
-  t "millis" (Some 0.0123) (Bench_gate.parse_time_cell "12.30ms");
-  t "micros" (Some 3.1e-6) (Bench_gate.parse_time_cell "3.1us");
-  t "nanos" (Some 8.5e-7) (Bench_gate.parse_time_cell "850ns");
-  t "ratio is not a time" None (Bench_gate.parse_time_cell "1.80");
-  t "label is not a time" None (Bench_gate.parse_time_cell "Aconv");
-  t "bare s is not a time" None (Bench_gate.parse_time_cell "s")
+(* A text cell that reads like a time is still text: only summaries
+   are compared. *)
+let gate_never_compares_text () =
+  let doc text =
+    Table.json_of_tables
+      [ ("g", gate_table [ ("lu", secs_cell 1.0, 1.8); ("mm", Table.Text text, 1.5) ]) ]
+  in
+  match Bench_gate.compare ~baseline:(doc "4.59s") ~current:(doc "45.9s") with
+  | Error m -> Alcotest.fail m
+  | Ok v ->
+      check_int "only the summary compared" 1 v.compared;
+      check_bool "the tenfold text cell is not flagged" true (Bench_gate.ok v)
+
+(* A run in another cell format (strings where the baseline has
+   summaries) compares nothing, and that must not pass. *)
+let gate_comparing_nothing_fails () =
+  let strings =
+    Table.json_of_tables
+      [ ("g", gate_table [ ("lu", Table.Text "1.00s", 1.8); ("mm", Table.Text "4.00ms", 1.5) ]) ]
+  in
+  (match Bench_gate.compare ~baseline:(gate_doc [ ("lu", 1.0, 1.8) ]) ~current:strings with
+  | Ok _ -> Alcotest.fail "a gate that compared no time cell passed"
+  | Error _ -> ());
+  (* a baseline with no time cells has nothing to miss *)
+  match Bench_gate.compare ~baseline:strings ~current:strings with
+  | Error m -> Alcotest.fail m
+  | Ok v -> check_int "nothing to compare" 0 v.compared
+
+(* Each drift step says how many cells it compared: a step across a
+   change of cell format compares none. *)
+let gate_drift_counts_cells () =
+  let entry tables = Bench_gate.trajectory_entry ~date:"d" ~label:"l" ~tables in
+  let strings =
+    Table.json_of_tables [ ("g", gate_table [ ("lu", Table.Text "1.00s", 1.8) ]) ]
+  in
+  match
+    Bench_gate.drift
+      [ entry strings; entry (gate_doc [ ("lu", 1.0, 1.8) ]); entry (gate_doc [ ("lu", 2.0, 1.8) ]) ]
+  with
+  | Error m -> Alcotest.fail m
+  | Ok steps ->
+      Alcotest.(check (list (pair int int)))
+        "compared and drifting per step"
+        [ (0, 0); (1, 1) ]
+        (List.map
+           (fun s ->
+             Bench_gate.(s.ds_verdict.compared, List.length s.ds_verdict.regressions))
+           steps)
 
 let suite =
   ( "obs",
@@ -765,5 +811,10 @@ let suite =
         gate_passes_and_fails;
       Alcotest.test_case "bench gate warns on structural drift" `Quick
         gate_structural_drift_warns;
-      Alcotest.test_case "time cell parsing" `Quick parse_time_cells;
+      Alcotest.test_case "bench gate never compares a text cell" `Quick
+        gate_never_compares_text;
+      Alcotest.test_case "bench gate comparing nothing fails" `Quick
+        gate_comparing_nothing_fails;
+      Alcotest.test_case "bench drift counts the cells of each step" `Quick
+        gate_drift_counts_cells;
     ] )

@@ -681,6 +681,29 @@ let suite =
           let r = parsed {|{"op":"profile","kernel":"lu"}|} in
           check_bool "profile refused" false (bool_field "ok" r);
           check_string "one name per op" {|unknown op "profile"|} (str "error" r));
+      case "simulate answers a missing parameter as execute does" (fun () ->
+          Obs.Metrics.set_enabled true;
+          Fun.protect ~finally:(fun () ->
+              Obs.Metrics.set_enabled false;
+              Obs.Metrics.reset ())
+          @@ fun () ->
+          Obs.Metrics.reset ();
+          let answer op =
+            parsed
+              (Printf.sprintf
+                 {|{"op":"%s","kernel":"aconv","bindings":{"N":200}}|} op)
+          in
+          let execute = answer "execute" and simulate = answer "simulate" in
+          check_bool "simulate refused" false (bool_field "ok" simulate);
+          check_string "execute names the parameter"
+            "kernel aconv: missing parameter N1" (str "error" execute);
+          check_string "simulate, the same" (str "error" execute)
+            (str "error" simulate);
+          check_int "no internal error"
+            0
+            (Obs.Metrics.count
+               (Obs.Metrics.counter
+                  (Obs.Metrics.labelled "serve.errors" [ ("class", "internal") ]))));
       case "batch fan-out is one connected trace" (fun () ->
           require_native ();
           let mem, events = Obs.memory () in

@@ -2,8 +2,8 @@ open Helpers
 
 let table_rendering () =
   let t = Table.create ~title:"T" [ ("A", Table.Left); ("B", Table.Right) ] in
-  Table.add_row t [ "x"; "10" ];
-  Table.add_row t [ "longer"; "7" ];
+  Table.(add_row t [ Text "x"; Text "10" ]);
+  Table.(add_row t [ Text "longer"; Text "7" ]);
   let rendered = Table.render t in
   check_bool "has title" true (String.length rendered > 0);
   check_bool "right-aligned" true
@@ -11,12 +11,104 @@ let table_rendering () =
     |> List.exists (fun line -> line = "x       10"));
   Alcotest.check_raises "arity checked"
     (Invalid_argument "Table.add_row: wrong number of cells") (fun () ->
-      Table.add_row t [ "only one" ])
+      Table.(add_row t [ Text "only one" ]))
 
 let cells () =
-  check_string "seconds" "12.46s" (Table.cell_s 12.46);
-  check_string "millis" "2.50ms" (Table.cell_s 0.0025);
-  check_string "ratio" "1.80" (Table.cell_f 1.8000001)
+  let ms l = Measure.summarize (List.map (fun x -> x * 1_000_000) l) in
+  check_string "seconds" "12.46s ±0%"
+    (Measure.to_string (Measure.summarize (List.init 11 (fun _ -> 12_460_000_000))));
+  check_string "millis, with the spread" "10.00ms ±10%"
+    (Measure.to_string (ms [ 9; 10; 10; 10; 11 ]));
+  check_string "one sample has no spread" "2.50ms"
+    (Measure.to_string (Measure.summarize [ 2_500_000 ]));
+  check_string "ratio" "1.80" (Table.cell_f 1.8000001);
+  (* a time cell renders as its summary, aligned by display width *)
+  let t = Table.create [ ("K", Table.Left); ("Time", Table.Right) ] in
+  Table.(add_row t [ Text "a"; Time (ms [ 9; 10; 10; 10; 11 ]) ]);
+  Table.(add_row t [ Text "b"; Text "1.00ms" ]);
+  check_bool "time cell rendered" true
+    (List.mem "a  10.00ms ±10%" (String.split_on_char '\n' (Table.render t)));
+  check_bool "aligned under it" true
+    (List.mem ("b" ^ String.make 8 ' ' ^ "1.00ms") (String.split_on_char '\n' (Table.render t)))
+
+(* ---- Measure ---- *)
+
+(* bench/e2e's Stats vectors and the values Python's statistics module
+   gives for them. *)
+let measure_statistics () =
+  let close = Alcotest.float 1e-9 in
+  let one_to n = List.init n (fun i -> float_of_int (i + 1)) in
+  Alcotest.check close "odd median" 2. (Measure.median [ 3.; 1.; 2. ]);
+  Alcotest.check close "even median" 2.5 (Measure.median [ 4.; 1.; 3.; 2. ]);
+  let q1, q2, q3 = Measure.quartiles (one_to 10) in
+  Alcotest.check close "q1 of 1..10" 2.75 q1;
+  Alcotest.check close "q2 of 1..10" 5.5 q2;
+  Alcotest.check close "q3 of 1..10" 8.25 q3;
+  let q1, q2, q3 = Measure.quartiles [ 16.; 1.; 8.; 2.; 4. ] in
+  Alcotest.check close "q1 of powers" 1.5 q1;
+  Alcotest.check close "q2 of powers" 4. q2;
+  Alcotest.check close "q3 of powers" 12. q3;
+  let s = Measure.summarize (List.init 10 (fun i -> i + 1)) in
+  check_int "n" 10 s.Measure.n;
+  Alcotest.check close "summary median" 5.5 s.Measure.median_ns;
+  Alcotest.check close "spread" 1. (Measure.spread s);
+  match Measure.of_json (Measure.to_json s) with
+  | Some s' -> check_bool "json round trip" true (s = s')
+  | None -> Alcotest.fail "of_json refused to_json's output"
+
+let measure_setup_outside_clock () =
+  let arm () =
+    Unix.sleepf 0.05;
+    fun () -> Ok ()
+  in
+  match Measure.run [ arm ] with
+  | Ok [ s ] ->
+      check_int "samples" Measure.samples s.Measure.n;
+      check_bool "median far below the 50 ms set-up" true
+        (Measure.seconds s < 0.005)
+  | Ok _ -> Alcotest.fail "one arm, one summary"
+  | Error m -> Alcotest.fail m
+
+let measure_interleaves () =
+  let log = ref [] in
+  let arm name () =
+    log := ("set-up " ^ name) :: !log;
+    fun () ->
+      log := ("call " ^ name) :: !log;
+      Ok ()
+  in
+  (match Measure.run [ arm "a"; arm "b"; arm "c" ] with
+  | Ok l -> check_int "one summary per arm" 3 (List.length l)
+  | Error m -> Alcotest.fail m);
+  (* warm-up in arm order, then round r starts with arm r mod 3 *)
+  let rotations = [| [ "a"; "b"; "c" ]; [ "b"; "c"; "a" ]; [ "c"; "a"; "b" ] |] in
+  let expected =
+    [ "a"; "b"; "c" ]
+    @ List.concat (List.init Measure.samples (fun r -> rotations.(r mod 3)))
+  in
+  Alcotest.(check (list string))
+    "round-robin with a rotating first arm"
+    (List.concat_map (fun a -> [ "set-up " ^ a; "call " ^ a ]) expected)
+    (List.rev !log)
+
+let measure_errors () =
+  let calls = ref 0 and failing_calls = ref 0 in
+  let counted () () =
+    incr calls;
+    Ok ()
+  in
+  (* warm-up a, b; round 0 a, b; round 1 starts with b: its third call *)
+  let failing () () =
+    incr failing_calls;
+    if !failing_calls = 3 then Error "boom" else Ok ()
+  in
+  (match Measure.run [ counted; failing ] with
+  | Error m -> check_string "the arm's error" "boom" m
+  | Ok _ -> Alcotest.fail "an arm's Error did not end the measurement");
+  check_int "nothing runs after the error" 2 !calls;
+  match Measure.run [ counted; (fun () -> failwith "no set-up") ] with
+  | Error m -> check_string "a set-up's exception" "Failure(\"no set-up\")" m
+  | Ok _ -> Alcotest.fail "a set-up's exception did not end the measurement"
 
 let table_json_roundtrip () =
   (* the --json payload must survive a real parse, including escapes *)
@@ -24,8 +116,8 @@ let table_json_roundtrip () =
     Table.create ~title:"quotes \" and \\ and\nnewlines"
       [ ("A \"col\"", Table.Left); ("B", Table.Right) ]
   in
-  Table.add_row t [ "x\ty"; "10" ];
-  Table.add_row t [ "plain"; "1.80" ];
+  Table.(add_row t [ Text "x\ty"; Text "10" ]);
+  Table.(add_row t [ Text "plain"; Time (Measure.summarize [ 1; 2; 3 ]) ]);
   (match Json_min.parse (Json_min.to_string (Table.to_json t)) with
   | Ok v when v = Table.to_json t -> ()
   | Ok _ -> Alcotest.fail "to_json does not round-trip"
@@ -149,6 +241,10 @@ let suite =
       case "table rendering" table_rendering;
       case "table cells" cells;
       case "table json roundtrip" table_json_roundtrip;
+      case "measure: statistics match bench/e2e's Stats" measure_statistics;
+      case "measure: set-up runs outside the clock" measure_setup_outside_clock;
+      case "measure: arms interleave, the first arm rotating" measure_interleaves;
+      case "measure: an arm's error ends the measurement" measure_errors;
       case "json_min rejects malformed" json_rejects_malformed;
       case "json_min escapes on output (round-trip)" json_escape_roundtrip;
       case "lcg determinism" lcg_determinism;
