@@ -781,6 +781,14 @@ let native_suite () =
 (* SERVE: the batched compile/execute request service                  *)
 (* ------------------------------------------------------------------ *)
 
+(* [path] and everything under it. *)
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 (* Measures the service's two claims end to end, through the same
    [Serve.handle_line] the daemon runs: a warm-blueprint compile request
    finds the loaded artifact in the cache's table, far under the cold
@@ -796,8 +804,15 @@ let serve_suite () =
   | Ok () ->
       (* A fresh on-disk cache so each structure's first compile is a
          real ocamlopt run; the kernels here are ones no other suite
-         compiles, so the in-process memo is cold too. *)
-      Unix.putenv "BLOCKC_JIT_CACHE" (Filename.temp_dir "blockc-serve-bench" "");
+         compiles, so the in-process memo is cold too.  The suite
+         removes it and restores the previous cache when it ends. *)
+      let saved = Artifact_cache.dir () in
+      let cache = Filename.temp_dir "blockc-serve-bench" "" in
+      Unix.putenv "BLOCKC_JIT_CACHE" cache;
+      Fun.protect ~finally:(fun () ->
+          Unix.putenv "BLOCKC_JIT_CACHE" saved;
+          remove_tree cache)
+      @@ fun () ->
       let exec_pool = Pool.default () in
       let read name j = Option.value (Json_min.string_field name j) ~default:"?" in
       (* One request: [Error] unless it succeeded, and came from the memo

@@ -78,13 +78,22 @@ let machine_arg =
     & opt machine_conv Arch.rs6000_540
     & info [ "machine" ] ~doc:"Cache model: rs6000, small, or modern.")
 
-(* [None] for the default problem; a missing parameter is unusable input. *)
+(* [None] for the default problem; a missing parameter, or a size the
+   kernel cannot set up, is unusable input. *)
 let checked_bindings e bindings =
-  match Blockability.check_bindings e bindings with
-  | Error m when bindings <> [] ->
-      prerr_endline ("blockc: " ^ m);
-      exit 2
-  | _ -> if bindings = [] then None else Some bindings
+  if bindings = [] then None
+  else
+    let usable =
+      Result.bind (Blockability.check_bindings e bindings) @@ fun () ->
+      Result.map_error
+        (Printf.sprintf "kernel %s: %s" e.Blockability.name)
+        (Blockability.env e Blockability.Point ~bindings ~seed:0)
+    in
+    match usable with
+    | Error m ->
+        prerr_endline ("blockc: " ^ m);
+        exit 2
+    | Ok _ -> Some bindings
 
 (* ---- tracing flags (shared by the transformation-running commands) ---- *)
 
@@ -1706,12 +1715,4 @@ let () =
         profile_cmd; sections_cmd; parse_cmd; lower_cmd; compile_cmd;
         fuzz_cmd; serve_cmd; stats_cmd; top_cmd ]
   in
-  (* Typed runtime errors become one-line diagnostics, not backtraces. *)
-  match Cmd.eval group with
-  | exception Env.Error m ->
-      Printf.eprintf "blockc: environment error: %s\n" m;
-      exit 2
-  | exception Exec.Error m ->
-      Printf.eprintf "blockc: interpreter error: %s\n" m;
-      exit 2
-  | code -> exit code
+  exit (Cmd.eval group)

@@ -238,20 +238,26 @@ let block_bindings entry = function
              entry.name)
 
 (* [Kernel_def.make_env] binds the list in order, so the caller's
-   bindings, which come last, win over the entry's extra ones. *)
+   bindings, which come last, win over the entry's extra ones.  Set-up
+   failures are the caller's input: bindings the kernel rejects
+   ([Invalid_argument]) or sizes that declare an empty array
+   ([Env.Error]). *)
 let env ?block entry variant ~bindings ~seed =
   let bindings = if bindings = [] then entry.default_bindings else bindings in
-  let bindings =
+  let extra =
     match variant with
-    | Point -> bindings
-    | Transformed -> (
-        match block_bindings entry block with
-        | Ok extra -> extra @ bindings
-        | Error m -> invalid_arg m)
+    | Point -> Ok []
+    | Transformed -> block_bindings entry block
   in
-  let env = Kernel_def.make_env entry.kernel ~bindings ~seed in
-  entry.extra_setup env ~bindings;
-  env
+  Result.bind extra @@ fun extra ->
+  let bindings = extra @ bindings in
+  match
+    let env = Kernel_def.make_env entry.kernel ~bindings ~seed in
+    entry.extra_setup env ~bindings;
+    env
+  with
+  | env -> Ok env
+  | exception (Invalid_argument m | Env.Error m) -> Error m
 
 let check_bindings { kernel = k; _ } bindings =
   match List.filter (fun p -> not (List.mem_assoc p bindings)) k.params with
@@ -267,15 +273,13 @@ let verify ?bindings ?(seed = 42) entry =
   | Error e -> Error ("derivation failed: " ^ e)
   | Ok { result; _ } -> (
       let run variant block =
-        let env = env entry variant ~bindings ~seed in
+        let* env = env entry variant ~bindings ~seed in
         Exec.run env block;
-        env
+        Ok env
       in
-      let point = run Point entry.kernel.Kernel_def.block in
-      match
-        Env.diff ~only:entry.kernel.Kernel_def.traced point
-          (run Transformed [ result ])
-      with
+      let* point = run Point entry.kernel.Kernel_def.block in
+      let* transformed = run Transformed [ result ] in
+      match Env.diff ~only:entry.kernel.Kernel_def.traced point transformed with
       | None -> Ok ()
       | Some msg ->
           Error
@@ -385,17 +389,16 @@ let profile ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec ?block
       | Error e -> Error e
       | Ok _ ->
           let arrays = entry.kernel.Kernel_def.traced in
+          let* env_p = env entry Point ~bindings ~seed in
           let point =
             profile_block ~machine ~spec ~kernel_name:entry.name
-              ~variant:"point" ~block:None
-              (env entry Point ~bindings ~seed)
-              ~arrays entry.kernel.Kernel_def.block
+              ~variant:"point" ~block:None env_p ~arrays
+              entry.kernel.Kernel_def.block
           in
+          let* env_t = env ?block entry Transformed ~bindings ~seed in
           let transformed =
             profile_block ~machine ~spec ~kernel_name:entry.name
-              ~variant:"transformed" ~block
-              (env ?block entry Transformed ~bindings ~seed)
-              ~arrays [ result ]
+              ~variant:"transformed" ~block env_t ~arrays [ result ]
           in
           Ok (point, transformed))
 let profile_sweep ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec
@@ -422,15 +425,13 @@ let traced_run machine env ~arrays block =
 
 let simulate_blocks ~machine entry ~bindings ~seed point transformed =
   let arrays = entry.kernel.Kernel_def.traced in
-  let point_stats, point_by_array =
-    traced_run machine (env entry Point ~bindings ~seed) ~arrays point
-  in
+  let* env_p = env entry Point ~bindings ~seed in
+  let point_stats, point_by_array = traced_run machine env_p ~arrays point in
+  let* env_t = env entry Transformed ~bindings ~seed in
   let transformed_stats, transformed_by_array =
-    traced_run machine
-      (env entry Transformed ~bindings ~seed)
-      ~arrays transformed
+    traced_run machine env_t ~arrays transformed
   in
-  {
+  Ok {
     point_stats;
     transformed_stats;
     point_by_array;
@@ -445,9 +446,8 @@ let simulate ?bindings ?(seed = 42) ~machine entry =
   match derive entry with
   | Error e -> Error ("derivation failed: " ^ e)
   | Ok { result; _ } ->
-      Ok
-        (simulate_blocks ~machine entry ~bindings ~seed
-           entry.kernel.Kernel_def.block [ result ])
+      simulate_blocks ~machine entry ~bindings ~seed
+        entry.kernel.Kernel_def.block [ result ]
 
 (* ---- derived IR, from the artifact cache ------------------------ *)
 
@@ -620,13 +620,13 @@ type native_result = {
 let native_verify ?block c ~bindings ~seed =
   let make () = env ?block c.c_entry c.c_variant ~bindings ~seed in
   match make () with
-  | exception Invalid_argument m -> Some m
-  | env_i -> (
+  | Error m -> Some m
+  | Ok env_i -> (
       match Exec.run env_i c.c_block with
       | exception Exec.Error m -> Some ("interpreter failed: " ^ m)
       | exception Env.Error m -> Some ("interpreter failed: " ^ m)
       | () -> (
-          let env_n = make () in
+          let env_n = Result.get_ok (make ()) in
           match c.c_cm.Backend.bk_run env_n with
           | Error m -> Some ("native run failed: " ^ m)
           | Ok () ->
@@ -661,10 +661,12 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
          environment is its last timed run. *)
       let last = Hashtbl.create 2 in
       let arm c () =
-        let env = env ?block entry c.c_variant ~bindings ~seed in
-        Hashtbl.replace last c.c_variant env;
-        fun () ->
-          Result.map_error (( ^ ) (variant_name c.c_variant ^ ": ")) (c.c_cm.Backend.bk_run env)
+        match env ?block entry c.c_variant ~bindings ~seed with
+        | Error m -> fun () -> Error m
+        | Ok env ->
+            Hashtbl.replace last c.c_variant env;
+            fun () ->
+              Result.map_error (( ^ ) (variant_name c.c_variant ^ ": ")) (c.c_cm.Backend.bk_run env)
       in
       let* tp, tt =
         match Measure.run [ arm point; arm transformed ] with
@@ -684,7 +686,7 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
              ^ m)
       in
       (* The cache model simulates the two blocks just compiled. *)
-      let s =
+      let* s =
         simulate_blocks ~machine:Arch.rs6000_540 entry
           ~bindings:verify_bindings ~seed point.c_block transformed.c_block
       in

@@ -56,21 +56,21 @@ val env :
   variant ->
   bindings:(string * int) list ->
   seed:int ->
-  Env.t
+  (Env.t, string) result
 (** A fresh environment for one variant: the kernel's set-up at
     [bindings] ([[]] means the entry's default problem), then the
     entry's scratch arrays.  The transformed variant also binds the
     entry's extra parameters (block sizes), with [block] in place of
-    KS; the caller's [bindings] win over both.  Raises
-    [Invalid_argument] for bindings the kernel cannot set up or a
-    [block] on an entry without KS, and [Env.Error] for sizes that
-    declare an empty array. *)
+    KS; the caller's [bindings] win over both.  [Error] for bindings
+    the kernel cannot set up, sizes that declare an empty array, or a
+    [block] on an entry without KS.  Every operation below builds its
+    environments here, so each returns that [Error]. *)
 
 val check_bindings : entry -> (string * int) list -> (unit, string) result
 (** [Error] naming the first kernel parameter that [bindings] leave
     unbound.  {!verify}, {!simulate}, {!profile} and {!native_compare}
     check their bindings with it before they build an environment;
-    {!env} does not, and raises instead. *)
+    {!env} does not. *)
 
 val verify :
   ?bindings:(string * int) list -> ?seed:int -> entry -> (unit, string) result

@@ -257,13 +257,12 @@ let digest_env entry env =
   in
   Digest.to_hex (Marshal_digest.float_arrays arrays)
 
-(* Set-up failures are the request's fault: bindings the kernel rejects
-   ([Invalid_argument]) or sizes that declare an empty array
-   ([Env.Error]). *)
+(* A set-up failure ([Blockability.env]'s [Error]) is the request's
+   fault. *)
 let run_one ?tm (c : Blockability.compiled) ~bindings ~seed =
   match Blockability.env c.c_entry c.c_variant ~bindings ~seed with
-  | exception (Invalid_argument m | Env.Error m) -> Error m
-  | env -> (
+  | Error m -> Error m
+  | Ok env -> (
       let t0 = Obs.now_ns () in
       let r = c.c_cm.Backend.bk_run env in
       let dt = Obs.now_ns () - t0 in

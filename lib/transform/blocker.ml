@@ -68,9 +68,41 @@ let split_candidates_of (dep : Dependence.t) (kk : Stmt.loop) =
   in
   inner_loops dep.source @ inner_loops dep.sink
 
-(* Try one preventing dependence: plan a split, apply it, simplify bounds
-   and attempt distribution of [kk] into [prefix stmts] ++ [last stmt]. *)
-let try_dep ~ctx ~ctx_plan ~ignore_dep_of (kk : Stmt.loop) (dep : Dependence.t) =
+(* Apply a planned split of a loop in [kk]'s body, simplify bounds and
+   attempt distribution of [kk] into [prefix stmts] ++ [last stmt]. *)
+let distribute_split ~ctx ~ignore_dep_of (kk : Stmt.loop)
+    (plan : Index_set_split.split_plan) =
+  match find_loop_value kk.body plan.loop with
+  | None -> Error ("loop " ^ plan.loop.index ^ " not found in the strip body")
+  | Some (path, target) ->
+      let parts = Index_set_split.at_point target plan.point in
+      let body' = Stmt.replace_at kk.body path parts in
+      let body' = Simplify_bounds.block ~ctx body' in
+      let kk' = { kk with body = body' } in
+      (* The target may be nested: the affected top-level statement is
+         the head of [path].  After the splice, the first half of the
+         split sits at index [top] and the second half at [top + 1]; the
+         head group is everything up to and including the first half. *)
+      let top =
+        match path with
+        | Stmt.I n :: _ -> n
+        | _ -> 0
+      in
+      let n = List.length body' in
+      if top + 1 >= n then Error "split did not create a tail statement"
+      else
+        let head = List.init (top + 1) (fun i -> i) in
+        let tail = List.init (n - top - 1) (fun i -> top + 1 + i) in
+        Distribution.apply_with_override ~ctx
+          ~ignore_dep:(ignore_dep_of ctx kk') kk' ~groups:[ head; tail ]
+
+(* Try one preventing dependence: plan a split and distribute it.  Many
+   dependences plan the same split (split loop, split point), and a
+   repeat would rebuild the same dependence graph to get the same
+   answer, so [tried] keeps each distinct split's outcome for the rest
+   of the search. *)
+let try_dep ~ctx ~ctx_plan ~ignore_dep_of ~tried (kk : Stmt.loop)
+    (dep : Dependence.t) =
   let* plan =
     Index_set_split.procedure ~ctx:ctx_plan ~source:dep.source ~sink:dep.sink
       ~split_candidates:(split_candidates_of dep kk)
@@ -78,35 +110,18 @@ let try_dep ~ctx ~ctx_plan ~ignore_dep_of (kk : Stmt.loop) (dep : Dependence.t) 
   if not plan.conflict_first then
     Error "only conflict-in-first-part splits are used by this driver"
   else
-    match find_loop_value kk.body plan.loop with
-    | None -> Error ("loop " ^ plan.loop.index ^ " not found in the strip body")
-    | Some (path, target) ->
-        let parts = Index_set_split.at_point target plan.point in
-        let body' = Stmt.replace_at kk.body path parts in
-        let body' = Simplify_bounds.block ~ctx body' in
-        let kk' = { kk with body = body' } in
-        (* The split statement's second half sits right after the first;
-           everything up to and including the first half forms the head
-           group.  The target may be nested: the affected top-level
-           statement index is the head of [path]. *)
-        let top =
-          match path with
-          | Stmt.I n :: _ -> n
-          | _ -> 0
-        in
-        (* After the splice, the first half of the split loop sits at
-           index [top] and the second half at [top + 1]; the head group is
-           everything up to and including the first half. *)
-        let n = List.length body' in
-        if top + 1 >= n then Error "split did not create a tail statement"
-        else
-          let head = List.init (top + 1) (fun i -> i) in
-          let tail = List.init (n - top - 1) (fun i -> top + 1 + i) in
-          let* loops =
-            Distribution.apply_with_override ~ctx
-              ~ignore_dep:(ignore_dep_of ctx kk') kk' ~groups:[ head; tail ]
-          in
-          Ok (plan, loops)
+    let same ((loop, point), _) =
+      loop == plan.loop && Expr.equal point plan.point
+    in
+    let outcome =
+      match List.find_opt same !tried with
+      | Some (_, outcome) -> outcome
+      | None ->
+          let outcome = distribute_split ~ctx ~ignore_dep_of kk plan in
+          tried := ((plan.loop, plan.point), outcome) :: !tried;
+          outcome
+    in
+    Result.map (fun loops -> (plan, loops)) outcome
 
 let preventing_deps ~ctx (kk : Stmt.loop) =
   let g = Ddg.build ~ctx kk in
@@ -185,13 +200,14 @@ let derive ~block_size_var ~ignore_dep_of (l : Stmt.loop) =
   let deps = preventing_deps ~ctx kk in
   if deps = [] then Error "no preventing dependences found"
   else
+    let tried = ref [] in
     let rec search errs = function
       | [] ->
           Error
             ("no preventing dependence yields a usable split: "
             ^ String.concat "; " (List.sort_uniq String.compare errs))
       | dep :: rest -> (
-          match try_dep ~ctx ~ctx_plan ~ignore_dep_of kk dep with
+          match try_dep ~ctx ~ctx_plan ~ignore_dep_of ~tried kk dep with
           | Ok (plan, loops) -> Ok (dep, plan, loops)
           | Error e -> search (e :: errs) rest)
     in

@@ -13,25 +13,33 @@ let build_loops (l : Stmt.loop) groups =
       Stmt.Loop { l with body = stmts })
     groups
 
-let legality ~edges ~groups =
-  (* Map statement -> group position. *)
+(* Legality of the split, with the number of backward edges
+   [ignore_dep] licensed.  A dependence between statements of the same
+   group never constrains the split; between groups, the direction must
+   follow group order.  Edges within an SCC that spans two groups show
+   up as one forward and one backward edge, so the backward-edge check
+   subsumes the SCC condition.  Only a backward edge can be reversed,
+   so [ignore_dep] (possibly a proof) is asked about backward edges
+   alone, in edge order, up to the first it refuses: that edge is the
+   violation. *)
+let legality ~ignore_dep ~edges ~groups =
   let pos = Hashtbl.create 8 in
   List.iteri (fun gi group -> List.iter (fun s -> Hashtbl.replace pos s gi) group) groups;
-  let violation =
-    List.find_opt
-      (fun (e : Ddg.edge) ->
-        let ga = Hashtbl.find pos e.from_stmt and gb = Hashtbl.find pos e.to_stmt in
-        ga > gb)
-      edges
+  let rec scan ignored = function
+    | [] -> (ignored, Ok ())
+    | (e : Ddg.edge) :: rest ->
+        if Hashtbl.find pos e.from_stmt <= Hashtbl.find pos e.to_stmt then
+          scan ignored rest
+        else if ignore_dep e.dep then scan (ignored + 1) rest
+        else
+          ( ignored,
+            Error
+              (Printf.sprintf
+                 "dependence from statement %d to statement %d would be reversed: %s"
+                 e.from_stmt e.to_stmt
+                 (Dependence.to_string e.dep)) )
   in
-  match violation with
-  | None -> Ok ()
-  | Some e ->
-      Error
-        (Printf.sprintf
-           "dependence from statement %d to statement %d would be reversed: %s"
-           e.from_stmt e.to_stmt
-           (Dependence.to_string e.dep))
+  scan 0 edges
 
 let groups_to_string groups =
   String.concat " | "
@@ -42,13 +50,7 @@ let apply_with_override ~ctx ~ignore_dep (l : Stmt.loop) ~groups =
   let n = List.length l.body in
   let* () = check_partition n groups in
   let g = Ddg.build ~ctx l in
-  let edges = List.filter (fun (e : Ddg.edge) -> not (ignore_dep e.dep)) g.edges in
-  let ignored = List.length g.edges - List.length edges in
-  (* A dependence between statements of the same group never constrains the
-     split; between groups, the direction must follow group order.  Edges
-     within an SCC that spans two groups show up as one forward and one
-     backward edge, so the backward-edge check below subsumes the SCC
-     condition. *)
+  let ignored, legal = legality ~ignore_dep ~edges:g.edges ~groups in
   Obs.decide ~transform:"distribute" ~target:l.index
     ~evidence:
       [
@@ -56,9 +58,7 @@ let apply_with_override ~ctx ~ignore_dep (l : Stmt.loop) ~groups =
         ("edges", Obs.Int (List.length g.edges));
         ("ignored_deps", Obs.Int ignored);
       ]
-  @@
-  let* () = legality ~edges ~groups in
-  Ok (build_loops l groups)
+  @@ Result.map (fun () -> build_loops l groups) legal
 
 let apply ~ctx l ~groups = apply_with_override ~ctx ~ignore_dep:(fun _ -> false) l ~groups
 

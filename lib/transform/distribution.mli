@@ -7,8 +7,9 @@
     (no dependence may point from a later group to an earlier one).
 
     [apply_with_override] supports the paper's §5.2 result: a predicate
-    can declare specific dependences ignorable (commutativity knowledge)
-    before the SCC test. *)
+    can declare specific dependences ignorable (commutativity knowledge).
+    Only a dependence the split would reverse needs that knowledge, so
+    the predicate is asked about those alone. *)
 
 val apply :
   ctx:Symbolic.t -> Stmt.loop -> groups:int list list -> (Stmt.t list, string) result
@@ -22,6 +23,13 @@ val apply_with_override :
   Stmt.loop ->
   groups:int list list ->
   (Stmt.t list, string) result
+(** [apply_with_override ~ctx ~ignore_dep l ~groups] is [apply], except
+    that a dependence [ignore_dep] accepts does not constrain the
+    split.  [ignore_dep] is asked only about {e backward} edges (source
+    in a later group than the sink), in dependence-graph edge order, and
+    no further once it refuses one; that edge is the one the error
+    names.  The [distribute] decision's [ignored_deps] counts the
+    backward edges it licensed. *)
 
 val auto : ctx:Symbolic.t -> Stmt.loop -> (Stmt.t list, string) result
 (** Maximal distribution: one loop per SCC in topological order. *)

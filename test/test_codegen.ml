@@ -445,7 +445,8 @@ let suite =
               check_bool "the blueprint hoists BP1" true
                 (List.mem_assoc "BP1" c.c_bp.Blueprint.bindings);
               let make () =
-                Blockability.env e Blockability.Transformed ~bindings ~seed:9
+                ok_or_fail "env"
+                  (Blockability.env e Blockability.Transformed ~bindings ~seed:9)
               in
               let env_i = make () and env_n = make () in
               Exec.run env_i c.c_block;

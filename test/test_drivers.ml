@@ -305,7 +305,7 @@ let setup_is_bitwise_stable () =
       let e = Option.get (Blockability.find kernel) in
       List.iter
         (fun variant ->
-          let env = Blockability.env e variant ~bindings ~seed in
+          let env = ok_or_fail "env" (Blockability.env e variant ~bindings ~seed) in
           let arrays =
             List.map
               (fun a -> (a, Env.farray_data env a))

@@ -287,6 +287,27 @@ let lu_pivot_commutativity_trace () =
          && arg_bool "applied" e = Some true)
        (decisions (events ())))
 
+(* The pivoting derivation asks FSA only about dependences a split would
+   reverse, and distributes each distinct split once: 9 commutativity
+   and 4 distribute decisions (333 and 29 when every edge of every
+   attempt was asked about).  Both counts hold with the process-wide
+   proof memo warm or cold; the fsa count does not, so it is not
+   checked. *)
+let lu_pivot_asks_few_questions () =
+  with_memory_sink @@ fun events ->
+  let entry = Option.get (Blockability.find "lu_pivot") in
+  check_bool "lu_pivot derives" true (Result.is_ok (Blockability.derive entry));
+  let count name =
+    List.length
+      (List.filter (fun (e : Obs.event) -> String.equal e.name name) (decisions (events ())))
+  in
+  let at_most name bound =
+    let n = count name in
+    if n > bound then Alcotest.failf "%d %s decisions (at most %d)" n name bound
+  in
+  at_most "commutativity" 20;
+  at_most "distribute" 6
+
 let householder_rejection_trace () =
   with_memory_sink @@ fun events ->
   let entry = Option.get (Blockability.find "householder") in
@@ -782,6 +803,8 @@ let suite =
         lu_decision_trace;
       Alcotest.test_case "LU pivot records commutativity (§5.2)" `Quick
         lu_pivot_commutativity_trace;
+      Alcotest.test_case "LU pivot asks only the questions that can help" `Quick
+        lu_pivot_asks_few_questions;
       Alcotest.test_case "Householder records its rejection (§5.3)" `Quick
         householder_rejection_trace;
       Alcotest.test_case "Householder point kernel triangularizes" `Quick

@@ -704,6 +704,28 @@ let suite =
             (Obs.Metrics.count
                (Obs.Metrics.counter
                   (Obs.Metrics.labelled "serve.errors" [ ("class", "internal") ]))));
+      case "simulate answers an empty-array size as execute does" (fun () ->
+          Obs.Metrics.set_enabled true;
+          Fun.protect ~finally:(fun () ->
+              Obs.Metrics.set_enabled false;
+              Obs.Metrics.reset ())
+          @@ fun () ->
+          Obs.Metrics.reset ();
+          let answer op =
+            parsed
+              (Printf.sprintf {|{"op":"%s","kernel":"lu","bindings":{"N":0}}|} op)
+          in
+          let execute = answer "execute" and simulate = answer "simulate" in
+          check_bool "simulate refused" false (bool_field "ok" simulate);
+          check_string "execute names the cause" "empty array dimension"
+            (str "error" execute);
+          check_string "simulate, the same" (str "error" execute)
+            (str "error" simulate);
+          check_int "no internal error"
+            0
+            (Obs.Metrics.count
+               (Obs.Metrics.counter
+                  (Obs.Metrics.labelled "serve.errors" [ ("class", "internal") ]))));
       case "batch fan-out is one connected trace" (fun () ->
           require_native ();
           let mem, events = Obs.memory () in

@@ -464,6 +464,115 @@ let distribution_recurrence () =
   check_bool "mutual recurrence refused" true
     (Result.is_error (Distribution.apply ~ctx l ~groups:[ [ 0 ]; [ 1 ] ]))
 
+(* The strip loop [kk] of a blocked derivation, as the driver handed it
+   to distribution (after the index-set split: the concatenated bodies
+   of the two distributed loops), with the driver's universal facts. *)
+let split_strip_body (traced : Stmt.t Blocker.traced) =
+  let after name =
+    (List.find (fun (st : Blocker.trace_step) -> st.name = name) traced.steps)
+      .after
+  in
+  match after "strip-mine", after "index-set-split" with
+  | [ Stmt.Loop ({ body = [ Stmt.Loop kk ]; _ } as stripped) ],
+    [ Stmt.Loop head; Stmt.Loop tail ] ->
+      let ctx = Symbolic.assume_pos Symbolic.empty "KS" in
+      let ctx =
+        List.fold_left Symbolic.assume_pos ctx
+          (Ir_util.symbolic_params [ Stmt.Loop stripped ])
+      in
+      let ctx =
+        List.fold_left Symbolic.assume_nonneg ctx
+          (Symbolic.facts (Symbolic.of_loop_context [ stripped; kk ]))
+      in
+      (ctx, { head with body = head.body @ tail.body })
+  | _ -> Alcotest.fail "unexpected blocked shape"
+
+(* The rule distribution legality followed before it asked only about
+   backward edges: drop every edge the override accepts, then refuse
+   the first remaining edge that runs from a later group to an earlier
+   one. *)
+let reference_distribution ~ctx ~ignore_dep (l : Stmt.loop) ~groups =
+  let g = Ddg.build ~ctx l in
+  let edges = List.filter (fun (e : Ddg.edge) -> not (ignore_dep e.dep)) g.edges in
+  let pos s = Option.get (List.find_index (List.mem s) groups) in
+  match List.find_opt (fun (e : Ddg.edge) -> pos e.from_stmt > pos e.to_stmt) edges with
+  | None ->
+      Ok
+        (List.map
+           (fun grp -> Stmt.Loop { l with body = List.map (List.nth l.body) grp })
+           groups)
+  | Some e ->
+      Error
+        (Printf.sprintf
+           "dependence from statement %d to statement %d would be reversed: %s"
+           e.from_stmt e.to_stmt
+           (Dependence.to_string e.dep))
+
+(* Every prefix/suffix split of three split strip bodies, under overrides
+   that accept every edge, none, or a seeded random subset: the override
+   is asked about backward edges only, in edge order, up to its first
+   refusal, and the answer (message included) is the reference rule's. *)
+let distribution_asks_backward_edges () =
+  let stmt_of (a : Ir_util.access) =
+    match a.path with Stmt.I 0 :: Stmt.I k :: _ -> k | _ -> -1
+  in
+  let key (dep : Dependence.t) =
+    Printf.sprintf "%d -> %d: %s" (stmt_of dep.source) (stmt_of dep.sink)
+      (Dependence.to_string dep)
+  in
+  let overrides =
+    ("all", fun _ -> true)
+    :: ("none", fun _ -> false)
+    :: List.map
+         (fun seed ->
+           ( Printf.sprintf "random %d" seed,
+             fun dep -> Hashtbl.seeded_hash seed (key dep) land 1 = 0 ))
+         [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (name, derive) ->
+      let ctx, kk = split_strip_body (ok_or_fail name (derive ())) in
+      let edges = (Ddg.build ~ctx kk).edges in
+      let n = List.length kk.body in
+      for cut = 1 to n - 1 do
+        let groups =
+          [ List.init cut Fun.id; List.init (n - cut) (fun i -> cut + i) ]
+        in
+        let backward (e : Ddg.edge) = e.from_stmt >= cut && e.to_stmt < cut in
+        List.iter
+          (fun (oname, accept) ->
+            let what = Printf.sprintf "%s cut %d, override %s" name cut oname in
+            let asked = ref [] in
+            let got =
+              Distribution.apply_with_override ~ctx kk ~groups
+                ~ignore_dep:(fun dep ->
+                  asked := key dep :: !asked;
+                  accept dep)
+            in
+            let rec expected = function
+              | [] -> []
+              | (e : Ddg.edge) :: rest ->
+                  if not (backward e) then expected rest
+                  else if accept e.dep then key e.dep :: expected rest
+                  else [ key e.dep ]
+            in
+            Alcotest.(check (list string))
+              (what ^ ": asked backward edges up to the first refusal")
+              (expected edges) (List.rev !asked);
+            match got, reference_distribution ~ctx ~ignore_dep:accept kk ~groups with
+            | Ok a, Ok b -> check_bool (what ^ ": same loops") true (Stmt.equal_block a b)
+            | Error a, Error b -> check_string (what ^ ": same error") b a
+            | Ok _, Error m -> Alcotest.failf "%s: accepted, reference refuses: %s" what m
+            | Error m, Ok _ -> Alcotest.failf "%s: refused (%s), reference accepts" what m)
+          overrides
+      done)
+    [
+      ("lu", fun () -> Blocker.block_lu ~block_size_var:"KS" K_lu.point_loop);
+      ("cholesky", fun () -> Blocker.block_lu ~block_size_var:"KS" K_cholesky.point_loop);
+      ( "lu_pivot",
+        fun () -> Blocker.block_lu_pivot ~block_size_var:"KS" K_lu_pivot.point_loop );
+    ]
+
 (* ---- IF-inspection ---- *)
 
 let if_inspection_guard_safety () =
@@ -528,6 +637,8 @@ let suite =
       case "scalar expansion: conditional write" scalar_expansion_conditional_write;
       case "distribution legality" distribution_legal;
       case "distribution recurrence" distribution_recurrence;
+      case "distribution asks only about backward edges"
+        distribution_asks_backward_edges;
       case "IF-inspection guard safety" if_inspection_guard_safety;
       case "IF-inspection scalar interference" if_inspection_scalar_interference;
     ] )
