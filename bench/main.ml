@@ -399,7 +399,7 @@ let figures () =
     (Ir_util.accesses [ Stmt.Loop kk ]);
 
   banner "F3 (Procedure IndexSetSplit driving the LU derivation)";
-  (match Blocker.block_lu ~block_size_var:"KS" K_lu.point_loop with
+  (match Blockability.derive (Option.get (Blockability.find "lu")) with
   | Ok { steps; _ } ->
       List.iter
         (fun (s : Blocker.trace_step) -> Printf.printf "  %s: %s\n" s.name s.detail)
@@ -443,9 +443,9 @@ let figures () =
     [ "trisolve"; "cholesky" ];
 
   banner "F11 (block LU in the extended language, and its lowering)";
-  print_string (Ext.to_string Ext.fig11_block_lu);
+  print_string (Ext.to_string Ext.fig11_blocked_lu);
   print_endline "-- lowered with the RS/6000-540 block-size choice:";
-  match Lower.lower ~machine:Arch.rs6000_540 Ext.fig11_block_lu with
+  match Lower.lower ~machine:Arch.rs6000_540 Ext.fig11_blocked_lu with
   | Ok stmt -> print_string (Stmt.to_string stmt)
   | Error e -> Printf.printf "FAILED: %s\n" e
 

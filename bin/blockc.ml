@@ -78,16 +78,21 @@ let machine_arg =
     & opt machine_conv Arch.rs6000_540
     & info [ "machine" ] ~doc:"Cache model: rs6000, small, or modern.")
 
-(* [None] for the default problem; a missing parameter, or a size the
-   kernel cannot set up, is unusable input. *)
-let checked_bindings e bindings =
-  if bindings = [] then None
+(* [None] for the default problem; a missing parameter, a size the
+   kernel cannot set up, or a size or [block] the derivation's facts
+   exclude (the transformed environment checks all three) is unusable
+   input. *)
+let checked_bindings ?block e bindings =
+  if bindings = [] && block = None then None
   else
+    let bindings =
+      if bindings = [] then e.Blockability.default_bindings else bindings
+    in
     let usable =
       Result.bind (Blockability.check_bindings e bindings) @@ fun () ->
       Result.map_error
         (Printf.sprintf "kernel %s: %s" e.Blockability.name)
-        (Blockability.env e Blockability.Point ~bindings ~seed:0)
+        (Blockability.env ?block e Blockability.Transformed ~bindings ~seed:0)
     in
     match usable with
     | Error m ->
@@ -283,19 +288,19 @@ let print_explain_event (ev : Obs.event) =
       let str k =
         match List.assoc_opt k ev.args with Some (Obs.Str s) -> s | _ -> ""
       in
-      let applied =
-        match List.assoc_opt "applied" ev.args with
-        | Some (Obs.Bool b) -> b
-        | _ -> false
-      in
+      let flag k = List.assoc_opt k ev.args = Some (Obs.Bool true) in
+      let applied = flag "applied" in
       let reason = str "reason" in
       let evidence =
         List.filter
-          (fun (k, _) -> not (List.mem k [ "target"; "applied"; "reason" ]))
+          (fun (k, _) ->
+            not (List.mem k [ "target"; "applied"; "reason"; "skipped" ]))
           ev.args
       in
       Printf.printf "%s%s %s(%s)%s\n" indent
-        (if applied then "[applied ]" else "[rejected]")
+        (if applied then "[applied ]"
+         else if flag "skipped" then "[skipped ]"
+         else "[rejected]")
         ev.name (str "target")
         (if applied && String.equal reason "legal" then ""
          else ": " ^ reason);
@@ -637,7 +642,7 @@ let print_profile kp =
 let profile_cmd =
   let run name bindings seed machine block sweep json () =
     let e = resolve_kernel name in
-    let bindings = checked_bindings e bindings in
+    let bindings = checked_bindings ?block e bindings in
     let fail m =
       prerr_endline ("blockc profile: " ^ m);
       exit 1
@@ -980,7 +985,7 @@ let compile_cmd =
       backend_or_exit ();
       match
         Blockability.native_compare ~backend
-          ?bindings:(checked_bindings e bindings) ~seed ?block e
+          ?bindings:(checked_bindings ?block e bindings) ~seed ?block e
       with
       | Error m ->
           prerr_endline ("blockc compile: " ^ m);

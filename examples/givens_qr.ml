@@ -7,16 +7,16 @@
 let () =
   print_endline "== point Givens QR (Figure 9) ==";
   print_string (Stmt.to_string (Stmt.Loop K_givens.point_loop));
-  (match Givens_opt.optimize K_givens.point_loop with
+  let entry = Option.get (Blockability.find "givens") in
+  (match Blockability.derive entry with
   | Error m -> Printf.printf "optimization failed: %s\n" m
-  | Ok ({ result; steps }, _names) ->
+  | Ok { result; steps } ->
       print_endline "\n-- compiler steps:";
       List.iter
         (fun (s : Blocker.trace_step) -> Printf.printf "   %s: %s\n" s.name s.detail)
         steps;
       print_endline "\n== optimized (Figure 10) ==";
       print_string (Stmt.to_string result));
-  let entry = Option.get (Blockability.find "givens") in
   (match Blockability.verify entry ~bindings:[ ("M", 40); ("N", 28) ] with
   | Ok () -> print_endline "-- verified equivalent by interpretation"
   | Error m -> Printf.printf "-- FAILED: %s\n" m);

@@ -10,8 +10,8 @@
 
 let () =
   print_endline "== the guarded point loop ==";
-  print_string (Stmt.to_string (Stmt.Loop K_matmul.nest));
   let entry = Option.get (Blockability.find "matmul") in
+  print_string (Stmt.block_to_string entry.Blockability.kernel.Kernel_def.block);
   (match Blockability.derive entry with
   | Error m -> Printf.printf "derivation failed: %s\n" m
   | Ok { result; _ } ->

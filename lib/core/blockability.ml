@@ -2,7 +2,8 @@ type entry = {
   name : string;
   paper_ref : string;
   kernel : Kernel_def.t;
-  derive : unit -> (Stmt.t Blocker.traced, string) result;
+  register : bool;
+  facts : (string * int) list;
   extra_bindings : (string * int) list;
   extra_setup : Env.t -> bindings:(string * int) list -> unit;
   default_bindings : (string * int) list;
@@ -11,163 +12,67 @@ type entry = {
 
 let no_extra (_ : Env.t) ~bindings:(_ : (string * int) list) = ()
 
-let untraced result = { Blocker.result; steps = [] }
-
-(* ---- matmul: IF-inspection of the guarded K loop ---- *)
-
-let matmul_names =
-  If_inspection.default_names ~prefix:"K"
-    ~used:(Ir_util.index_vars [ Stmt.Loop K_matmul.nest ])
-
-let matmul_derive () =
-  match If_inspection.apply ~names:matmul_names K_matmul.guarded_k_loop with
-  | Error _ as e -> e
-  | Ok block ->
-      Ok (untraced (Stmt.Loop { K_matmul.nest with body = block }))
+(* The range tables an IF-inspector records into: at most [n/2 + 1]
+   ranges over a loop of [n] trips. *)
+let range_tables env ~lb ~ub n =
+  Env.add_iarray env lb [ (1, (n / 2) + 1) ];
+  Env.add_iarray env ub [ (1, (n / 2) + 1) ]
 
 let matmul_scratch env ~bindings =
-  let n = List.assoc "N" bindings in
-  Env.add_iarray env matmul_names.If_inspection.lb [ (1, (n / 2) + 1) ];
-  Env.add_iarray env matmul_names.If_inspection.ub [ (1, (n / 2) + 1) ]
+  range_tables env ~lb:"KLB" ~ub:"KUB" (List.assoc "N" bindings)
 
-(* ---- Givens ---- *)
-
-let givens_names = Givens_opt.names K_givens.point_loop
-
-let givens_derive () =
-  Result.map fst (Givens_opt.optimize K_givens.point_loop)
-
+(* Givens also expands the rotation coefficients over J. *)
 let givens_scratch env ~bindings =
   let m = List.assoc "M" bindings in
-  Env.add_iarray env givens_names.If_inspection.lb [ (1, (m / 2) + 1) ];
-  Env.add_iarray env givens_names.If_inspection.ub [ (1, (m / 2) + 1) ];
+  range_tables env ~lb:"JLB" ~ub:"JUB" m;
   Env.add_farray env "C" [ (1, m) ];
   Env.add_farray env "S" [ (1, m) ]
 
-(* ---- convolutions: MIN/MAX removal + shape-matched unroll-and-jam ---- *)
+(* The LU-shaped kernels: blocked by KS over an N x N matrix, every size
+   and the block size at least 1. *)
+let cache_blocked ?(register = false) name paper_ref kernel =
+  {
+    name;
+    paper_ref;
+    kernel;
+    register;
+    facts = [ ("KS", 1); ("N", 1) ];
+    extra_bindings = [ ("KS", 8) ];
+    extra_setup = no_extra;
+    default_bindings = [ ("N", 24) ];
+    blockable = true;
+  }
 
-(* The rhomboidal unroll requires the band to be at least as wide as the
-   register block; verification and benchmarks bind N2 accordingly. *)
-let conv_factor = 4
-
-(* A fresh context per derivation: a context's proof cache belongs to
-   the domain that first queried it, and serve lanes derive
-   concurrently. *)
-let conv_ctx () =
-  let ctx = Symbolic.empty in
-  let ctx = List.fold_left Symbolic.assume_pos ctx [ "N1"; "N2"; "N3" ] in
-  Symbolic.assume_ge ctx (Affine.var "N2") (Affine.const (conv_factor - 1))
-
-let split_derive loop () =
-  match Blocker.block_trapezoid ~ctx:(conv_ctx ()) ~factor:conv_factor loop with
-  | Error _ as e -> e
-  | Ok { result = [ s ]; steps } -> Ok { Blocker.result = s; steps }
-  | Ok { result = block; steps } ->
-      (* The traced result type carries one statement; wrap the region
-         list in a one-trip loop. *)
-      Ok { Blocker.result = Stmt.loop "ONE_" (Expr.Int 1) (Expr.Int 1) block; steps }
-
-(* ---- Householder: the paper's negative result (§5.3) ---- *)
-
-let householder_derive () =
-  let r =
-    match Blocker.block_lu ~block_size_var:"KS" K_householder.point_loop with
-    | Ok _ ->
-        (* §5.3 says this must not happen; surface it loudly if it does. *)
-        Error
-          "derivation unexpectedly succeeded — the §5.3 non-blockability \
-           claim is violated; the driver is accepting an illegal \
-           transformation"
-    | Error mechanical ->
-        Error
-          ("not blockable (§5.3): the block algorithm computes the \
-            compact-WY triangular factor T — computation and storage with \
-            no counterpart in the point code, so no dependence-based \
-            transformation sequence can derive it.  Mechanical derivation \
-            stops at: " ^ mechanical)
-  in
-  (match r with
-  | Error reason ->
-      Obs.decision ~transform:"block" ~target:"householder" ~applied:false
-        ~reason ()
-  | Ok _ -> ());
-  r
+(* The rhomboidal unroll needs the band at least as wide as the register
+   block: N2 >= 4 - 1. *)
+let convolution name paper_ref kernel =
+  {
+    name;
+    paper_ref;
+    kernel;
+    register = true;
+    facts = [ ("N1", 1); ("N2", 3); ("N3", 1) ];
+    extra_bindings = [];
+    extra_setup = no_extra;
+    default_bindings = [ ("N1", 40); ("N2", 9); ("N3", 50) ];
+    blockable = true;
+  }
 
 let entries =
   [
-    {
-      name = "lu";
-      paper_ref = "§5.1, Figures 5-6";
-      kernel = K_lu.kernel;
-      derive = (fun () -> Blocker.block_lu ~block_size_var:"KS" K_lu.point_loop);
-      extra_bindings = [ ("KS", 8) ];
-      extra_setup = no_extra;
-      default_bindings = [ ("N", 24) ];
-      blockable = true;
-    };
-    {
-      name = "lu_opt";
-      paper_ref = "§5.1, Table 3 (2+)";
-      kernel = K_lu.kernel;
-      derive =
-        (fun () ->
-          Blocker.block_lu_opt ~block_size_var:"KS" ~factor:4 K_lu.point_loop);
-      extra_bindings = [ ("KS", 8) ];
-      extra_setup = no_extra;
-      default_bindings = [ ("N", 24) ];
-      blockable = true;
-    };
-    {
-      name = "lu_pivot";
-      paper_ref = "§5.2, Figures 7-8";
-      kernel = K_lu_pivot.kernel;
-      derive =
-        (fun () -> Blocker.block_lu_pivot ~block_size_var:"KS" K_lu_pivot.point_loop);
-      extra_bindings = [ ("KS", 8) ];
-      extra_setup = no_extra;
-      default_bindings = [ ("N", 24) ];
-      blockable = true;
-    };
-    {
-      name = "lu_pivot_opt";
-      paper_ref = "§5.2, Table 4 (1+)";
-      kernel = K_lu_pivot.kernel;
-      derive =
-        (fun () ->
-          Blocker.block_lu_pivot_opt ~block_size_var:"KS" ~factor:4
-            K_lu_pivot.point_loop);
-      extra_bindings = [ ("KS", 8) ];
-      extra_setup = no_extra;
-      default_bindings = [ ("N", 24) ];
-      blockable = true;
-    };
-    {
-      name = "trisolve";
-      paper_ref = "§8 breadth (ours)";
-      kernel = K_trisolve.kernel;
-      derive =
-        (fun () -> Blocker.block_lu ~block_size_var:"KS" K_trisolve.point_loop);
-      extra_bindings = [ ("KS", 8) ];
-      extra_setup = no_extra;
-      default_bindings = [ ("N", 24) ];
-      blockable = true;
-    };
-    {
-      name = "cholesky";
-      paper_ref = "§8 breadth (ours)";
-      kernel = K_cholesky.kernel;
-      derive =
-        (fun () -> Blocker.block_lu ~block_size_var:"KS" K_cholesky.point_loop);
-      extra_bindings = [ ("KS", 8) ];
-      extra_setup = no_extra;
-      default_bindings = [ ("N", 24) ];
-      blockable = true;
-    };
+    cache_blocked "lu" "§5.1, Figures 5-6" K_lu.kernel;
+    cache_blocked ~register:true "lu_opt" "§5.1, Table 3 (2+)" K_lu.kernel;
+    cache_blocked "lu_pivot" "§5.2, Figures 7-8" K_lu_pivot.kernel;
+    cache_blocked ~register:true "lu_pivot_opt" "§5.2, Table 4 (1+)"
+      K_lu_pivot.kernel;
+    cache_blocked "trisolve" "§8 breadth (ours)" K_trisolve.kernel;
+    cache_blocked "cholesky" "§8 breadth (ours)" K_cholesky.kernel;
     {
       name = "matmul";
       paper_ref = "§4, Figure 4";
       kernel = K_matmul.kernel;
-      derive = matmul_derive;
+      register = false;
+      facts = [];
       extra_bindings = [];
       extra_setup = matmul_scratch;
       default_bindings = [ ("N", 24); ("FREQ_PCT", 10) ];
@@ -177,37 +82,21 @@ let entries =
       name = "givens";
       paper_ref = "§5.4, Figures 9-10";
       kernel = K_givens.kernel;
-      derive = givens_derive;
+      register = false;
+      facts = [ ("M", 1); ("N", 1) ];
       extra_bindings = [];
       extra_setup = givens_scratch;
       default_bindings = [ ("M", 16); ("N", 12) ];
       blockable = true;
     };
-    {
-      name = "aconv";
-      paper_ref = "§3.2 (adjoint convolution)";
-      kernel = K_conv.aconv;
-      derive = split_derive K_conv.aconv_loop;
-      extra_bindings = [];
-      extra_setup = no_extra;
-      default_bindings = [ ("N1", 40); ("N2", 9); ("N3", 50) ];
-      blockable = true;
-    };
-    {
-      name = "conv";
-      paper_ref = "§3.2 (convolution)";
-      kernel = K_conv.conv;
-      derive = split_derive K_conv.conv_loop;
-      extra_bindings = [];
-      extra_setup = no_extra;
-      default_bindings = [ ("N1", 40); ("N2", 9); ("N3", 50) ];
-      blockable = true;
-    };
+    convolution "aconv" "§3.2 (adjoint convolution)" K_conv.aconv;
+    convolution "conv" "§3.2 (convolution)" K_conv.conv;
     {
       name = "householder";
       paper_ref = "§5.3 (non-blockable)";
       kernel = K_householder.kernel;
-      derive = householder_derive;
+      register = false;
+      facts = [ ("KS", 1); ("M", 1); ("N", 1) ];
       extra_bindings = [ ("KS", 8) ];
       extra_setup = no_extra;
       default_bindings = [ ("M", 16); ("N", 12) ];
@@ -217,7 +106,32 @@ let entries =
 
 let find name = List.find_opt (fun e -> String.equal e.name name) entries
 let names () = List.map (fun e -> e.name) entries
-let derive e = e.derive ()
+
+(* Householder, the paper's negative result (§5.3): what the mechanical
+   derivation cannot produce, in the paper's terms. *)
+let not_blockable =
+  "not blockable (§5.3): the block algorithm computes the compact-WY \
+   triangular factor T — computation and storage with no counterpart in \
+   the point code, so no dependence-based transformation sequence can \
+   derive it.  Mechanical derivation stops at: "
+
+let derive e =
+  let derived =
+    Blocker.auto ~register:e.register ~facts:e.facts e.kernel.Kernel_def.block
+  in
+  if e.blockable then derived
+  else
+    let reason =
+      match derived with
+      | Ok _ ->
+          (* §5.3 says this must not happen; surface it loudly if it does. *)
+          "derivation unexpectedly succeeded — the §5.3 non-blockability \
+           claim is violated; the driver is accepting an illegal \
+           transformation"
+      | Error mechanical -> not_blockable ^ mechanical
+    in
+    Obs.decision ~transform:"block" ~target:e.name ~applied:false ~reason ();
+    Error reason
 
 (* ---- variants and their environments ---------------------------- *)
 
@@ -231,11 +145,7 @@ let block_bindings entry = function
       if List.mem_assoc "KS" entry.extra_bindings then
         Ok (("KS", b) :: List.remove_assoc "KS" entry.extra_bindings)
       else
-        Error
-          (Printf.sprintf
-             "%s has no block-size parameter (KS); --sweep/--block do not \
-              apply"
-             entry.name)
+        Error "no block-size parameter (KS); --sweep/--block do not apply"
 
 (* [Kernel_def.make_env] binds the list in order, so the caller's
    bindings, which come last, win over the entry's extra ones.  Set-up
@@ -256,198 +166,15 @@ let env ?block entry variant ~bindings ~seed =
     entry.extra_setup env ~bindings;
     env
   with
-  | env -> Ok env
   | exception (Invalid_argument m | Env.Error m) -> Error m
-
-let check_bindings { kernel = k; _ } bindings =
-  match List.filter (fun p -> not (List.mem_assoc p bindings)) k.params with
-  | [] -> Ok ()
-  | p :: _ -> Error (Printf.sprintf "kernel %s: missing parameter %s" k.name p)
-
-let ( let* ) = Result.bind
-
-let verify ?bindings ?(seed = 42) entry =
-  let bindings = Option.value bindings ~default:entry.default_bindings in
-  let* () = check_bindings entry bindings in
-  match derive entry with
-  | Error e -> Error ("derivation failed: " ^ e)
-  | Ok { result; _ } -> (
-      let run variant block =
-        let* env = env entry variant ~bindings ~seed in
-        Exec.run env block;
-        Ok env
-      in
-      let* point = run Point entry.kernel.Kernel_def.block in
-      let* transformed = run Transformed [ result ] in
-      match Env.diff ~only:entry.kernel.Kernel_def.traced point transformed with
-      | None -> Ok ()
-      | Some msg ->
-          Error
-            (entry.kernel.Kernel_def.name ^ ": transformed kernel diverges: "
-           ^ msg))
-
-type sim_result = {
-  point_stats : Cache.stats;
-  transformed_stats : Cache.stats;
-  point_by_array : (string * Cache.stats) list;
-  transformed_by_array : (string * Cache.stats) list;
-  point_cycles : int;
-  transformed_cycles : int;
-}
-
-(* ---- memory-hierarchy profiling --------------------------------- *)
-
-type kernel_profile = {
-  kp_kernel : string;
-  kp_variant : string;
-  kp_block : int option;
-  kp_levels : (string * Cache.stats) list;
-  kp_tlb : Cache.stats;
-  kp_cycles : int;
-  kp_refs : Trace.ref_profile list;
-  kp_loops : (string * Trace.ref_counts) list;
-  kp_hist : (int * int) list;
-  kp_cold : int;
-  kp_footprint_lines : int;
-  kp_miss_curve : (int * int) list;
-  kp_validation : Cost.validation;
-}
-let obs_emit_profile kp =
-  if Obs.enabled () then begin
-    let l1 = snd (List.hd kp.kp_levels) in
-    Obs.instant ~cat:"profile" "profile.summary"
-      ~args:
-        [
-          ("kernel", Obs.Str kp.kp_kernel);
-          ("variant", Obs.Str kp.kp_variant);
-          ("block", Obs.Int (Option.value kp.kp_block ~default:0));
-          ("l1_misses", Obs.Int l1.Cache.misses);
-          ("cycles", Obs.Int kp.kp_cycles);
-          ("predicted_misses", Obs.Int kp.kp_validation.Cost.v_predicted);
-          ("divergence", Obs.Float kp.kp_validation.Cost.v_divergence);
-        ];
-    List.iter
-      (fun (r : Trace.ref_profile) ->
-        if r.counts.Trace.c_accesses > 0 then
-          Obs.instant ~cat:"profile" "profile.ref"
-            ~args:
-              [
-                ("kernel", Obs.Str kp.kp_kernel);
-                ("variant", Obs.Str kp.kp_variant);
-                ("ref", Obs.Str r.site.Exec.ref_text);
-                ("ref_id", Obs.Int r.site.Exec.ref_id);
-                ( "nest",
-                  Obs.Str (String.concat ">" r.site.Exec.ref_loops) );
-                ("accesses", Obs.Int r.counts.Trace.c_accesses);
-                ("l1_misses", Obs.Int r.counts.Trace.c_l1_misses);
-                ("l2_misses", Obs.Int r.counts.Trace.c_l2_misses);
-                ("tlb_misses", Obs.Int r.counts.Trace.c_tlb_misses);
-              ])
-      kp.kp_refs
-  end
-
-let profile_block ~machine ~spec ~kernel_name ~variant ~block env ~arrays
-    stmts =
-  Obs.span ~cat:"profile" "profile.run"
-    ~args:[ ("kernel", Obs.Str kernel_name); ("variant", Obs.Str variant) ]
-  @@ fun () ->
-  let p = Trace.run_profile ?spec machine env ~arrays stmts in
-  let h = Trace.hier p in
-  let levels = Hier.level_stats h in
-  let l1_stats = snd (List.hd levels) in
-  let reuse = Option.get (Hier.reuse h) in
-  let kp =
-    {
-      kp_kernel = kernel_name;
-      kp_variant = variant;
-      kp_block = block;
-      kp_levels = levels;
-      kp_tlb = Hier.tlb_stats h;
-      kp_cycles = Hier.cycles h;
-      kp_refs = Trace.ref_profiles p;
-      kp_loops = Trace.loop_profiles p;
-      kp_hist = Reuse.histogram reuse;
-      kp_cold = Reuse.cold reuse;
-      kp_footprint_lines = Reuse.distinct_lines reuse;
-      kp_miss_curve =
-        Reuse.miss_curve reuse
-          ~max_lines:(max 1 (4 * machine.Arch.cache_bytes / machine.Arch.line_bytes));
-      kp_validation = Cost.validate reuse machine l1_stats;
-    }
-  in
-  obs_emit_profile kp;
-  kp
-
-let profile ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec ?block
-    entry =
-  let bindings = Option.value bindings ~default:entry.default_bindings in
-  let* () = check_bindings entry bindings in
-  match derive entry with
-  | Error e -> Error ("derivation failed: " ^ e)
-  | Ok { result; _ } -> (
-      match block_bindings entry block with
-      | Error e -> Error e
-      | Ok _ ->
-          let arrays = entry.kernel.Kernel_def.traced in
-          let* env_p = env entry Point ~bindings ~seed in
-          let point =
-            profile_block ~machine ~spec ~kernel_name:entry.name
-              ~variant:"point" ~block:None env_p ~arrays
-              entry.kernel.Kernel_def.block
-          in
-          let* env_t = env ?block entry Transformed ~bindings ~seed in
-          let transformed =
-            profile_block ~machine ~spec ~kernel_name:entry.name
-              ~variant:"transformed" ~block env_t ~arrays [ result ]
-          in
-          Ok (point, transformed))
-let profile_sweep ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec
-    ~blocks entry =
-  match blocks with
-  | [] -> Error "empty block-size sweep"
-  | blocks -> (
-      match block_bindings entry (Some (List.hd blocks)) with
-      | Error e -> Error e
-      | Ok _ ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | b :: rest -> (
-                match profile ?bindings ~seed ~machine ?spec ~block:b entry with
-                | Error e -> Error e
-                | Ok (_, transformed) -> go ((b, transformed) :: acc) rest)
-          in
-          go [] blocks)
-
-let traced_run machine env ~arrays block =
-  let t = Trace.create machine env ~arrays in
-  Exec.run ~hook:(Trace.hook t) env block;
-  (Trace.stats t, Trace.stats_by_array t)
-
-let simulate_blocks ~machine entry ~bindings ~seed point transformed =
-  let arrays = entry.kernel.Kernel_def.traced in
-  let* env_p = env entry Point ~bindings ~seed in
-  let point_stats, point_by_array = traced_run machine env_p ~arrays point in
-  let* env_t = env entry Transformed ~bindings ~seed in
-  let transformed_stats, transformed_by_array =
-    traced_run machine env_t ~arrays transformed
-  in
-  Ok {
-    point_stats;
-    transformed_stats;
-    point_by_array;
-    transformed_by_array;
-    point_cycles = Cost.memory_cycles machine point_stats;
-    transformed_cycles = Cost.memory_cycles machine transformed_stats;
-  }
-
-let simulate ?bindings ?(seed = 42) ~machine entry =
-  let bindings = Option.value bindings ~default:entry.default_bindings in
-  let* () = check_bindings entry bindings in
-  match derive entry with
-  | Error e -> Error ("derivation failed: " ^ e)
-  | Ok { result; _ } ->
-      simulate_blocks ~machine entry ~bindings ~seed
-        entry.kernel.Kernel_def.block [ result ]
+  | env -> (
+      (* The derivation proved the transformed block for the sizes its
+         facts allow, and for no others. *)
+      let broken (p, lo) = Env.has_iscalar env p && Env.iscalar env p < lo in
+      match (variant, List.find_opt broken entry.facts) with
+      | Transformed, Some (p, lo) ->
+          Error (Printf.sprintf "the derivation assumes %s >= %d" p lo)
+      | _ -> Ok env)
 
 (* ---- derived IR, from the artifact cache ------------------------ *)
 
@@ -534,7 +261,190 @@ let variant_block entry = function
              let block, bp = e.value in
              (block, bp, Some e.disposition))
 
-(* ---- native execution (lib/codegen) ----------------------------- *)
+let check_bindings { kernel = k; _ } bindings =
+  match List.filter (fun p -> not (List.mem_assoc p bindings)) k.params with
+  | [] -> Ok ()
+  | p :: _ -> Error (Printf.sprintf "kernel %s: missing parameter %s" k.name p)
+
+let ( let* ) = Result.bind
+
+(* The transformed block the cache holds: derived by the first caller,
+   read back by every later one. *)
+let transformed_block entry =
+  Result.map (fun (block, _, _) -> block) (variant_block entry Transformed)
+
+(* A block the interpreter cannot run at these sizes (a zero step, an
+   access out of bounds) is an [Error], never an escaping exception. *)
+let interpret f =
+  match f () with
+  | v -> Ok v
+  | exception (Exec.Error m | Env.Error m) -> Error ("interpreter failed: " ^ m)
+
+let verify ?bindings ?(seed = 42) entry =
+  let bindings = Option.value bindings ~default:entry.default_bindings in
+  let* () = check_bindings entry bindings in
+  let* transformed = transformed_block entry in
+  let run variant block =
+    let* env = env entry variant ~bindings ~seed in
+    let* () = interpret (fun () -> Exec.run env block) in
+    Ok env
+  in
+  let* point = run Point entry.kernel.Kernel_def.block in
+  let* transformed = run Transformed transformed in
+  match Env.diff ~only:entry.kernel.Kernel_def.traced point transformed with
+  | None -> Ok ()
+  | Some msg ->
+      Error
+        (entry.kernel.Kernel_def.name ^ ": transformed kernel diverges: " ^ msg)
+
+type sim_result = {
+  point_stats : Cache.stats;
+  transformed_stats : Cache.stats;
+  point_by_array : (string * Cache.stats) list;
+  transformed_by_array : (string * Cache.stats) list;
+  point_cycles : int;
+  transformed_cycles : int;
+}
+
+(* ---- memory-hierarchy profiling --------------------------------- *)
+
+type kernel_profile = {
+  kp_kernel : string;
+  kp_variant : string;
+  kp_block : int option;
+  kp_levels : (string * Cache.stats) list;
+  kp_tlb : Cache.stats;
+  kp_cycles : int;
+  kp_refs : Trace.ref_profile list;
+  kp_loops : (string * Trace.ref_counts) list;
+  kp_hist : (int * int) list;
+  kp_cold : int;
+  kp_footprint_lines : int;
+  kp_miss_curve : (int * int) list;
+  kp_validation : Cost.validation;
+}
+let obs_emit_profile kp =
+  if Obs.enabled () then begin
+    let l1 = snd (List.hd kp.kp_levels) in
+    Obs.instant ~cat:"profile" "profile.summary"
+      ~args:
+        [
+          ("kernel", Obs.Str kp.kp_kernel);
+          ("variant", Obs.Str kp.kp_variant);
+          ("block", Obs.Int (Option.value kp.kp_block ~default:0));
+          ("l1_misses", Obs.Int l1.Cache.misses);
+          ("cycles", Obs.Int kp.kp_cycles);
+          ("predicted_misses", Obs.Int kp.kp_validation.Cost.v_predicted);
+          ("divergence", Obs.Float kp.kp_validation.Cost.v_divergence);
+        ];
+    List.iter
+      (fun (r : Trace.ref_profile) ->
+        if r.counts.Trace.c_accesses > 0 then
+          Obs.instant ~cat:"profile" "profile.ref"
+            ~args:
+              [
+                ("kernel", Obs.Str kp.kp_kernel);
+                ("variant", Obs.Str kp.kp_variant);
+                ("ref", Obs.Str r.site.Exec.ref_text);
+                ("ref_id", Obs.Int r.site.Exec.ref_id);
+                ( "nest",
+                  Obs.Str (String.concat ">" r.site.Exec.ref_loops) );
+                ("accesses", Obs.Int r.counts.Trace.c_accesses);
+                ("l1_misses", Obs.Int r.counts.Trace.c_l1_misses);
+                ("l2_misses", Obs.Int r.counts.Trace.c_l2_misses);
+                ("tlb_misses", Obs.Int r.counts.Trace.c_tlb_misses);
+              ])
+      kp.kp_refs
+  end
+
+let profile_block ~machine ~spec ~kernel_name ~variant ~block env ~arrays
+    stmts =
+  Obs.span ~cat:"profile" "profile.run"
+    ~args:[ ("kernel", Obs.Str kernel_name); ("variant", Obs.Str variant) ]
+  @@ fun () ->
+  let* p = interpret (fun () -> Trace.run_profile ?spec machine env ~arrays stmts) in
+  let h = Trace.hier p in
+  let levels = Hier.level_stats h in
+  let l1_stats = snd (List.hd levels) in
+  let reuse = Option.get (Hier.reuse h) in
+  let kp =
+    {
+      kp_kernel = kernel_name;
+      kp_variant = variant;
+      kp_block = block;
+      kp_levels = levels;
+      kp_tlb = Hier.tlb_stats h;
+      kp_cycles = Hier.cycles h;
+      kp_refs = Trace.ref_profiles p;
+      kp_loops = Trace.loop_profiles p;
+      kp_hist = Reuse.histogram reuse;
+      kp_cold = Reuse.cold reuse;
+      kp_footprint_lines = Reuse.distinct_lines reuse;
+      kp_miss_curve =
+        Reuse.miss_curve reuse
+          ~max_lines:(max 1 (4 * machine.Arch.cache_bytes / machine.Arch.line_bytes));
+      kp_validation = Cost.validate reuse machine l1_stats;
+    }
+  in
+  obs_emit_profile kp;
+  Ok kp
+
+let profile ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec ?block
+    entry =
+  let bindings = Option.value bindings ~default:entry.default_bindings in
+  let* () = check_bindings entry bindings in
+  let* transformed = transformed_block entry in
+  let* env_p = env entry Point ~bindings ~seed in
+  let* env_t = env ?block entry Transformed ~bindings ~seed in
+  let profile_block = profile_block ~machine ~spec ~kernel_name:entry.name in
+  let arrays = entry.kernel.Kernel_def.traced in
+  let* point =
+    profile_block ~variant:"point" ~block:None env_p ~arrays
+      entry.kernel.Kernel_def.block
+  in
+  let* transformed =
+    profile_block ~variant:"transformed" ~block env_t ~arrays transformed
+  in
+  Ok (point, transformed)
+
+let profile_sweep ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec
+    ~blocks entry =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | b :: rest ->
+        let* _, transformed = profile ?bindings ~seed ~machine ?spec ~block:b entry in
+        go ((b, transformed) :: acc) rest
+  in
+  if blocks = [] then Error "empty block-size sweep" else go [] blocks
+
+let traced_run machine env ~arrays block =
+  let t = Trace.create machine env ~arrays in
+  let* () = interpret (fun () -> Exec.run ~hook:(Trace.hook t) env block) in
+  Ok (Trace.stats t, Trace.stats_by_array t)
+
+let simulate_blocks ~machine entry ~bindings ~seed point transformed =
+  let arrays = entry.kernel.Kernel_def.traced in
+  let* env_p = env entry Point ~bindings ~seed in
+  let* point_stats, point_by_array = traced_run machine env_p ~arrays point in
+  let* env_t = env entry Transformed ~bindings ~seed in
+  let* transformed_stats, transformed_by_array =
+    traced_run machine env_t ~arrays transformed
+  in
+  Ok {
+    point_stats;
+    transformed_stats;
+    point_by_array;
+    transformed_by_array;
+    point_cycles = Cost.memory_cycles machine point_stats;
+    transformed_cycles = Cost.memory_cycles machine transformed_stats;
+  }
+
+let simulate ?bindings ?(seed = 42) ~machine entry =
+  let bindings = Option.value bindings ~default:entry.default_bindings in
+  let* () = check_bindings entry bindings in
+  let* transformed = transformed_block entry in
+  simulate_blocks ~machine entry ~bindings ~seed entry.kernel.Kernel_def.block
+    transformed
 
 type compiled = {
   c_entry : entry;
@@ -622,10 +532,9 @@ let native_verify ?block c ~bindings ~seed =
   match make () with
   | Error m -> Some m
   | Ok env_i -> (
-      match Exec.run env_i c.c_block with
-      | exception Exec.Error m -> Some ("interpreter failed: " ^ m)
-      | exception Env.Error m -> Some ("interpreter failed: " ^ m)
-      | () -> (
+      match interpret (fun () -> Exec.run env_i c.c_block) with
+      | Error m -> Some m
+      | Ok () -> (
           let env_n = Result.get_ok (make ()) in
           match c.c_cm.Backend.bk_run env_n with
           | Error m -> Some ("native run failed: " ^ m)

@@ -1,9 +1,10 @@
 (** High-level API over the whole system.
 
-    An {!entry} packages one of the paper's kernels with the compiler
-    driver that transforms it, the scratch state the transformed code
-    needs, and default problem sizes — everything the CLI, the examples
-    and the benchmark harness share.
+    An {!entry} is data: one of the paper's kernels with the facts and
+    flags {!Blocker.auto} derives its block algorithm under, the
+    scratch state the transformed code needs, and default problem
+    sizes — everything the CLI, the examples and the benchmark harness
+    share.
 
     Typical use:
 
@@ -18,18 +19,24 @@ type entry = {
   name : string;
   paper_ref : string;  (** section / figure in the paper *)
   kernel : Kernel_def.t;
-  derive : unit -> (Stmt.t Blocker.traced, string) result;
-      (** run the compiler driver on the kernel's IR *)
+  register : bool;
+      (** whether the pipeline register-blocks too (the paper's "2+"
+          and "1+", and the convolutions) *)
+  facts : (string * int) list;
+      (** lower bounds [(p, lo)], meaning [p >= lo], on the parameters
+          (block sizes included) that the derivation assumes: the
+          transformed variant is correct for these sizes only, and
+          {!env} refuses others *)
   extra_bindings : (string * int) list;
       (** parameters only the transformed code uses (block sizes) *)
   extra_setup : Env.t -> bindings:(string * int) list -> unit;
       (** scratch arrays the transformed code needs *)
   default_bindings : (string * int) list;  (** a small default problem *)
   blockable : bool;
-      (** whether [derive] is expected to succeed.  [false] marks the
-          paper's negative results (Householder, §5.3): [derive] returns
-          [Error] with the rejection reason, and that is the correct
-          outcome, not a failure of the system. *)
+      (** whether {!derive} is expected to succeed.  [false] marks the
+          paper's negative results (Householder, §5.3): {!derive}
+          returns [Error] with the rejection reason, and that is the
+          correct outcome, not a failure of the system. *)
 }
 
 val entries : entry list
@@ -37,11 +44,12 @@ val find : string -> entry option
 val names : unit -> string list
 
 val derive : entry -> (Stmt.t Blocker.traced, string) result
-(** Run the entry's compiler driver in memory.  What prints or checks
-    the derivation itself calls this ([blockc derive], [explain],
-    {!verify}, {!simulate}, {!profile} and serve's [derive] op) and
-    writes nothing; what compiles a variant goes through
-    {!variant_block}. *)
+(** Run {!Blocker.auto} on the kernel's IR under the entry's flag and
+    facts, in memory.  What prints the derivation itself calls this
+    ([blockc derive], [explain] and serve's [derive] op) and writes
+    nothing; what runs or compiles a variant goes through
+    {!variant_block}.  For a non-blockable entry the [Error] gives the
+    paper's reason, then where the mechanical derivation stopped. *)
 
 (** {1 Variants} *)
 
@@ -62,9 +70,11 @@ val env :
     entry's scratch arrays.  The transformed variant also binds the
     entry's extra parameters (block sizes), with [block] in place of
     KS; the caller's [bindings] win over both.  [Error] for bindings
-    the kernel cannot set up, sizes that declare an empty array, or a
-    [block] on an entry without KS.  Every operation below builds its
-    environments here, so each returns that [Error]. *)
+    the kernel cannot set up, sizes that declare an empty array, a
+    [block] on an entry without KS, or a transformed environment whose
+    parameters break one of the entry's facts (["the derivation assumes
+    N2 >= 3"]).  Every operation below builds its environments here, so
+    each returns that [Error]. *)
 
 val check_bindings : entry -> (string * int) list -> (unit, string) result
 (** [Error] naming the first kernel parameter that [bindings] leave
@@ -74,8 +84,9 @@ val check_bindings : entry -> (string * int) list -> (unit, string) result
 
 val verify :
   ?bindings:(string * int) list -> ?seed:int -> entry -> (unit, string) result
-(** Derive, then check interpreter equivalence of point vs transformed
-    on the given (default: entry's default) problem size. *)
+(** Check interpreter equivalence of point vs transformed on the given
+    (default: entry's default) problem size.  The transformed block is
+    {!variant_block}'s, as for every operation below. *)
 
 type sim_result = {
   point_stats : Cache.stats;

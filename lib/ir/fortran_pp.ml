@@ -5,32 +5,32 @@ let subroutine ~name ~params block =
   Buffer.add_string buf
     (Printf.sprintf "SUBROUTINE %s(%s)\n" name (String.concat ", " params));
   let arrays = Ir_util.arrays_of block in
-  let decl space =
-    let names =
-      List.filter_map
-        (fun (n, rank, sp) ->
-          if sp <> space then None
-          else if rank = 0 then Some n
-          else
-            let stars = String.concat ", " (List.init rank (fun _ -> "*")) in
-            Some (Printf.sprintf "%s(%s)" n stars))
-        arrays
+  let decl kind names =
+    let render (n, rank) =
+      if rank = 0 then n
+      else n ^ "(" ^ String.concat ", " (List.init rank (fun _ -> "*")) ^ ")"
     in
     if names <> [] then
       Buffer.add_string buf
-        (Printf.sprintf "  %s %s\n"
-           (match space with
-           | Ir_util.Float_data -> "REAL*8"
-           | Ir_util.Int_data -> "INTEGER")
-           (String.concat ", " names))
+        (Printf.sprintf "  %s %s\n" kind
+           (String.concat ", " (List.map render names)))
   in
-  decl Ir_util.Float_data;
-  decl Ir_util.Int_data;
-  let idx = Ir_util.index_vars block and sym = Ir_util.symbolic_params block in
-  if idx @ sym <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf "  INTEGER %s\n"
-         (String.concat ", " (List.sort_uniq String.compare (idx @ sym))));
+  let of_space space =
+    List.filter_map
+      (fun (n, rank, sp) -> if sp = space then Some (n, rank) else None)
+      arrays
+  in
+  decl "REAL*8" (of_space Ir_util.Float_data);
+  (* Each INTEGER name once: the arrays and scalars the body uses, its
+     loop indices and symbolic sizes, and the subroutine's parameters. *)
+  let ints = of_space Ir_util.Int_data in
+  let scalars =
+    List.filter
+      (fun n -> not (List.mem_assoc n ints))
+      (Ir_util.index_vars block @ Ir_util.symbolic_params block @ params)
+  in
+  decl "INTEGER"
+    (List.sort_uniq compare (ints @ List.map (fun n -> (n, 0)) scalars));
   List.iter
     (fun s ->
       let rendered = Stmt.to_string s in

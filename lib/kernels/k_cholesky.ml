@@ -1,6 +1,6 @@
 open Builder
 
-let point_loop : Stmt.loop =
+let point =
   let vn = v "N" and vk = v "K" and vi = v "I" and vj = v "J" in
   let root = set2 "A" vk vk (sqrt_ (a2 "A" vk vk)) in
   let scale =
@@ -13,9 +13,7 @@ let point_loop : Stmt.loop =
           [ set2 "A" vi vj (a2 "A" vi vj -. (a2 "A" vi vk *. a2 "A" vj vk)) ];
       ]
   in
-  match do_ "K" (i 1) vn [ root; scale; update ] with
-  | Stmt.Loop l -> l
-  | Stmt.Assign _ | Stmt.Iassign _ | Stmt.If _ -> assert false
+  do_ "K" (i 1) vn [ root; scale; update ]
 
 (* [a] := M^T M + n*I for the n x n matrix [m] stored by columns.  Each
    lower-triangle entry (r, c) is the k-ascending dot product of columns
@@ -69,7 +67,7 @@ let kernel : Kernel_def.t =
   {
     name = "cholesky";
     description = "Cholesky factorization (lower triangle, in place)";
-    block = [ Stmt.Loop point_loop ];
+    block = [ point ];
     params = [ "N" ];
     setup =
       (fun env ~bindings ~seed ->

@@ -12,7 +12,6 @@
           A(I,J) = A(I,J) - A(I,K)*A(J,K)
     v}
 
-    Blockable by the generic {!Blocker.block_lu} driver. *)
+    {!Blocker.auto}'s cache blocking blocks it, as it blocks LU. *)
 
-val point_loop : Stmt.loop
 val kernel : Kernel_def.t

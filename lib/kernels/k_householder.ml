@@ -5,7 +5,7 @@ open Builder
    reflector, S/S2/NRM/B are accumulator scalars.  The sign choice is
    simplified (v1 = a11 + ||a||), which is all the dependence structure
    needs — the blockability question never reaches numerics. *)
-let point_loop : Stmt.loop =
+let point =
   let vk = v "K" and vi = v "I" and vj = v "J" in
   let norm_loop =
     do_ "I" vk (v "M") [ setf "S" (fv "S" +. (a2 "A" vi vk *. a2 "A" vi vk)) ]
@@ -20,20 +20,16 @@ let point_loop : Stmt.loop =
           [ set2 "A" vi vj (a2 "A" vi vj -. (a1 "V" vi *. (fv "S2" /. fv "B"))) ];
       ]
   in
-  match
-    do_ "K" (i 1) (v "N")
-      [
-        setf "S" (fc 0.0);
-        norm_loop;
-        setf "NRM" (sqrt_ (fv "S"));
-        set1 "V" vk (a2 "A" vk vk +. fv "NRM");
-        copy_loop;
-        setf "B" (fv "NRM" *. (fv "NRM" +. a2 "A" vk vk));
-        if_ (fne (fv "B") (fc 0.0)) [ apply_loop ];
-      ]
-  with
-  | Stmt.Loop l -> l
-  | Stmt.Assign _ | Stmt.Iassign _ | Stmt.If _ -> assert false
+  do_ "K" (i 1) (v "N")
+    [
+      setf "S" (fc 0.0);
+      norm_loop;
+      setf "NRM" (sqrt_ (fv "S"));
+      set1 "V" vk (a2 "A" vk vk +. fv "NRM");
+      copy_loop;
+      setf "B" (fv "NRM" *. (fv "NRM" +. a2 "A" vk vk));
+      if_ (fne (fv "B") (fc 0.0)) [ apply_loop ];
+    ]
 
 let setup env ~bindings ~seed =
   let m = List.assoc "M" bindings and n = List.assoc "N" bindings in
@@ -45,7 +41,7 @@ let kernel : Kernel_def.t =
   {
     name = "householder";
     description = "QR decomposition with Householder reflections (point algorithm)";
-    block = [ Stmt.Loop point_loop ];
+    block = [ point ];
     params = [ "M"; "N" ];
     setup;
     traced = [ "A" ];

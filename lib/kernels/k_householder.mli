@@ -9,6 +9,4 @@
     record exactly where and why it is rejected
     ([blockc explain householder]). *)
 
-val point_loop : Stmt.loop
-
 val kernel : Kernel_def.t

@@ -1,19 +1,12 @@
 open Builder
 
-let guarded_k_loop : Stmt.loop =
+let nest =
   let vn = v "N" and vi = v "I" and vj = v "J" and vk = v "K" in
   let inner =
     do_ "I" (i 1) vn
       [ set2 "C" vi vj (a2 "C" vi vj +. (a2 "A" vi vk *. a2 "B" vk vj)) ]
   in
-  match do_ "K" (i 1) vn [ if_ (fne (a2 "B" vk vj) (fc 0.0)) [ inner ] ] with
-  | Stmt.Loop l -> l
-  | Stmt.Assign _ | Stmt.Iassign _ | Stmt.If _ -> assert false
-
-let nest : Stmt.loop =
-  match Builder.do_ "J" (Builder.i 1) (Builder.v "N") [ Stmt.Loop guarded_k_loop ] with
-  | Stmt.Loop l -> l
-  | Stmt.Assign _ | Stmt.Iassign _ | Stmt.If _ -> assert false
+  do_ "J" (i 1) vn [ do_ "K" (i 1) vn [ if_ (fne (a2 "B" vk vj) (fc 0.0)) [ inner ] ] ]
 
 (* B's nonzeros come in short runs so IF-inspection has ranges to find;
    [freq_pct] is the overall nonzero percentage. *)
@@ -45,7 +38,7 @@ let kernel : Kernel_def.t =
   {
     name = "matmul";
     description = "SGEMM-style matrix multiply with a zero guard on B";
-    block = [ Stmt.Loop nest ];
+    block = [ nest ];
     params = [ "N"; "FREQ_PCT" ];
     setup =
       (fun env ~bindings ~seed ->

@@ -13,12 +13,6 @@
     frequency and run structure of nonzeros in [B], matching the paper's
     experiment where [Frequency] is how often [B(K,J) = 1]. *)
 
-val nest : Stmt.loop
-(** The J loop. *)
-
-val guarded_k_loop : Stmt.loop
-(** The K loop with the guard — the input to IF-inspection. *)
-
 val kernel : Kernel_def.t
 (** Parameters: [N]; arrays [A], [B], [C].  [B]'s sparsity is driven by
     the [FREQ_PCT] parameter (percentage 0-100 of nonzero entries,

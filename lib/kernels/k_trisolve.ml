@@ -1,21 +1,19 @@
 open Builder
 
-let point_loop : Stmt.loop =
+let point =
   let vn = v "N" and vk = v "K" and vi = v "I" in
   let solve = set1 "X" vk (a1 "B" vk /. a2 "A" vk vk) in
   let update =
     do_ "I" (vk +! i 1) vn
       [ set1 "B" vi (a1 "B" vi -. (a2 "A" vi vk *. a1 "X" vk)) ]
   in
-  match do_ "K" (i 1) vn [ solve; update ] with
-  | Stmt.Loop l -> l
-  | Stmt.Assign _ | Stmt.Iassign _ | Stmt.If _ -> assert false
+  do_ "K" (i 1) vn [ solve; update ]
 
 let kernel : Kernel_def.t =
   {
     name = "trisolve";
     description = "forward substitution (lower-triangular solve)";
-    block = [ Stmt.Loop point_loop ];
+    block = [ point ];
     params = [ "N" ];
     setup =
       (fun env ~bindings ~seed ->

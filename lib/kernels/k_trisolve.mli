@@ -10,10 +10,9 @@
         B(I) = B(I) - A(I,K)*X(K)
     v}
 
-    The generic {!Blocker.block_lu} driver blocks it: IndexSetSplit
-    finds the split of [I] at [K+KS-1], distribution isolates the
-    deferred update, and the strip loop sinks inward — yielding the
-    blocked (panel) forward solve. *)
+    {!Blocker.auto}'s cache blocking blocks it: IndexSetSplit finds the
+    split of [I] at [K+KS-1], distribution isolates the deferred update,
+    and the strip loop sinks inward — yielding the blocked (panel)
+    forward solve. *)
 
-val point_loop : Stmt.loop
 val kernel : Kernel_def.t

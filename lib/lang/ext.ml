@@ -23,7 +23,7 @@ let last k = Expr.idx "LAST" [ Expr.var k ]
          IN K DO KK = K,MIN(LAST(K),I-1)
                                A(I,J) = A(I,J) - A(I,KK)*A(KK,J)
 *)
-let fig11_block_lu =
+let fig11_blocked_lu =
   let open Builder in
   let vn = v "N" and vk = v "K" and vkk = v "KK" and vi = v "I" and vj = v "J" in
   let scale =

@@ -29,7 +29,7 @@ type stmt =
 val last : string -> Expr.t
 (** [last k] is the [LAST(k)] pseudo-expression. *)
 
-val fig11_block_lu : stmt
+val fig11_blocked_lu : stmt
 (** Figure 11: block LU decomposition written in the extended language. *)
 
 val to_string : stmt -> string

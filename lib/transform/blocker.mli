@@ -1,16 +1,21 @@
-(** Blocking drivers: compositions of the primitive transformations that
-    derive the paper's block algorithms from point algorithms.
+(** The blocking pipeline: one composition of the primitive
+    transformations that derives every block algorithm of the paper
+    from its point algorithm.
 
-    Every driver is mechanical: it locates loops structurally, asks the
+    Every step is mechanical: it locates loops structurally, asks the
     dependence/section analyses for legality, and applies the primitive
     transformations.  Planning heuristics may assume full blocks
     ([K + KS <= N]) — the emitted code never depends on that assumption
     (bounds carry MIN/MAX guards), and distribution legality is
     re-checked under universally valid facts only. *)
 
-type trace_step = { name : string; detail : string; after : Stmt.t list }
+type trace_step = Givens_opt.trace_step = {
+  name : string;
+  detail : string;
+  after : Stmt.t list;
+}
 
-type 'a traced = { result : 'a; steps : trace_step list }
+type 'a traced = 'a Givens_opt.traced = { result : 'a; steps : trace_step list }
 
 val strip_mine_and_interchange :
   block_size:Expr.t ->
@@ -22,65 +27,37 @@ val strip_mine_and_interchange :
     loop inward [levels] positions (rectangular or triangular
     interchange chosen per level). *)
 
-val block_lu : block_size_var:string -> Stmt.loop -> (Stmt.t traced, string) result
-(** §5.1: derive block LU decomposition (Figure 6) from the point
-    algorithm.  The input must be the point LU K-loop whose body is
-    [scale loop; update nest].  Steps performed and checked:
-
-    + strip-mine K by the symbolic block size;
-    + attempt distribution of the strip loop — the analysis must report
-      the preventing recurrence;
-    + Procedure IndexSetSplit finds the split point for the update's
-      column loop (sections of the recurrence's endpoints);
-    + index-set split + bound simplification;
-    + distribution (now provably legal via section disjointness);
-    + interchange the strip loop to the innermost position of the
-      wide-column nest (rectangular, then triangular). *)
-
-val block_lu_pivot :
-  block_size_var:string -> Stmt.loop -> (Stmt.t traced, string) result
-(** §5.2: same derivation for LU with partial pivoting.  Plain
-    dependence-based distribution must fail (the row-swap recurrence);
-    the driver then asks {!Commutativity.may_ignore} to license ignoring
-    dependences between row interchanges and whole-column updates, after
-    which distribution proceeds and yields Figure 8. *)
-
-val block_lu_opt :
-  block_size_var:string ->
-  factor:int ->
-  Stmt.loop ->
+val auto :
+  register:bool ->
+  facts:(string * int) list ->
+  Stmt.t list ->
   (Stmt.t traced, string) result
-(** §5.1 Table 3's "2+": {!block_lu}, then register blocking of the
-    trailing update — MIN/MAX removal splits the update's row loop into
-    its triangular and rectangular regions, the shape-matched
-    unroll-and-jam runs on each, and scalar replacement promotes
-    loop-invariant references in every innermost loop.  Blocking alone
-    only reorganizes misses ("2" is within ~8% of point in the paper);
-    this is the variant whose measured speedups the paper reports. *)
+(** Derive the block algorithm of a kernel, one loop nest.  [facts]
+    are lower bounds [(p, lo)], meaning [p >= lo], that the kernel's
+    parameters satisfy; every step proves under them, so the result is
+    correct for the sizes they allow.  Each step runs on the previous
+    step's output, applies where its own legality check accepts it,
+    and records one [pipeline.<step>] [Obs] decision, applied or
+    skipped with its reason:
 
-val block_lu_pivot_opt :
-  block_size_var:string ->
-  factor:int ->
-  Stmt.loop ->
-  (Stmt.t traced, string) result
-(** §5.2 Table 4's "1+": {!block_lu_pivot}, then the same register
-    blocking {!block_lu_opt} applies to plain LU — unroll-and-jam on
-    the MIN/MAX-free regions of the trailing update, and scalar
-    replacement over {e every} innermost loop, including those under
-    the IF-guarded pivot search and row swaps (sites under disjunctive
-    bounds use [Symbolic.with_loops_cases] facts). *)
+    + {b cache blocking} (§5.1, §5.2), where the top loop's body is a
+      recurrence: strip-mine by [KS], IndexSetSplit on a preventing
+      dependence, distribution, and interchange of the strip loop into
+      the update nest.  Distribution may ignore a dependence the split
+      would reverse where {!Commutativity.may_ignore} proves the two
+      statements commute; it asks about no other dependence.  A
+      recurrence this step cannot block is the pipeline's answer
+      ([Error]).
+    + {b IF-inspection} (§4) of each loop guarded by one IF
+      ({!If_inspection.apply}); where that refuses, the fused form
+      ({!Givens_opt.optimize}, §5.4) on the sweep around the loop.
+    + {b register blocking}, when [register] asks for it: unroll-and-jam
+      by 4 of each MIN/MAX-free region of the update nest step 1 made,
+      then scalar replacement in every innermost loop (Tables 3–4's
+      "2+" and "1+"); or, where step 1 did not apply, of the kernel's
+      own nest (§3.2).
 
-val block_trapezoid :
-  ctx:Symbolic.t ->
-  factor:int ->
-  Stmt.loop ->
-  (Stmt.t list traced, string) result
-(** §3.2: remove the MIN/MAX bounds by index-set splitting, then apply
-    the shape-appropriate unroll-and-jam (triangular, upper-triangular,
-    rhomboidal or rectangular) to each region.  [ctx] carries the facts
-    that justify the rhomboidal form (e.g. [N2 >= factor - 1]); regions
-    that cannot be unrolled are left split but unblocked (partial
-    blocking). *)
+    [Error] when no step applies, naming each step's reason. *)
 
 val choose_block_size : machine:Arch.t -> ?sweep:(int * int) list -> unit -> int
 (** The machine-dependent block-size choice the drivers delegate to.

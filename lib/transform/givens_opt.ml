@@ -1,3 +1,6 @@
+type trace_step = { name : string; detail : string; after : Stmt.t list }
+type 'a traced = { result : 'a; steps : trace_step list }
+
 let ( let* ) = Result.bind
 
 (* REAL scalars written in [apply] that the setup part also touches must
@@ -24,27 +27,14 @@ let privatize ~setup ~apply =
       List.map (Stmt.rename_fvar s fresh) apply)
     apply shared
 
-(* The inspector's names depend only on the input loop, so a caller can
-   declare the scratch tables without running the optimization. *)
-let names (l_loop : Stmt.loop) =
-  let prefix =
-    match l_loop.body with [ Stmt.Loop j ] -> j.index | _ -> "J"
-  in
-  let used =
-    Ir_util.index_vars [ Stmt.Loop l_loop ]
-    @ List.map (fun (n, _, _) -> n) (Ir_util.arrays_of [ Stmt.Loop l_loop ])
-    @ Ir_util.symbolic_params [ Stmt.Loop l_loop ]
-  in
-  If_inspection.default_names ~prefix ~used
-
-let optimize (l_loop : Stmt.loop) =
+let optimize ~ctx (l_loop : Stmt.loop) =
   Obs.span ~cat:"driver" "givens.optimize"
     ~args:[ ("loop", Obs.Str l_loop.index) ]
   @@ fun () ->
   let steps = ref [] in
   let record name detail after =
     Obs.instant ~cat:"driver" ~args:[ ("detail", Obs.Str detail) ] name;
-    steps := { Blocker.name; detail; after } :: !steps
+    steps := { name; detail; after } :: !steps
   in
   (* Locate the J sweep and the guarded rotation. *)
   let* j_loop =
@@ -118,12 +108,8 @@ let optimize (l_loop : Stmt.loop) =
        j_loop.index)
     [ Stmt.Loop expanded ];
   (* Step 4: fused IF-inspection + distribution of the J sweep. *)
-  let names = names l_loop in
-  let ctx =
-    List.fold_left Symbolic.assume_pos
-      (Symbolic.of_loop_context [ l_loop ])
-      (Ir_util.symbolic_params [ Stmt.Loop l_loop ])
-  in
+  let names = If_inspection.names_in [ Stmt.Loop l_loop ] ~prefix:j_loop.index in
+  let ctx = Symbolic.with_loops ctx [ l_loop ] in
   let* inspector_setup, executor =
     If_inspection.split_guarded ~ctx ~names
       ~setup_len:(List.length setup_all) expanded
@@ -193,4 +179,4 @@ let optimize (l_loop : Stmt.loop) =
     Stmt.Loop { l_loop with body = inspector_setup @ [ Stmt.Loop executor'' ] }
   in
   record "result" "optimized Givens QR" [ result ];
-  Ok ({ Blocker.result; steps = List.rev !steps }, names)
+  Ok { result; steps = List.rev !steps }

@@ -23,11 +23,16 @@
       proves it disjoint from [A(J,K)] over the inspected sweep
       [L+1..M], which contains every recorded range. *)
 
-val names : Stmt.loop -> If_inspection.names
-(** The inspector names {!optimize} uses for this loop, without running
-    it: what a caller needs to declare the range tables. *)
+type trace_step = { name : string; detail : string; after : Stmt.t list }
+(** One step of a derivation: its name, what it did, and the IR after
+    it. *)
 
-val optimize :
-  Stmt.loop -> (Stmt.t Blocker.traced * If_inspection.names, string) result
-(** Returns the optimized [L] loop and the inspector names used (so the
-    caller can size the range tables: at most [(M-L)/2 + 1] ranges). *)
+type 'a traced = { result : 'a; steps : trace_step list }
+(** A derivation's result with its steps in order.  {!Blocker}
+    re-exports both types. *)
+
+val optimize : ctx:Symbolic.t -> Stmt.loop -> (Stmt.t traced, string) result
+(** The optimized [L] loop.  [ctx] holds the facts the kernel's
+    parameters satisfy; the loop's own bounds are added to it.  The
+    range tables are named after the [J] index ([JLB], [JUB]); a run
+    records at most [(M-L)/2 + 1] ranges. *)

@@ -22,6 +22,13 @@ let default_names ~prefix ~used =
   let range_index = Ir_util.fresh ~used (prefix ^ "N") in
   { counter; lb; ub; flag; range_index }
 
+let names_in block ~prefix =
+  default_names ~prefix
+    ~used:
+      (Ir_util.index_vars block
+      @ List.map (fun (n, _, _) -> n) (Ir_util.arrays_of block)
+      @ Ir_util.symbolic_params block)
+
 let cond_arrays (c : Stmt.cond) =
   let rec of_f (fe : Stmt.fexpr) =
     match fe with

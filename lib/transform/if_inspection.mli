@@ -40,6 +40,10 @@ type names = {
 
 val default_names : prefix:string -> used:string list -> names
 
+val names_in : Stmt.t list -> prefix:string -> names
+(** {!default_names} clear of every loop index, array, scalar and
+    symbolic parameter of the block. *)
+
 val apply : names:names -> Stmt.loop -> (Stmt.t list, string) result
 (** The loop's body must be a single [IF] with an empty else-branch.
     The returned block is inspector followed by executor; the caller

@@ -26,6 +26,41 @@ let ok_or_fail what = function
   | Ok v -> v
   | Error m -> Alcotest.failf "%s: %s" what m
 
+(* Every test that installs a sink must restore the null default —
+   alcotest runs the other suites in the same process. *)
+let with_memory_sink f =
+  let mem, events = Obs.memory () in
+  Obs.set_sink mem;
+  Fun.protect ~finally:(fun () -> Obs.set_sink Obs.null) (fun () -> f events)
+
+(* The strip loop [kk] of a cache-blocked derivation as the pipeline
+   handed it to distribution (after the index-set split: the
+   concatenated bodies of the two distributed loops), with the
+   pipeline's universal facts for an N x N kernel blocked by KS, and the
+   two groups it distributed [kk] into. *)
+let split_strip_body (traced : Stmt.t Blocker.traced) =
+  let after name =
+    (List.find (fun (st : Blocker.trace_step) -> st.name = name) traced.steps)
+      .after
+  in
+  match after "strip-mine", after "index-set-split" with
+  | [ Stmt.Loop ({ body = [ Stmt.Loop kk ]; _ } as stripped) ],
+    [ Stmt.Loop head; Stmt.Loop tail ] ->
+      let ctx = Symbolic.assume_pos Symbolic.empty "KS" in
+      let ctx =
+        List.fold_left Symbolic.assume_pos ctx
+          (Ir_util.symbolic_params [ Stmt.Loop stripped ])
+      in
+      let ctx =
+        List.fold_left Symbolic.assume_nonneg ctx
+          (Symbolic.facts (Symbolic.of_loop_context [ stripped; kk ]))
+      in
+      let n = List.length head.body and m = List.length tail.body in
+      ( ctx,
+        { head with body = head.body @ tail.body },
+        [ List.init n Fun.id; List.init m (fun i -> n + i) ] )
+  | _ -> Alcotest.fail "unexpected blocked shape"
+
 (* Interpreter equivalence of a kernel against a transformed block. *)
 let equivalent ?tol ?(extra = []) kernel block ~bindings ~seed =
   match Kernel_def.equivalent ?tol ~extra kernel block ~bindings ~seed with

@@ -23,10 +23,11 @@ let fig6_expected =
   \  END DO\n\
    END DO\n"
 
-let block_lu_golden () =
-  let { Blocker.result; steps } =
-    ok_or_fail "block_lu" (Blocker.block_lu ~block_size_var:"KS" K_lu.point_loop)
-  in
+let derived name =
+  ok_or_fail name (Blockability.derive (Option.get (Blockability.find name)))
+
+let lu_golden () =
+  let { Blocker.result; steps } = derived "lu" in
   check_string "Figure 6" fig6_expected (Stmt.to_string result);
   Alcotest.(check (list string))
     "derivation steps"
@@ -36,60 +37,66 @@ let block_lu_golden () =
 let gen_case =
   QCheck2.Gen.(triple (int_range 1 24) (int_range 1 10) (int_range 0 1000))
 
-let block_lu_equiv (n, ks, seed) =
-  let { Blocker.result; _ } =
-    Result.get_ok (Blocker.block_lu ~block_size_var:"KS" K_lu.point_loop)
-  in
+let lu_equiv (n, ks, seed) =
+  let { Blocker.result; _ } = derived "lu" in
   Kernel_def.equivalent K_lu.kernel [ result ] ~extra:[ ("KS", ks) ]
     ~bindings:[ ("N", n) ] ~seed
   = Ok ()
 
-let block_lu_pivot_equiv (n, ks, seed) =
-  let { Blocker.result; _ } =
-    Result.get_ok (Blocker.block_lu_pivot ~block_size_var:"KS" K_lu_pivot.point_loop)
-  in
+let lu_pivot_equiv (n, ks, seed) =
+  let { Blocker.result; _ } = derived "lu_pivot" in
   Kernel_def.equivalent K_lu_pivot.kernel [ result ] ~extra:[ ("KS", ks) ]
     ~bindings:[ ("N", n) ] ~seed
   = Ok ()
 
-(* §5.2's point: WITHOUT commutativity knowledge the pivoting kernel's
-   distribution is illegal; the non-pivot driver must therefore fail on
-   it, and plain distribution of the split body must be refused. *)
+(* §5.2's point: the pivoting kernel blocks only because FSA licenses
+   the dependences its distribution reverses.  Its distribute decision
+   ignores at least one dependence, beside an applied commutativity
+   proof; the kernels without pivoting ignore none and never ask; and
+   without the override, distribution refuses the very split the
+   derivation made. *)
 let pivot_needs_commutativity () =
-  match Blocker.block_lu ~block_size_var:"KS" K_lu_pivot.point_loop with
-  | Ok _ -> Alcotest.fail "pivoting LU must not block without commutativity"
-  | Error _ -> ()
+  let decisions name =
+    with_memory_sink @@ fun events ->
+    ignore (derived name);
+    List.filter (fun (e : Obs.event) -> String.equal e.cat "decision") (events ())
+  in
+  let named n = List.filter (fun (e : Obs.event) -> String.equal e.name n) in
+  let applied (e : Obs.event) =
+    List.assoc_opt "applied" e.args = Some (Obs.Bool true)
+  in
+  let ignored (e : Obs.event) =
+    match List.assoc_opt "ignored_deps" e.args with Some (Obs.Int n) -> n | _ -> -1
+  in
+  let pivot = decisions "lu_pivot" in
+  check_bool "lu_pivot: an applied distribution ignores a dependence" true
+    (List.exists (fun e -> applied e && ignored e >= 1) (named "distribute" pivot));
+  check_bool "lu_pivot: FSA proved a commutativity" true
+    (List.exists applied (named "commutativity" pivot));
+  List.iter
+    (fun name ->
+      let ds = decisions name in
+      check_bool (name ^ ": no dependence ignored") true
+        (List.for_all (fun e -> ignored e = 0) (named "distribute" ds));
+      check_int (name ^ ": no commutativity decision") 0
+        (List.length (named "commutativity" ds)))
+    [ "lu"; "trisolve"; "cholesky" ];
+  let ctx, kk, groups = split_strip_body (derived "lu_pivot") in
+  check_bool "plain distribution refuses the pivoting split" true
+    (Result.is_error (Distribution.apply ~ctx kk ~groups))
 
 let givens_equiv (m_extra, n, seed) =
-  let m = n + m_extra in
-  match Givens_opt.optimize K_givens.point_loop with
-  | Error _ -> false
-  | Ok ({ result; _ }, names) ->
-      let kernel =
-        {
-          K_givens.kernel with
-          Kernel_def.setup =
-            (fun env ~bindings ~seed ->
-              K_givens.kernel.Kernel_def.setup env ~bindings ~seed;
-              let m = List.assoc "M" bindings in
-              Env.add_iarray env names.If_inspection.lb [ (1, (m / 2) + 1) ];
-              Env.add_iarray env names.If_inspection.ub [ (1, (m / 2) + 1) ];
-              Env.add_farray env "C" [ (1, m) ];
-              Env.add_farray env "S" [ (1, m) ]);
-        }
-      in
-      Kernel_def.equivalent kernel [ result ]
-        ~bindings:[ ("M", m); ("N", n) ]
-        ~seed
-      = Ok ()
+  Blockability.verify
+    (Option.get (Blockability.find "givens"))
+    ~bindings:[ ("M", n + m_extra); ("N", n) ]
+    ~seed
+  = Ok ()
 
 (* The executor's J loop touches A only at A(J,K): A(L,K) lives in a
    scalar across the JN x J sweep, loaded before it and stored after it
    once per K. *)
 let givens_executor_scalar_replaced () =
-  let { Blocker.result; _ }, _ =
-    ok_or_fail "givens" (Givens_opt.optimize K_givens.point_loop)
-  in
+  let { Blocker.result; _ } = derived "givens" in
   let loops = Stmt.find_loops [ result ] in
   let a_subs block =
     List.filter_map
@@ -129,6 +136,21 @@ let registry_verifies () =
       | false, Ok () ->
           Alcotest.failf "%s: non-blockable entry unexpectedly verified" e.name)
     Blockability.entries
+
+(* simulate takes the transformed block from the derivation cache: a
+   second run in one process derives nothing, so the prover is not
+   asked again. *)
+let simulate_reads_the_stored_derivation () =
+  let entry = Option.get (Blockability.find "lu_pivot") in
+  let machine = Arch.small_test in
+  ignore (ok_or_fail "first simulate" (Blockability.simulate ~machine entry));
+  with_memory_sink @@ fun events ->
+  ignore (ok_or_fail "second simulate" (Blockability.simulate ~machine entry));
+  check_int "no commutativity decision" 0
+    (List.length
+       (List.filter
+          (fun (e : Obs.event) -> e.cat = "decision" && e.name = "commutativity")
+          (events ())))
 
 let blocking_reduces_misses () =
   (* the X1 ablation in miniature: on a small cache and a matrix that far
@@ -171,18 +193,14 @@ let strip_mine_and_interchange_driver () =
       | _ -> Alcotest.fail "shape")
   | _ -> Alcotest.fail "shape"
 
-let block_trapezoid_equiv (n1, n2, seed) =
+let trapezoid_equiv (n1, n2, seed) =
   let n2 = n2 + 3 (* rhomboidal regions need N2 >= factor-1 = 3 *) in
-  let ctx =
-    Symbolic.assume_ge
-      (List.fold_left Symbolic.assume_pos Symbolic.empty [ "N1"; "N2"; "N3" ])
-      (Affine.var "N2") (Affine.const 3)
-  in
+  let facts = (Option.get (Blockability.find "conv")).Blockability.facts in
   let check loop kernel =
-    match Blocker.block_trapezoid ~ctx ~factor:4 loop with
+    match Blocker.auto ~register:true ~facts [ Stmt.Loop loop ] with
     | Error _ -> false
     | Ok { result; _ } ->
-        Kernel_def.equivalent kernel result
+        Kernel_def.equivalent kernel [ result ]
           ~bindings:[ ("N1", n1); ("N2", n2); ("N3", n1 + 7) ]
           ~seed
         = Ok ()
@@ -236,16 +254,13 @@ let two_level_tiling () =
 (* §8 breadth: the same generic driver blocks triangular solve and
    Cholesky, neither of which the paper studied. *)
 let breadth_equiv (n, ks, seed) =
-  let check kernel loop =
-    match Blocker.block_lu ~block_size_var:"KS" loop with
-    | Error _ -> false
-    | Ok { result; _ } ->
-        Kernel_def.equivalent kernel [ result ] ~extra:[ ("KS", ks) ]
-          ~bindings:[ ("N", n) ] ~seed
-        = Ok ()
+  let check name kernel =
+    let { Blocker.result; _ } = derived name in
+    Kernel_def.equivalent kernel [ result ] ~extra:[ ("KS", ks) ]
+      ~bindings:[ ("N", n) ] ~seed
+    = Ok ()
   in
-  check K_trisolve.kernel K_trisolve.point_loop
-  && check K_cholesky.kernel K_cholesky.point_loop
+  check "trisolve" K_trisolve.kernel && check "cholesky" K_cholesky.kernel
 
 (* Digests of every registry kernel's environment after
    [Kernel_def.make_env] and the entry's [extra_setup], recorded before
@@ -423,10 +438,10 @@ let stored_derivations_round_trip () =
 let suite =
   ( "drivers",
     [
-      case "block LU golden listing (Figure 6)" block_lu_golden;
-      qcase ~count:40 "block LU equivalence" gen_case block_lu_equiv;
+      case "block LU golden listing (Figure 6)" lu_golden;
+      qcase ~count:40 "block LU equivalence" gen_case lu_equiv;
       qcase ~count:25 "block LU with pivoting equivalence" gen_case
-        block_lu_pivot_equiv;
+        lu_pivot_equiv;
       case "pivoting requires commutativity knowledge" pivot_needs_commutativity;
       qcase ~count:25 "Givens optimization equivalence" gen_case givens_equiv;
       case "Givens executor keeps A(L,K) out of its J loop"
@@ -443,10 +458,12 @@ let suite =
       case "every registry derivation round-trips through its stored form"
         stored_derivations_round_trip;
       case "blocking reduces simulated misses" blocking_reduces_misses;
+      case "a second simulate reads the stored derivation"
+        simulate_reads_the_stored_derivation;
       case "strip-mine-and-interchange driver" strip_mine_and_interchange_driver;
       qcase ~count:30 "trapezoid driver (split + shaped UJ)"
         QCheck2.Gen.(triple (int_range 4 25) (int_range 0 20) (int_range 0 999))
-        block_trapezoid_equiv;
+        trapezoid_equiv;
       case "two-level tiling" two_level_tiling;
       qcase ~count:25 "breadth: trisolve and Cholesky block too" gen_case
         breadth_equiv;

@@ -4,7 +4,7 @@ open Helpers
 
 let fig11_lowers_and_matches (n, ks, seed) =
   let ks = max 1 ks in
-  match Lower.lower ~machine:Arch.rs6000_540 ~block_size:ks Ext.fig11_block_lu with
+  match Lower.lower ~machine:Arch.rs6000_540 ~block_size:ks Ext.fig11_blocked_lu with
   | Error _ -> false
   | Ok stmt ->
       Kernel_def.equivalent K_lu.kernel [ stmt ] ~bindings:[ ("N", n) ] ~seed
@@ -29,7 +29,7 @@ let lowering_errors () =
     (Result.is_error (Lower.lower ~machine:Arch.rs6000_540 bad_last))
 
 let machine_chooses_block () =
-  match Lower.lower ~machine:Arch.rs6000_540 Ext.fig11_block_lu with
+  match Lower.lower ~machine:Arch.rs6000_540 Ext.fig11_blocked_lu with
   | Ok (Stmt.Loop l) -> (
       match l.step with
       | Expr.Int ks -> check_bool "sane block size" true (ks >= 8 && ks <= 256)
@@ -86,7 +86,7 @@ let parse_logicals () =
   | _ -> Alcotest.fail "logical operators"
 
 let parse_block_do_roundtrip () =
-  let src = Ext.to_string Ext.fig11_block_lu in
+  let src = Ext.to_string Ext.fig11_blocked_lu in
   match Parser.program src with
   | [ ext ] -> check_string "round trip" src (Ext.to_string ext)
   | _ -> Alcotest.fail "expected one statement"

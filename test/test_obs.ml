@@ -4,13 +4,6 @@ open Helpers
    decision tracing through the real compiler drivers, metrics, the
    per-array cache statistics, and the bench regression gate. *)
 
-(* Every test that installs a sink must restore the null default —
-   alcotest runs the other suites in the same process. *)
-let with_memory_sink f =
-  let mem, events = Obs.memory () in
-  Obs.set_sink mem;
-  Fun.protect ~finally:(fun () -> Obs.set_sink Obs.null) (fun () -> f events)
-
 let span_nesting () =
   with_memory_sink @@ fun events ->
   let v =
@@ -327,6 +320,79 @@ let householder_rejection_trace () =
          String.equal e.name "block"
          && arg_bool "applied" e = Some false)
        (decisions (events ())))
+
+(* One decision per pipeline step for every registry kernel: applied,
+   skipped, or (Householder's cache blocking) refused.  A step that is
+   skipped leaves no applied decision of an attempt behind: where cache
+   blocking finds no recurrence, nothing was strip-mined. *)
+let pipeline_steps_per_kernel () =
+  let expected =
+    (* cache blocking, IF-inspection, register blocking *)
+    [
+      ("lu", ("applied", "skipped", "skipped"));
+      ("lu_opt", ("applied", "skipped", "applied"));
+      ("lu_pivot", ("applied", "skipped", "skipped"));
+      ("lu_pivot_opt", ("applied", "skipped", "applied"));
+      ("trisolve", ("applied", "skipped", "skipped"));
+      ("cholesky", ("applied", "skipped", "skipped"));
+      ("matmul", ("skipped", "applied", "skipped"));
+      ("givens", ("skipped", "applied", "skipped"));
+      ("aconv", ("skipped", "skipped", "applied"));
+      ("conv", ("skipped", "skipped", "applied"));
+      ("householder", ("rejected", "skipped", "skipped"));
+    ]
+  in
+  check_int "every registry kernel" (List.length Blockability.entries)
+    (List.length expected);
+  List.iter
+    (fun (name, (cache, inspect, register)) ->
+      with_memory_sink @@ fun events ->
+      ignore (Blockability.derive (Option.get (Blockability.find name)));
+      let ds = decisions (events ()) in
+      let verdict step =
+        match
+          List.filter (fun (e : Obs.event) -> e.name = "pipeline." ^ step) ds
+        with
+        | [ e ] -> (
+            match (arg_bool "applied" e, arg_bool "skipped" e) with
+            | Some true, _ -> "applied"
+            | _, Some true -> "skipped"
+            | _ -> "rejected")
+        | l -> Printf.sprintf "%d decisions" (List.length l)
+      in
+      Alcotest.(check (list string))
+        (name ^ ": cache blocking, IF-inspection, register blocking")
+        [ cache; inspect; register ]
+        (List.map verdict [ "cache-blocking"; "if-inspection"; "register-blocking" ]);
+      if cache = "skipped" then
+        check_bool (name ^ ": nothing strip-mined") false
+          (List.exists (fun (e : Obs.event) -> e.name = "strip-mine") ds))
+    expected
+
+(* A loop no step can block is refused, and the answer names each
+   step's reason. *)
+let pipeline_refuses_a_plain_loop () =
+  with_memory_sink @@ fun events ->
+  let open Builder in
+  let block = [ do_ "I" (i 1) (v "N") [ set1 "A" (v "I") (a1 "A" (v "I") +. fc 1.0) ] ] in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  (match Blocker.auto ~register:true ~facts:[ ("N", 1) ] block with
+  | Ok _ -> Alcotest.fail "a one-statement loop without a guard must not block"
+  | Error m ->
+      List.iter
+        (fun reason -> check_bool reason true (contains m reason))
+        [
+          "cache-blocking: no recurrence";
+          "if-inspection: no loop is guarded by an IF";
+          "register-blocking: no region of I unrolls";
+        ]);
+  check_int "three skipped steps" 3
+    (List.length
+       (List.filter (fun e -> arg_bool "skipped" e = Some true) (decisions (events ()))))
 
 (* The point kernel behind the negative result must itself be correct:
    interpreting it has to triangularize A (Householder reflections zero
@@ -807,6 +873,10 @@ let suite =
         lu_pivot_asks_few_questions;
       Alcotest.test_case "Householder records its rejection (§5.3)" `Quick
         householder_rejection_trace;
+      Alcotest.test_case "the pipeline records each kernel's steps" `Quick
+        pipeline_steps_per_kernel;
+      Alcotest.test_case "the pipeline refuses a loop no step blocks" `Quick
+        pipeline_refuses_a_plain_loop;
       Alcotest.test_case "Householder point kernel triangularizes" `Quick
         householder_point_kernel_triangularizes;
       Alcotest.test_case "metrics counters/histograms/timers" `Quick

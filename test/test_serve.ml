@@ -726,6 +726,31 @@ let suite =
             (Obs.Metrics.count
                (Obs.Metrics.counter
                   (Obs.Metrics.labelled "serve.errors" [ ("class", "internal") ]))));
+      case "a transformed run outside the derivation's facts is refused" (fun () ->
+          with_metrics @@ fun () ->
+          let labelled cls =
+            Obs.Metrics.count
+              (Obs.Metrics.counter
+                 (Obs.Metrics.labelled "serve.errors" [ ("class", cls) ]))
+          in
+          let conv variant =
+            parsed
+              (Printf.sprintf
+                 {|{"op":"execute","kernel":"conv","variant":"%s",%s}|}
+                 variant {|"bindings":{"N1":40,"N2":1,"N3":50}|})
+          in
+          check_bool "point runs" true (bool_field "ok" (conv "point"));
+          let r = conv "transformed" in
+          check_bool "transformed refused" false (bool_field "ok" r);
+          check_string "names the fact" "the derivation assumes N2 >= 3"
+            (str "error" r);
+          let r =
+            parsed {|{"op":"simulate","kernel":"lu","bindings":{"N":8,"KS":0}}|}
+          in
+          check_string "simulate names the fact" "the derivation assumes KS >= 1"
+            (str "error" r);
+          check_int "both counted as request errors" 2 (labelled "request");
+          check_int "none counted as internal" 0 (labelled "internal"));
       case "batch fan-out is one connected trace" (fun () ->
           require_native ();
           let mem, events = Obs.memory () in

@@ -235,7 +235,10 @@ let work_is_counted () =
     match List.assoc_opt name e.args with Some (Obs.Int n) -> n | _ -> 0
   in
   let ddgs = List.filter (fun (e : Obs.event) -> e.name = "ddg") (events ()) in
-  check_int "lu builds three dependence graphs" 3 (List.length ddgs);
+  (* the top loop's, to find the recurrence, then three of the strip
+     loop's: plain distribution, the preventing dependences, and the
+     split's distribution *)
+  check_int "lu builds four dependence graphs" 4 (List.length ddgs);
   List.iter
     (fun e ->
       check_int "ddg: queries = cache_hits + searches" (arg "queries" e)

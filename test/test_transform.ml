@@ -464,29 +464,6 @@ let distribution_recurrence () =
   check_bool "mutual recurrence refused" true
     (Result.is_error (Distribution.apply ~ctx l ~groups:[ [ 0 ]; [ 1 ] ]))
 
-(* The strip loop [kk] of a blocked derivation, as the driver handed it
-   to distribution (after the index-set split: the concatenated bodies
-   of the two distributed loops), with the driver's universal facts. *)
-let split_strip_body (traced : Stmt.t Blocker.traced) =
-  let after name =
-    (List.find (fun (st : Blocker.trace_step) -> st.name = name) traced.steps)
-      .after
-  in
-  match after "strip-mine", after "index-set-split" with
-  | [ Stmt.Loop ({ body = [ Stmt.Loop kk ]; _ } as stripped) ],
-    [ Stmt.Loop head; Stmt.Loop tail ] ->
-      let ctx = Symbolic.assume_pos Symbolic.empty "KS" in
-      let ctx =
-        List.fold_left Symbolic.assume_pos ctx
-          (Ir_util.symbolic_params [ Stmt.Loop stripped ])
-      in
-      let ctx =
-        List.fold_left Symbolic.assume_nonneg ctx
-          (Symbolic.facts (Symbolic.of_loop_context [ stripped; kk ]))
-      in
-      (ctx, { head with body = head.body @ tail.body })
-  | _ -> Alcotest.fail "unexpected blocked shape"
-
 (* The rule distribution legality followed before it asked only about
    backward edges: drop every edge the override accepts, then refuse
    the first remaining edge that runs from a later group to an earlier
@@ -531,7 +508,7 @@ let distribution_asks_backward_edges () =
   in
   List.iter
     (fun (name, derive) ->
-      let ctx, kk = split_strip_body (ok_or_fail name (derive ())) in
+      let ctx, kk, _ = split_strip_body (ok_or_fail name (derive ())) in
       let edges = (Ddg.build ~ctx kk).edges in
       let n = List.length kk.body in
       for cut = 1 to n - 1 do
@@ -566,12 +543,10 @@ let distribution_asks_backward_edges () =
             | Error m, Ok _ -> Alcotest.failf "%s: refused (%s), reference accepts" what m)
           overrides
       done)
-    [
-      ("lu", fun () -> Blocker.block_lu ~block_size_var:"KS" K_lu.point_loop);
-      ("cholesky", fun () -> Blocker.block_lu ~block_size_var:"KS" K_cholesky.point_loop);
-      ( "lu_pivot",
-        fun () -> Blocker.block_lu_pivot ~block_size_var:"KS" K_lu_pivot.point_loop );
-    ]
+    (List.map
+       (fun name ->
+         (name, fun () -> Blockability.derive (Option.get (Blockability.find name))))
+       [ "lu"; "cholesky"; "lu_pivot" ])
 
 (* ---- IF-inspection ---- *)
 
