@@ -642,7 +642,13 @@ let print_profile kp =
 let profile_cmd =
   let run name bindings seed machine block sweep json () =
     let e = resolve_kernel name in
-    let bindings = checked_bindings ?block e bindings in
+    (* --sweep is checked as --block is, at its smallest block size:
+       both exit 2 before anything runs. *)
+    let bindings =
+      checked_bindings
+        ?block:(if block = None then Option.map fst sweep else block)
+        e bindings
+    in
     let fail m =
       prerr_endline ("blockc profile: " ^ m);
       exit 1

@@ -211,7 +211,7 @@ let compile_blueprint ~name (bp : Blueprint.t) =
                 cc [])
       in
       let load so =
-        match Emit_c.manifest bp.Blueprint.block with
+        match Emit_c.manifest ~shapes:bp.Blueprint.shapes bp.Blueprint.block with
         | Error m -> Error (Printf.sprintf "cannot compile %s: %s" name m)
         | Ok _ when Artifact_cache.truncated_elf so ->
             Error (name ^ ": truncated object")

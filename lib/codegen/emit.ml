@@ -38,7 +38,7 @@ let note_arr d ~float_data name rank =
   if float_data then d.farr <- SM.add name rank d.farr
   else d.iarr <- SM.add name rank d.iarr
 
-let collect block =
+let collect ~shapes block =
   let d =
     {
       farr = SM.empty;
@@ -122,6 +122,18 @@ let collect block =
         List.iter (stmt (SS.add l.index scope)) l.body
   in
   List.iter (stmt SS.empty) block;
+  (* The shape re-check of an accessed array reads its declared bounds'
+     parameters, so they are bound like the block's own, also where the
+     block never mentions them (a hoisted extent, a scratch size). *)
+  List.iter
+    (fun (arr, dims) ->
+      if SM.find_opt arr d.farr = Some (List.length dims) then
+        List.iter
+          (fun (lo, hi) ->
+            expr SS.empty lo;
+            expr SS.empty hi)
+          dims)
+    shapes;
   d
 
 (* ---- in-bounds proofs -------------------------------------------- *)
@@ -698,11 +710,11 @@ let revision = "3"
 type counts = { unchecked : int; hoisted : int; promoted : int }
 
 let counts ?(unsafe = true) ?(shapes = []) blk =
-  let st = render ~unsafe ~shapes (collect blk) blk in
+  let st = render ~unsafe ~shapes (collect ~shapes blk) blk in
   { unchecked = st.n_unchecked; hoisted = st.n_hoisted; promoted = st.n_promoted }
 
 let source ?(unsafe = true) ?(shapes = []) ~name blk =
-  let d = collect blk in
+  let d = collect ~shapes blk in
   match d.bad with
   | Some m -> Error (Printf.sprintf "cannot compile %s: %s" name m)
   | None ->

@@ -96,10 +96,12 @@ type decls = {
   mutable bad : string option;  (** first unsupported construct *)
 }
 
-val collect : Stmt.t list -> decls
+val collect : shapes:shapes -> Stmt.t list -> decls
 (** One pass over the block: arrays with their ranks, scalars split by
     type and writtenness, plus the supportability verdict (unknown
-    intrinsics, assignment to a loop index). *)
+    intrinsics, assignment to a loop index).  The parameters of the
+    [shapes] of arrays the block accesses count as INTEGER scalars too:
+    the emitted shape re-check reads them. *)
 
 val ple : Symbolic.t -> Expr.t -> Expr.t -> bool
 (** [a <= b] at the [Expr] level, decomposing MIN/MAX into the affine

@@ -35,8 +35,8 @@ type shapes = Emit.shapes
 
 (* The host-side marshaling contract: which Env names go into the
    fixed-ABI argument arrays, in which order.  Deterministic (sorted by
-   name, ranks alongside) and derivable from the block alone, so a
-   disk-cached object can be invoked without re-emitting. *)
+   name, ranks alongside) and derivable from the block and its shapes,
+   so a disk-cached object can be invoked without re-emitting. *)
 type manifest = {
   m_farrays : (string * int) list;
   m_iarrays : (string * int) list;
@@ -56,8 +56,8 @@ let manifest_of_decls (d : Emit.decls) =
     m_isc_w = SS.elements d.Emit.isc_w;
   }
 
-let manifest blk =
-  let d = Emit.collect blk in
+let manifest ~shapes blk =
+  let d = Emit.collect ~shapes blk in
   match d.Emit.bad with
   | Some m -> Error m
   | None -> Ok (manifest_of_decls d)
@@ -404,10 +404,10 @@ let render ~unsafe ~shapes d blk =
   st
 
 let raw_accesses ?(unsafe = true) ?(shapes = []) blk =
-  (render ~unsafe ~shapes (Emit.collect blk) blk).n_raw
+  (render ~unsafe ~shapes (Emit.collect ~shapes blk) blk).n_raw
 
 let source ?(unsafe = true) ?(shapes = []) ~name blk =
-  let d = Emit.collect blk in
+  let d = Emit.collect ~shapes blk in
   match d.Emit.bad with
   | Some m -> Error (Printf.sprintf "cannot compile %s: %s" name m)
   | None ->

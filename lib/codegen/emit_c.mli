@@ -45,8 +45,8 @@ type manifest = {
   m_isc_w : string list;  (** INTEGER scalars the kernel writes *)
 }
 (** The host-side marshaling contract.  Deterministic and derivable
-    from the block alone ({!manifest}), so a disk-cached object can be
-    invoked without re-emitting its source. *)
+    from the block and its shapes ({!manifest}), so a disk-cached object
+    can be invoked without re-emitting its source. *)
 
 val revision : string
 (** The C emitter's revision.  It is part of the C artifact key
@@ -55,8 +55,9 @@ val revision : string
     changes.  A unit test pins the emitted text of three point kernels
     next to the revision it names. *)
 
-val manifest : Stmt.t list -> (manifest, string) result
-(** [Error] reports the same unsupported constructs {!source} would. *)
+val manifest : shapes:shapes -> Stmt.t list -> (manifest, string) result
+(** [Error] reports the same unsupported constructs {!source} would;
+    [shapes] as given to {!source}. *)
 
 val source :
   ?unsafe:bool ->

@@ -148,10 +148,10 @@ let block_bindings entry = function
         Error "no block-size parameter (KS); --sweep/--block do not apply"
 
 (* [Kernel_def.make_env] binds the list in order, so the caller's
-   bindings, which come last, win over the entry's extra ones.  Set-up
-   failures are the caller's input: bindings the kernel rejects
-   ([Invalid_argument]) or sizes that declare an empty array
-   ([Env.Error]). *)
+   bindings, which come last, win over the entry's extra ones, except
+   for a KS that [block] replaces.  Set-up failures are the caller's
+   input: bindings the kernel rejects ([Invalid_argument]) or sizes
+   that declare an empty array ([Env.Error]). *)
 let env ?block entry variant ~bindings ~seed =
   let bindings = if bindings = [] then entry.default_bindings else bindings in
   let extra =
@@ -160,7 +160,11 @@ let env ?block entry variant ~bindings ~seed =
     | Transformed -> block_bindings entry block
   in
   Result.bind extra @@ fun extra ->
-  let bindings = extra @ bindings in
+  let bindings =
+    match (variant, block) with
+    | Transformed, Some _ -> extra @ List.remove_assoc "KS" bindings
+    | _ -> extra @ bindings
+  in
   match
     let env = Kernel_def.make_env entry.kernel ~bindings ~seed in
     entry.extra_setup env ~bindings;

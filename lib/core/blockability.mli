@@ -68,12 +68,12 @@ val env :
 (** A fresh environment for one variant: the kernel's set-up at
     [bindings] ([[]] means the entry's default problem), then the
     entry's scratch arrays.  The transformed variant also binds the
-    entry's extra parameters (block sizes), with [block] in place of
-    KS; the caller's [bindings] win over both.  [Error] for bindings
-    the kernel cannot set up, sizes that declare an empty array, a
-    [block] on an entry without KS, or a transformed environment whose
-    parameters break one of the entry's facts (["the derivation assumes
-    N2 >= 3"]).  Every operation below builds its environments here, so
+    entry's extra parameters (block sizes); the caller's [bindings] win
+    over those, and [block] is KS whatever the caller bound.  [Error]
+    for bindings the kernel cannot set up, sizes that declare an empty
+    array, a [block] on an entry without KS, or a transformed
+    environment whose parameters break one of the entry's facts (["the
+    derivation assumes N2 >= 3"]).  Every operation below builds its environments here, so
     each returns that [Error]. *)
 
 val check_bindings : entry -> (string * int) list -> (unit, string) result

@@ -48,3 +48,35 @@ let kernel : Kernel_def.t =
     shapes =
       [ ("A", [ (i 1, v "M"); (i 1, v "N") ]); ("V", [ (i 1, v "M") ]) ];
   }
+
+(* The compact-WY form's data: A (and V) as above, plus its scratch,
+   declared from the shapes. *)
+let wy block =
+  let scratch =
+    ("Y", [ (i 1, v "M"); (i 1, v "N") ])
+    :: ("T", [ (i 1, v "KS"); (i 1, v "KS") ])
+    :: List.map (fun a -> (a, [ (i 1, v "N") ])) [ "TAU"; "W"; "Z" ]
+  in
+  let setup env ~bindings ~seed =
+    setup env ~bindings ~seed;
+    let eval = Expr.eval (fun p -> List.assoc p bindings) (fun _ _ -> 0) in
+    List.iter
+      (fun (a, dims) -> Env.add_farray env a (List.map (fun (l, h) -> (eval l, eval h)) dims))
+      scratch
+  in
+  {
+    kernel with
+    name = "compact_wy";
+    description = "QR decomposition with Householder reflections (compact WY)";
+    block;
+    params = [ "M"; "N"; "KS" ];
+    setup;
+    shapes = kernel.shapes @ scratch;
+  }
+
+(* The WY form reassociates the point code's sums (§5.3), so the two
+   agree to rounding only. *)
+let wy_diff point wy =
+  let a = Env.farray_data point "A" in
+  let tol = Stdlib.(1e-12 *. (1.0 +. sqrt (Array.fold_left (fun s x -> s +. (x *. x)) 0.0 a))) in
+  Env.diff ~only:[ "A" ] ~tol point wy

@@ -87,6 +87,77 @@ let fig11_blocked_lu =
         ];
     }
 
+(* The registry's point Householder (same reflectors) on a panel of KS
+   columns, then W = Y^T C, Z = T^T W, C := C - Y Z on each trailing
+   column C.  Y holds the panel's reflectors, TAU their 1/B (0 when
+   B = 0), T the factor in Q = I - Y T Y^T.  Scalars are REAL by
+   initial. *)
+let compact_wy =
+  {|BLOCK DO K = 1, N
+  IN K DO KK
+    S = 0.0
+    DO I = KK, M
+      S = S + A(I, KK)*A(I, KK)
+    END DO
+    RNRM = SQRT(S)
+    Y(KK, KK) = A(KK, KK) + RNRM
+    DO I = KK + 1, M
+      Y(I, KK) = A(I, KK)
+    END DO
+    B = RNRM*(RNRM + A(KK, KK))
+    TAU(KK) = 0.0
+    IF (B .NE. 0.0) THEN
+      TAU(KK) = 1.0/B
+      DO J = KK, LAST(K)
+        S2 = 0.0
+        DO I = KK, M
+          S2 = S2 + Y(I, KK)*A(I, J)
+        END DO
+        DO I = KK, M
+          A(I, J) = A(I, J) - Y(I, KK)*(S2/B)
+        END DO
+      END DO
+    END IF
+    T(KK - K + 1, KK - K + 1) = TAU(KK)
+    IN K DO JJ = K, KK - 1
+      S = 0.0
+      DO I = KK, M
+        S = S + Y(I, JJ)*Y(I, KK)
+      END DO
+      W(JJ) = S
+    END DO
+    IN K DO II = K, KK - 1
+      S = 0.0
+      IN K DO JJ = II, KK - 1
+        S = S + T(II - K + 1, JJ - K + 1)*W(JJ)
+      END DO
+      T(II - K + 1, KK - K + 1) = -TAU(KK)*S
+    END DO
+  END DO
+  DO J = MAX(LAST(K) + 1, K + 1), N     ! K + 1 proves A(I, J) in bounds
+    IN K DO KK
+      S = 0.0
+      DO I = KK, M
+        S = S + Y(I, KK)*A(I, J)
+      END DO
+      W(KK) = S
+    END DO
+    IN K DO KK
+      S = 0.0
+      IN K DO II = K, KK
+        S = S + T(II - K + 1, KK - K + 1)*W(II)
+      END DO
+      Z(KK) = S
+    END DO
+    IN K DO KK
+      DO I = KK, M
+        A(I, J) = A(I, J) - Y(I, KK)*Z(KK)
+      END DO
+    END DO
+  END DO
+END DO
+|}
+
 let rec render indent buf s =
   let pad = String.make indent ' ' in
   let line l = Buffer.add_string buf (pad ^ l ^ "\n") in

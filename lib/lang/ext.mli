@@ -32,5 +32,10 @@ val last : string -> Expr.t
 val fig11_blocked_lu : stmt
 (** Figure 11: block LU decomposition written in the extended language. *)
 
+val compact_wy : string
+(** §5.3's compact-WY Householder QR as extended-language text, one
+    [BLOCK DO] for [Parser.program]; its scratch arrays are
+    [K_householder.wy]'s. *)
+
 val to_string : stmt -> string
 (** Render with BLOCK DO / IN ... DO / LAST(...) syntax. *)

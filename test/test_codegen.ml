@@ -457,6 +457,39 @@ let suite =
               | None -> ()
               | Some m -> Alcotest.failf "%s: %s" c.c_cm.Backend.bk_tag m)
             Backend.all);
+      case "a shape's parameters are bound where the block never names them"
+        (fun () ->
+          require_native ();
+          require_cc ();
+          (* X(1) is proved in bounds from X's declared extent, so the
+             emitted shape re-check reads that extent: M, or a literal
+             the blueprint hoists, neither of which the block names. *)
+          let block = [ B.do_ "I" (B.i 1) (B.v "N") [ B.set1 "X" (B.i 1) (B.fc 1.0) ] ] in
+          let env len =
+            let env = Env.create () in
+            Env.add_farray env "X" [ (1, len) ];
+            Env.set_iscalar env "N" 3;
+            Env.set_iscalar env "M" 8;
+            env
+          in
+          List.iter
+            (fun extent ->
+              let bp = Blueprint.of_block ~shapes:[ ("X", [ (B.i 1, extent) ]) ] block in
+              List.iter
+                (fun backend ->
+                  let module Bk = (val backend : Backend.S) in
+                  let what = Bk.tag ^ " " ^ Expr.to_string extent in
+                  let c = ok_or_fail what (Bk.compile_blueprint ~name:"shape_param" bp) in
+                  let env_i = env 8 and env_n = env 8 in
+                  Exec.run env_i block;
+                  ok_or_fail what (c.Backend.bk_run env_n);
+                  check_bool (what ^ ": as interpreted") true (Env.equal env_i env_n);
+                  match c.Backend.bk_run (env 5) with
+                  | Ok () -> Alcotest.failf "%s: a short X ran" what
+                  | Error m ->
+                      check_bool (what ^ ": " ^ m) true (contains m "dims differ"))
+                Backend.all)
+            [ B.v "M"; B.i 8 ]);
       case "native_compare verifies and times the lu pair" (fun () ->
           require_native ();
           let r =

@@ -1,8 +1,11 @@
-(* What the benchmark tables time: the registry's derived variants,
-   compiled natively, and the hand-written baselines of Hand_kernels.
+(* What the benchmark tables time: the registry's variants and the §6
+   sources (Figure 11, compact-WY Householder), compiled natively, and
+   the one hand-written kernel, Hand_kernels' recursive LU.
 
    - Every table's variants agree bitwise with the interpreter's run of
-     the point IR, over random sizes, blocks and seeds.
+     the point IR, over random sizes, blocks and seeds; the compact-WY
+     form, which reassociates, agrees bitwise with its own interpreted
+     IR and with point to a stated tolerance.
    - native_compare (the tables' timing path) verifies every blockable
      entry on both backends.
    - The point algorithms themselves compute what they claim: LU
@@ -57,20 +60,51 @@ let compiled_matches_point name ?(extra = []) ~bindings ~seed () =
       | None -> true
       | Some m -> QCheck2.Test.fail_reportf "%s: %s" name m)
 
-(* T3: the hand "1" and "Rec" and the derived "2" and "2+". *)
+let lower_at ext ~block =
+  ok_or_fail "lower" (Lower.lower ~block_size:block ~machine:Arch.rs6000_540 ext)
+
+(* A §6 source lowered at [block] and packaged by [kernel] with its data
+   and shapes, compiled on [backend]; the artifact cache's memo makes a
+   repeat a lookup. *)
+let lowered kernel ext ~block backend =
+  let module B = (val backend : Backend.S) in
+  let (k : Kernel_def.t) = kernel [ lower_at ext ~block ] in
+  let bp = Blueprint.of_block ~shapes:k.shapes k.block in
+  (k, ok_or_fail "compile" (B.compile_blueprint ~name:k.name bp))
+
+(* The compiled block run on its package's data at [bindings] leaves
+   [A] bitwise equal to [reference]'s. *)
+let lowered_matches ((k : Kernel_def.t), (c : Backend.compiled)) ~bindings ~seed
+    reference =
+  let env = Kernel_def.make_env k ~bindings ~seed in
+  match c.bk_run env with
+  | Error m -> QCheck2.Test.fail_reportf "%s on %s: run failed: %s" k.name c.bk_tag m
+  | Ok () -> (
+      match Env.diff ~only:[ "A" ] reference env with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_reportf "%s on %s: %s" k.name c.bk_tag m)
+
+(* T3: Figure 11 ("1") compiled on both backends, the hand "Rec", and
+   the derived "2" and "2+". *)
 let lu_variants_exact (n, b, seed) =
   let e = entry "lu" in
   let bindings = [ ("N", n) ] in
   let reference = interp_point e ~bindings ~seed in
-  let hand f =
+  let fig11 block = { K_lu.kernel with name = "fig11_lu"; block } in
+  let hand =
     let env = Kernel_def.make_env e.kernel ~bindings ~seed in
-    f (Env.farray_data env "A");
+    Hand_kernels.lu_recursive ~base:b ~n (Env.farray_data env "A");
     match Env.diff ~only:[ "A" ] reference env with
     | None -> true
     | Some m -> QCheck2.Test.fail_reportf "hand LU n=%d b=%d: %s" n b m
   in
-  hand (Hand_kernels.lu_sorensen ~block:b ~n)
-  && hand (Hand_kernels.lu_recursive ~base:b ~n)
+  hand
+  && List.for_all
+       (fun backend ->
+         lowered_matches
+           (lowered fig11 Ext.fig11_blocked_lu ~block:b backend)
+           ~bindings ~seed reference)
+       Backend.all
   && List.for_all
        (fun name ->
          compiled_matches_point name ~extra:[ ("KS", b) ] ~bindings ~seed ())
@@ -267,33 +301,40 @@ let givens_triangularizes () =
   check_bool "norm preserved" true
     (Float.abs (frobenius g -. frobenius a0) < 1e-9 *. frobenius a0)
 
-(* ---- Householder, hand-written only (§5.3) ------------------------- *)
+(* ---- Householder (§5.3): point and its compact-WY form --------- *)
 
-let householder_a ~m ~n ~seed =
-  Env.farray_data
-    (Kernel_def.make_env K_householder.kernel ~bindings:[ ("M", m); ("N", n) ] ~seed)
-    "A"
+(* The WY form, written in the §6 language, on the point kernel's data
+   ([m >= n + 1]), with a random block size. *)
+let compact_wy = List.hd (Parser.program Ext.compact_wy)
+let gen_householder = QCheck2.Gen.(pair gen_cfg (int_range 1 8))
 
-let householder_block_matches_point (m_extra, n, seed) =
-  let m = n + m_extra in
-  let h1 = householder_a ~m ~n ~seed and h2 = householder_a ~m ~n ~seed in
-  Hand_kernels.householder_point ~m ~n h1;
-  Hand_kernels.householder_wy ~block:5 ~m ~n h2;
-  let r1 = r_of ~m ~n h1 and r2 = r_of ~m ~n h2 in
-  (* WY reassociates: compare R with a norm-scaled tolerance; both forms
-     use the same reflector convention, so the signs agree. *)
-  let worst = ref 0.0 in
-  Array.iteri (fun i x -> worst := Float.max !worst (Float.abs (x -. r2.(i)))) r1;
-  !worst < 1e-9 *. (1.0 +. frobenius r1)
+let householder_block_matches_point ((m_extra, n, seed), ks) =
+  let bindings = [ ("M", n + m_extra); ("N", n) ] in
+  let point = interp_point (entry "householder") ~bindings ~seed in
+  let compiled = List.map (lowered K_householder.wy compact_wy ~block:ks) Backend.all in
+  let bindings = ("KS", ks) :: bindings in
+  let wy = Kernel_def.run (fst (List.hd compiled)) ~bindings ~seed in
+  (match K_householder.wy_diff point wy with
+  | None -> true
+  | Some m -> QCheck2.Test.fail_reportf "WY vs point (KS=%d): %s" ks m)
+  && List.for_all (fun c -> lowered_matches c ~bindings ~seed wy) compiled
 
 let householder_norm_preserved () =
   let m = 40 and n = 25 in
-  let a0 = householder_a ~m ~n ~seed:31 in
-  let h = Array.copy a0 in
-  Hand_kernels.householder_wy ~block:8 ~m ~n h;
-  let r = r_of ~m ~n h in
+  let bindings = [ ("KS", 8); ("M", m); ("N", n) ] in
+  let k = K_householder.wy [ lower_at compact_wy ~block:8 ] in
+  let a0 = Env.farray_data (Kernel_def.make_env k ~bindings ~seed:31) "A" in
+  let h = Env.farray_data (Kernel_def.run k ~bindings ~seed:31) "A" in
+  let below = ref 0.0 in
+  for j = 1 to n do
+    for i = j + 1 to m do
+      below := Float.max !below (Float.abs h.(at ~m i j))
+    done
+  done;
+  check_bool (Printf.sprintf "R is triangular (%.2g below)" !below) true
+    (!below < 1e-12 *. frobenius a0);
   check_bool "orthogonal transform preserves norm" true
-    (Float.abs (frobenius r -. frobenius a0) < 1e-9 *. frobenius a0)
+    (Float.abs (frobenius (r_of ~m ~n h) -. frobenius a0) < 1e-9 *. frobenius a0)
 
 let suite =
   ( "native",
@@ -308,8 +349,9 @@ let suite =
       case "guarded matmul matches dense" matmul_matches_dense;
       native_qcase "Givens variants bit-identical" givens_variants_exact;
       case "Givens triangularizes and preserves norm" givens_triangularizes;
-      qcase ~count:25 "Householder block matches point" gen_cfg
-        householder_block_matches_point;
+      qcase ~count:25 "Householder block matches point" gen_householder (fun cfg ->
+          require_native ();
+          householder_block_matches_point cfg);
       case "Householder norm preservation" householder_norm_preserved;
       case "native_compare verifies every blockable entry on both backends"
         native_compare_registry;

@@ -397,7 +397,7 @@ let pipeline_refuses_a_plain_loop () =
 (* The point kernel behind the negative result must itself be correct:
    interpreting it has to triangularize A (Householder reflections zero
    the subdiagonal of each processed column). *)
-let householder_point_kernel_triangularizes () =
+let point_householder_triangularizes () =
   let m = 10 and n = 7 in
   let env =
     Kernel_def.make_env K_householder.kernel
@@ -878,7 +878,7 @@ let suite =
       Alcotest.test_case "the pipeline refuses a loop no step blocks" `Quick
         pipeline_refuses_a_plain_loop;
       Alcotest.test_case "Householder point kernel triangularizes" `Quick
-        householder_point_kernel_triangularizes;
+        point_householder_triangularizes;
       Alcotest.test_case "metrics counters/histograms/timers" `Quick
         metrics_basics;
       Alcotest.test_case "pool and chunk metrics recorded" `Quick
