@@ -127,10 +127,10 @@ let drop fmt =
    verified bitwise against the interpreter, then timed as two
    interleaved arms. *)
 let compiled ?(backend = (module Backend.Ocaml : Backend.S)) ?verify_bindings
-    ?block name bindings =
+    name bindings =
   match
     Blockability.native_compare ~backend ~bindings ?verify_bindings ~seed
-      ?block (entry name)
+      (entry name)
   with
   | Ok r -> Some r
   | Error m ->
@@ -273,8 +273,8 @@ let t3 () =
             Measure.run [ one; rec_ ]
           in
           match
-            ( compiled ~verify_bindings ~block:b "lu" bindings,
-              compiled ~verify_bindings ~block:b "lu_opt" bindings,
+            ( compiled ~verify_bindings "lu" (("KS", b) :: bindings),
+              compiled ~verify_bindings "lu_opt" (("KS", b) :: bindings),
               one_and_rec )
           with
           | Some r2, Some r2p, Ok [ t_1; t_rec ] ->
@@ -309,10 +309,11 @@ let t4 () =
     (fun (n, blocks) ->
       List.iter
         (fun b ->
-          let verify_bindings = [ ("N", verify_n b) ] and bindings = [ ("N", n) ] in
+          let verify_bindings = [ ("N", verify_n b) ]
+          and bindings = [ ("N", n); ("KS", b) ] in
           match
-            ( compiled ~verify_bindings ~block:b "lu_pivot" bindings,
-              compiled ~verify_bindings ~block:b "lu_pivot_opt" bindings )
+            ( compiled ~verify_bindings "lu_pivot" bindings,
+              compiled ~verify_bindings "lu_pivot_opt" bindings )
           with
           | Some r1, Some r1p ->
               (* Point and Speedup: the lu_pivot_opt pair's one measurement *)
@@ -558,7 +559,7 @@ let ablation () =
           Table.(
             add_row tbl
               [ Text (string_of_int b); Time r.nt_transformed; Text (cell_f r.nt_speedup) ]))
-        (compiled ~block:b "lu_opt" [ ("N", n) ]))
+        (compiled "lu_opt" [ ("N", n); ("KS", b) ]))
     [ 8; 16; 32; 64; 128; 256 ];
   output ~id:"ablation-block-size" tbl;
   (* and the simulated-machine chooser the Section-6 lowering uses *)
@@ -700,7 +701,7 @@ let obs_suite () =
       Obs.Metrics.set_enabled true;
       ignore (run ());
       Pool.shutdown pool;
-      print_string (Obs.Metrics.report ());
+      print_string (Obs.Metrics.prometheus ());
       Obs.Metrics.set_enabled false;
       Obs.Metrics.reset ()
 
@@ -772,31 +773,31 @@ let native_suite () =
   let cases =
     if quick then
       [
-        ("lu", [ ("N", 256) ], Some 32);
-        ("lu_opt", [ ("N", 256) ], Some 32);
-        ("lu_opt", [ ("N", 512) ], Some 32);
-        ("lu_pivot", [ ("N", 256) ], Some 32);
-        ("lu_pivot_opt", [ ("N", 256) ], Some 32);
-        ("matmul", [ ("N", 192); ("FREQ_PCT", 10) ], None);
-        ("givens", [ ("M", 192); ("N", 192) ], None);
+        ("lu", [ ("N", 256); ("KS", 32) ]);
+        ("lu_opt", [ ("N", 256); ("KS", 32) ]);
+        ("lu_opt", [ ("N", 512); ("KS", 32) ]);
+        ("lu_pivot", [ ("N", 256); ("KS", 32) ]);
+        ("lu_pivot_opt", [ ("N", 256); ("KS", 32) ]);
+        ("matmul", [ ("N", 192); ("FREQ_PCT", 10) ]);
+        ("givens", [ ("M", 192); ("N", 192) ]);
       ]
     else
       [
-        ("lu", [ ("N", 384) ], Some 32);
-        ("lu", [ ("N", 640) ], Some 32);
-        ("lu_opt", [ ("N", 384) ], Some 32);
-        ("lu_opt", [ ("N", 640) ], Some 32);
-        ("lu_opt", [ ("N", 1024) ], Some 32);
-        ("lu_pivot", [ ("N", 384) ], Some 32);
-        ("lu_pivot_opt", [ ("N", 384) ], Some 32);
-        ("lu_pivot_opt", [ ("N", 640) ], Some 32);
-        ("matmul", [ ("N", 320); ("FREQ_PCT", 10) ], None);
-        ("givens", [ ("M", 384); ("N", 384) ], None);
-        ("conv", [ ("N1", 1200); ("N2", 1200); ("N3", 1600) ], None);
+        ("lu", [ ("N", 384); ("KS", 32) ]);
+        ("lu", [ ("N", 640); ("KS", 32) ]);
+        ("lu_opt", [ ("N", 384); ("KS", 32) ]);
+        ("lu_opt", [ ("N", 640); ("KS", 32) ]);
+        ("lu_opt", [ ("N", 1024); ("KS", 32) ]);
+        ("lu_pivot", [ ("N", 384); ("KS", 32) ]);
+        ("lu_pivot_opt", [ ("N", 384); ("KS", 32) ]);
+        ("lu_pivot_opt", [ ("N", 640); ("KS", 32) ]);
+        ("matmul", [ ("N", 320); ("FREQ_PCT", 10) ]);
+        ("givens", [ ("M", 384); ("N", 384) ]);
+        ("conv", [ ("N1", 1200); ("N2", 1200); ("N3", 1600) ]);
       ]
   in
   List.iter
-    (fun (name, bindings, block) ->
+    (fun (name, bindings) ->
       List.iter
         (fun backend ->
           Option.iter
@@ -808,7 +809,7 @@ let native_suite () =
               in
               Table.add_row tbl
                 (text [ name; params r.nt_bindings; r.nt_backend ] @ pair r @ text [ model ]))
-            (compiled ~backend ?block name bindings))
+            (compiled ~backend name bindings))
         backends)
     cases;
   output ~id:"native" tbl;

@@ -46,7 +46,7 @@ let binding_conv =
     match String.split_on_char '=' s with
     | [ k; v ] -> (
         match int_of_string_opt v with
-        | Some n -> Ok (String.uppercase_ascii k, n)
+        | Some n -> Ok (k, n)
         | None -> Error (`Msg ("bad binding value: " ^ s)))
     | _ -> Error (`Msg ("bindings look like N=300, got " ^ s))
   in
@@ -57,7 +57,12 @@ let bindings_arg =
   Arg.(
     value
     & opt_all binding_conv []
-    & info [ "p"; "param" ] ~docv:"NAME=INT" ~doc:"Problem parameter binding.")
+    & info [ "p"; "param" ] ~docv:"NAME=INT"
+        ~doc:
+          "Bind a problem parameter or the block size $(b,KS), in any \
+           case; the last binding of a name wins.  Each name left \
+           unbound takes the kernel's default.  A name the kernel does \
+           not take exits 2.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload random seed.")
@@ -78,27 +83,15 @@ let machine_arg =
     & opt machine_conv Arch.rs6000_540
     & info [ "machine" ] ~doc:"Cache model: rs6000, small, or modern.")
 
-(* [None] for the default problem; a missing parameter, a size the
-   kernel cannot set up, or a size or [block] the derivation's facts
-   exclude (the transformed environment checks all three) is unusable
-   input. *)
-let checked_bindings ?block e bindings =
-  if bindings = [] && block = None then None
-  else
-    let bindings =
-      if bindings = [] then e.Blockability.default_bindings else bindings
-    in
-    let usable =
-      Result.bind (Blockability.check_bindings e bindings) @@ fun () ->
-      Result.map_error
-        (Printf.sprintf "kernel %s: %s" e.Blockability.name)
-        (Blockability.env ?block e Blockability.Transformed ~bindings ~seed:0)
-    in
-    match usable with
-    | Error m ->
-        prerr_endline ("blockc: " ^ m);
-        exit 2
-    | Ok _ -> Some bindings
+(* A name the kernel does not take, a size it cannot set up, or a size
+   the derivation's facts exclude (the transformed environment refuses
+   all three) is unusable input: exit 2 before anything runs. *)
+let checked_bindings e bindings =
+  match Blockability.env e Blockability.Transformed ~bindings ~seed:0 with
+  | Error m ->
+      Printf.eprintf "blockc: kernel %s: %s\n" e.Blockability.name m;
+      exit 2
+  | Ok _ -> bindings
 
 (* ---- tracing flags (shared by the transformation-running commands) ---- *)
 
@@ -211,7 +204,7 @@ let derive_cmd =
 let verify_cmd =
   let run name bindings seed () =
     let e = resolve_kernel name in
-    match Blockability.verify ?bindings:(checked_bindings e bindings) ~seed e with
+    match Blockability.verify ~bindings:(checked_bindings e bindings) ~seed e with
     | Ok () -> print_endline "equivalent: transformed kernel matches the point kernel"
     | Error m ->
         prerr_endline m;
@@ -237,7 +230,7 @@ let simulate_cmd =
   let run name bindings seed machine () =
     let e = resolve_kernel name in
     match
-      Blockability.simulate ?bindings:(checked_bindings e bindings) ~seed
+      Blockability.simulate ~bindings:(checked_bindings e bindings) ~seed
         ~machine e
     with
     | Error m ->
@@ -330,7 +323,7 @@ let explain_run e bindings seed machine =
   | Ok { Blocker.result = stmt; _ } -> (
       Printf.printf "\nverdict: blockable — final block structure:\n\n%s"
         (Stmt.to_string stmt);
-      match Blockability.simulate ?bindings ~seed ~machine e with
+      match Blockability.simulate ~bindings ~seed ~machine e with
       | Error m -> Printf.printf "\ncache report unavailable: %s\n" m
       | Ok r ->
           Printf.printf "\ncache report (machine %s):\n" machine.Arch.name;
@@ -384,14 +377,9 @@ let sweep_arg =
     & info [ "sweep" ] ~docv:"B1..B2"
         ~doc:
           "Profile the transformed kernel at every power-of-two block \
-           size in [B1, B2] and report the sweep (kernels with a KS \
-           block-size parameter only).")
-
-let block_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "block" ] ~docv:"B" ~doc:"Override the kernel's block size (KS).")
+           size in [B1, B2], each bound as KS after the $(b,-p) \
+           bindings, and report the sweep (kernels with a KS block-size \
+           parameter only).")
 
 let json_flag =
   Arg.(
@@ -640,21 +628,21 @@ let print_profile kp =
   Printf.printf "memory cycles (per-level model): %d\n\n" kp.kp_cycles
 
 let profile_cmd =
-  let run name bindings seed machine block sweep json () =
+  let run name bindings seed machine sweep json () =
     let e = resolve_kernel name in
-    (* --sweep is checked as --block is, at its smallest block size:
-       both exit 2 before anything runs. *)
-    let bindings =
-      checked_bindings
-        ?block:(if block = None then Option.map fst sweep else block)
-        e bindings
-    in
+    (* A sweep's rows are checked at its smallest block size, the one
+       the facts could exclude: a bad row exits 2 before anything
+       runs, as bad bindings do. *)
+    let bindings = checked_bindings e bindings in
+    Option.iter
+      (fun (lo, _) -> ignore (checked_bindings e (bindings @ [ ("KS", lo) ])))
+      sweep;
     let fail m =
       prerr_endline ("blockc profile: " ^ m);
       exit 1
     in
     let point, transformed =
-      match Blockability.profile ?bindings ~seed ~machine ?block e with
+      match Blockability.profile ~bindings ~seed ~machine e with
       | Ok r -> r
       | Error m -> fail m
     in
@@ -663,7 +651,7 @@ let profile_cmd =
       | None -> []
       | Some range -> (
           match
-            Blockability.profile_sweep ?bindings ~seed ~machine
+            Blockability.profile_sweep ~bindings ~seed ~machine
               ~blocks:(sweep_blocks range) e
           with
           | Ok r -> r
@@ -758,7 +746,7 @@ let profile_cmd =
     (traced
        Term.(
          const run $ kernel_name_arg $ bindings_arg $ seed_arg $ machine_arg
-         $ block_arg $ sweep_arg $ json_flag))
+         $ sweep_arg $ json_flag))
 
 (* ---- sections ---- *)
 
@@ -794,12 +782,8 @@ let sections_cmd =
 
 let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* To end of file, so a pipe ([/dev/stdin]) reads as a file does. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let parse_cmd =
   let run path =
@@ -955,7 +939,7 @@ let compile_cmd =
              the folded-stack profile — flamegraph.pl / speedscope input \
              — to $(docv) ($(b,-) for stdout).")
   in
-  let run name emit variant do_run backend bindings seed block json flame () =
+  let run name emit variant do_run backend bindings seed json flame () =
     let finish_flame =
       match flame with
       | None -> fun () -> ()
@@ -991,7 +975,7 @@ let compile_cmd =
       backend_or_exit ();
       match
         Blockability.native_compare ~backend
-          ?bindings:(checked_bindings ?block e bindings) ~seed ?block e
+          ~bindings:(checked_bindings e bindings) ~seed e
       with
       | Error m ->
           prerr_endline ("blockc compile: " ^ m);
@@ -1047,7 +1031,7 @@ let compile_cmd =
     (traced
        Term.(
          const run $ kernel_name_arg $ emit_arg $ variant_arg $ run_flag
-         $ backend_arg $ bindings_arg $ seed_arg $ block_arg $ json_flag
+         $ backend_arg $ bindings_arg $ seed_arg $ json_flag
          $ flame_arg))
 
 (* ---- fuzz ---- *)

@@ -139,32 +139,34 @@ type variant = Point | Transformed
 
 let variant_name = function Point -> "point" | Transformed -> "transformed"
 
-let block_bindings entry = function
-  | None -> Ok entry.extra_bindings
-  | Some b ->
-      if List.mem_assoc "KS" entry.extra_bindings then
-        Ok (("KS", b) :: List.remove_assoc "KS" entry.extra_bindings)
-      else
-        Error "no block-size parameter (KS); --sweep/--block do not apply"
+(* The one rule that sizes a run.  A kernel takes the names of its
+   default problem and its extra parameters (block sizes); the request
+   binds any of them, by name in any case, its last binding of a name
+   winning.  Each default the request leaves unbound is added, and so,
+   for the transformed variant, is each extra one.  The result binds
+   every name once, in the order the kernel lists them. *)
+let sized entry variant request =
+  let request = List.rev_map (fun (p, v) -> (String.uppercase_ascii p, v)) request in
+  let takes = entry.default_bindings @ entry.extra_bindings in
+  let bind (p, default) =
+    match List.assoc_opt p request with
+    | Some v -> Some (p, v)
+    | None when variant = Transformed || List.mem_assoc p entry.default_bindings ->
+        Some (p, default)
+    | None -> None
+  in
+  match List.find_opt (fun (p, _) -> not (List.mem_assoc p takes)) request with
+  | Some (p, _) ->
+      Error
+        (Printf.sprintf "no parameter %s (takes %s)" p
+           (String.concat ", " (List.map fst takes)))
+  | None -> Ok (List.filter_map bind takes)
 
-(* [Kernel_def.make_env] binds the list in order, so the caller's
-   bindings, which come last, win over the entry's extra ones, except
-   for a KS that [block] replaces.  Set-up failures are the caller's
-   input: bindings the kernel rejects ([Invalid_argument]) or sizes
-   that declare an empty array ([Env.Error]). *)
-let env ?block entry variant ~bindings ~seed =
-  let bindings = if bindings = [] then entry.default_bindings else bindings in
-  let extra =
-    match variant with
-    | Point -> Ok []
-    | Transformed -> block_bindings entry block
-  in
-  Result.bind extra @@ fun extra ->
-  let bindings =
-    match (variant, block) with
-    | Transformed, Some _ -> extra @ List.remove_assoc "KS" bindings
-    | _ -> extra @ bindings
-  in
+(* Set-up failures are the caller's input: bindings the kernel rejects
+   ([Invalid_argument]) or sizes that declare an empty array
+   ([Env.Error]). *)
+let env entry variant ~bindings ~seed =
+  Result.bind (sized entry variant bindings) @@ fun bindings ->
   match
     let env = Kernel_def.make_env entry.kernel ~bindings ~seed in
     entry.extra_setup env ~bindings;
@@ -265,11 +267,6 @@ let variant_block entry = function
              let block, bp = e.value in
              (block, bp, Some e.disposition))
 
-let check_bindings { kernel = k; _ } bindings =
-  match List.filter (fun p -> not (List.mem_assoc p bindings)) k.params with
-  | [] -> Ok ()
-  | p :: _ -> Error (Printf.sprintf "kernel %s: missing parameter %s" k.name p)
-
 let ( let* ) = Result.bind
 
 (* The transformed block the cache holds: derived by the first caller,
@@ -284,9 +281,7 @@ let interpret f =
   | v -> Ok v
   | exception (Exec.Error m | Env.Error m) -> Error ("interpreter failed: " ^ m)
 
-let verify ?bindings ?(seed = 42) entry =
-  let bindings = Option.value bindings ~default:entry.default_bindings in
-  let* () = check_bindings entry bindings in
+let verify ?(bindings = []) ?(seed = 42) entry =
   let* transformed = transformed_block entry in
   let run variant block =
     let* env = env entry variant ~bindings ~seed in
@@ -393,13 +388,15 @@ let profile_block ~machine ~spec ~kernel_name ~variant ~block env ~arrays
   obs_emit_profile kp;
   Ok kp
 
-let profile ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec ?block
+let profile ?(bindings = []) ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec
     entry =
-  let bindings = Option.value bindings ~default:entry.default_bindings in
-  let* () = check_bindings entry bindings in
   let* transformed = transformed_block entry in
   let* env_p = env entry Point ~bindings ~seed in
-  let* env_t = env ?block entry Transformed ~bindings ~seed in
+  let* env_t = env entry Transformed ~bindings ~seed in
+  (* The point environment holds a KS only if the request bound one. *)
+  let block =
+    if Env.has_iscalar env_p "KS" then Some (Env.iscalar env_p "KS") else None
+  in
   let profile_block = profile_block ~machine ~spec ~kernel_name:entry.name in
   let arrays = entry.kernel.Kernel_def.traced in
   let* point =
@@ -411,12 +408,13 @@ let profile ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec ?block
   in
   Ok (point, transformed)
 
-let profile_sweep ?bindings ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec
-    ~blocks entry =
+let profile_sweep ?(bindings = []) ?(seed = 42) ?(machine = Arch.rs6000_540)
+    ?spec ~blocks entry =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | b :: rest ->
-        let* _, transformed = profile ?bindings ~seed ~machine ?spec ~block:b entry in
+        let bindings = bindings @ [ ("KS", b) ] in
+        let* _, transformed = profile ~bindings ~seed ~machine ?spec entry in
         go ((b, transformed) :: acc) rest
   in
   if blocks = [] then Error "empty block-size sweep" else go [] blocks
@@ -443,9 +441,7 @@ let simulate_blocks ~machine entry ~bindings ~seed point transformed =
     transformed_cycles = Cost.memory_cycles machine transformed_stats;
   }
 
-let simulate ?bindings ?(seed = 42) ~machine entry =
-  let bindings = Option.value bindings ~default:entry.default_bindings in
-  let* () = check_bindings entry bindings in
+let simulate ?(bindings = []) ?(seed = 42) ~machine entry =
   let* transformed = transformed_block entry in
   simulate_blocks ~machine entry ~bindings ~seed entry.kernel.Kernel_def.block
     transformed
@@ -531,8 +527,8 @@ type native_result = {
 
 (* Native results must be bitwise equal to the interpreter on the same
    initial environment; a diff here is a codegen bug, never tolerance. *)
-let native_verify ?block c ~bindings ~seed =
-  let make () = env ?block c.c_entry c.c_variant ~bindings ~seed in
+let native_verify c ~bindings ~seed =
+  let make () = env c.c_entry c.c_variant ~bindings ~seed in
   match make () with
   | Error m -> Some m
   | Ok env_i -> (
@@ -545,16 +541,17 @@ let native_verify ?block c ~bindings ~seed =
           | Ok () ->
               Env.diff ~only:c.c_entry.kernel.Kernel_def.traced env_i env_n))
 
-let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
-    ?verify_bindings ?(seed = 42) ?block entry =
+let native_compare ?(backend = (module Backend.Ocaml : Backend.S))
+    ?(bindings = []) ?(verify_bindings = []) ?(seed = 42) entry =
   let module B = (val backend) in
-  let bindings = Option.value bindings ~default:entry.default_bindings in
-  let verify_bindings =
-    Option.value verify_bindings ~default:entry.default_bindings
+  (* Both sizes are settled before anything compiles.  The verified run
+     takes the timed run's block sizes, so the verified KS is the timed
+     one. *)
+  let* bindings = sized entry Point bindings in
+  let block_sizes =
+    List.filter (fun (p, _) -> List.mem_assoc p entry.extra_bindings) bindings
   in
-  let* () = check_bindings entry bindings in
-  let* () = check_bindings entry verify_bindings in
-  let* _ = block_bindings entry block in
+  let* verify_bindings = sized entry Point (verify_bindings @ block_sizes) in
   (* The transformed variant first: a kernel that does not block fails
      before anything is compiled. *)
   let* transformed = compile ~backend entry Transformed in
@@ -562,7 +559,7 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
   let check c =
     Option.map
       (fun m -> variant_name c.c_variant ^ ": " ^ m)
-      (native_verify ?block c ~bindings:verify_bindings ~seed)
+      (native_verify c ~bindings:verify_bindings ~seed)
   in
   match
     match check point with Some _ as bad -> bad | None -> check transformed
@@ -574,7 +571,7 @@ let native_compare ?(backend = (module Backend.Ocaml : Backend.S)) ?bindings
          environment is its last timed run. *)
       let last = Hashtbl.create 2 in
       let arm c () =
-        match env ?block entry c.c_variant ~bindings ~seed with
+        match env entry c.c_variant ~bindings ~seed with
         | Error m -> fun () -> Error m
         | Ok env ->
             Hashtbl.replace last c.c_variant env;

@@ -59,34 +59,32 @@ val variant_name : variant -> string
 (** ["point"] or ["transformed"]. *)
 
 val env :
-  ?block:int ->
   entry ->
   variant ->
   bindings:(string * int) list ->
   seed:int ->
   (Env.t, string) result
-(** A fresh environment for one variant: the kernel's set-up at
-    [bindings] ([[]] means the entry's default problem), then the
-    entry's scratch arrays.  The transformed variant also binds the
-    entry's extra parameters (block sizes); the caller's [bindings] win
-    over those, and [block] is KS whatever the caller bound.  [Error]
-    for bindings the kernel cannot set up, sizes that declare an empty
-    array, a [block] on an entry without KS, or a transformed
+(** A fresh environment for one variant: the kernel's set-up, then the
+    entry's scratch arrays.  This is the one place a run is sized.  A
+    kernel takes the names of its [default_bindings] and its
+    [extra_bindings] (block sizes such as KS), in any case: a name is
+    uppercased, and a request's last binding of a name wins.  The run
+    binds the request's names, then each default parameter and, on the
+    transformed variant only, each extra one, that the request leaves
+    unbound; so [[]] is the default problem, and [[("KS", 16)]] is the
+    default problem at block size 16.  [Error] for a name the kernel
+    does not take (["no parameter KZ (takes N, KS)"]), sizes the kernel
+    cannot set up, sizes that declare an empty array, or a transformed
     environment whose parameters break one of the entry's facts (["the
-    derivation assumes N2 >= 3"]).  Every operation below builds its environments here, so
-    each returns that [Error]. *)
-
-val check_bindings : entry -> (string * int) list -> (unit, string) result
-(** [Error] naming the first kernel parameter that [bindings] leave
-    unbound.  {!verify}, {!simulate}, {!profile} and {!native_compare}
-    check their bindings with it before they build an environment;
-    {!env} does not. *)
+    derivation assumes N2 >= 3"]).  Every operation below builds its
+    environments here, so each returns that [Error]. *)
 
 val verify :
   ?bindings:(string * int) list -> ?seed:int -> entry -> (unit, string) result
-(** Check interpreter equivalence of point vs transformed on the given
-    (default: entry's default) problem size.  The transformed block is
-    {!variant_block}'s, as for every operation below. *)
+(** Check interpreter equivalence of point vs transformed at
+    [bindings], sized by {!env}'s rule (default [[]]: the default
+    problem).  The transformed block is {!variant_block}'s, as for
+    every operation below. *)
 
 type sim_result = {
   point_stats : Cache.stats;
@@ -115,7 +113,9 @@ val simulate :
 type kernel_profile = {
   kp_kernel : string;
   kp_variant : string;  (** ["point"] or ["transformed"] *)
-  kp_block : int option;  (** the KS binding used, when overridden *)
+  kp_block : int option;
+      (** the KS the request (or sweep row) bound; [None] for the point
+          variant and when the transformed run took the entry's default *)
   kp_levels : (string * Cache.stats) list;  (** innermost (L1) first *)
   kp_tlb : Cache.stats;
   kp_cycles : int;  (** {!Hier.cycles} under the per-level model *)
@@ -133,14 +133,12 @@ val profile :
   ?seed:int ->
   ?machine:Arch.t ->
   ?spec:Hier.spec ->
-  ?block:int ->
   entry ->
   (kernel_profile * kernel_profile, string) result
 (** Profile point and transformed variants through the memory hierarchy
-    (default machine rs6000, hierarchy {!Hier.of_arch}).  [block]
-    overrides the kernel's KS binding; an [Error] names kernels without
-    one.  When tracing is on, summaries and per-reference attributions
-    also stream as ["profile"]-category events. *)
+    (default machine rs6000, hierarchy {!Hier.of_arch}).  When tracing
+    is on, summaries and per-reference attributions also stream as
+    ["profile"]-category events. *)
 
 (** {1 Native code}
 
@@ -225,6 +223,8 @@ type native_result = {
           rs6000 machine model), for comparison against the measured
           wall-clock ratio *)
   nt_bindings : (string * int) list;
+      (** the timed sizes: the request's bindings and each default it
+          leaves unbound *)
   nt_verify_bindings : (string * int) list;
 }
 
@@ -233,7 +233,6 @@ val native_compare :
   ?bindings:(string * int) list ->
   ?verify_bindings:(string * int) list ->
   ?seed:int ->
-  ?block:int ->
   entry ->
   (native_result, string) result
 (** {!compile} both variants on [backend] (default
@@ -244,11 +243,13 @@ val native_compare :
     pass something larger for meaningful numbers) as two interleaved
     {!Measure} arms, each sample in a fresh {!env} built outside the
     clock, and check that the last timed runs of the two variants
-    agree bitwise, outside the clock.  [block] overrides the KS binding
-    as in {!profile}.  [nt_model_speedup] simulates the two blocks
-    compiled, so a call derives at most once.  Missing parameters
-    ({!check_bindings}) and any divergence are an [Error]: the native
-    path never trades correctness for speed. *)
+    agree bitwise, outside the clock.  Both sizes follow {!env}'s rule
+    and are checked before anything compiles, and the verification
+    takes the KS that [bindings] bind, so the KS verified is the KS
+    timed.  [nt_model_speedup] simulates the two blocks compiled, so a
+    call derives at most once.  A name the kernel does not take and
+    any divergence are an [Error]: the native path never trades
+    correctness for speed. *)
 
 val profile_sweep :
   ?bindings:(string * int) list ->
@@ -258,6 +259,7 @@ val profile_sweep :
   blocks:int list ->
   entry ->
   ((int * kernel_profile) list, string) result
-(** The transformed variant profiled at each block size.  Feed the
+(** The transformed variant profiled at each block size, bound as KS
+    after [bindings] (so a row's KS wins over theirs).  Feed the
     [(block, L1 misses)] pairs to {!Blocker.choose_block_size} to turn
     the sweep into a cited block-size decision. *)

@@ -18,7 +18,3 @@ val fill_dominant : Lcg.t -> float array -> n:int -> unit
 (** Fill the column-major storage of an [n]×[n] matrix from the
     generator: entries uniform in [-0.5, 0.5), plus [n] on the diagonal.
     Allocates nothing. *)
-
-val fill_matrix : Env.t -> n:int -> seed:int -> unit
-(** Declare and fill [A] (1..n, 1..n) with a random diagonally dominant
-    matrix so elimination without pivoting is well conditioned. *)

@@ -19,6 +19,3 @@
 
 val point_loop : Stmt.loop
 val kernel : Kernel_def.t
-
-val fill_matrix : Env.t -> n:int -> seed:int -> unit
-(** A general random matrix (pivoting handles the conditioning). *)

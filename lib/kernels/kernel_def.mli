@@ -27,11 +27,6 @@ val make_env : t -> bindings:(string * int) list -> seed:int -> Env.t
 val run : t -> bindings:(string * int) list -> seed:int -> Env.t
 (** Build an environment and interpret the kernel in it. *)
 
-val run_block :
-  t -> Stmt.t list -> bindings:(string * int) list -> seed:int -> Env.t
-(** Like {!run} but executing a transformed variant of the kernel's IR
-    against the same initial data. *)
-
 val equivalent :
   ?tol:float ->
   ?extra:(string * int) list ->

@@ -57,9 +57,6 @@ val access_bytes : t -> int -> bytes:int -> bool
     byte range [addr, addr+bytes) — one counted access per line, so a
     straddling access costs two.  [true] iff all lines hit. *)
 
-val lines : t -> int
-(** Total capacity in lines (sets x associativity). *)
-
 val reuse : t -> Reuse.t option
 (** The classification engine ([Some] only for {!create_classified}
     caches).  Its histogram is over this cache's line granularity. *)

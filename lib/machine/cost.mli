@@ -18,15 +18,6 @@ val memory_cycles : Arch.t -> Cache.stats -> int
 val speedup : baseline:int -> optimized:int -> float
 (** baseline / optimized as a float; 1.0 when optimized is 0. *)
 
-val predicted_misses : Reuse.t -> Arch.t -> int
-(** Stack-distance prediction of the machine's cache misses on the
-    recorded trace ({!Reuse.misses_for_lines} at the machine's line
-    count). *)
-
-val divergence : predicted:int -> simulated:int -> float
-(** |predicted - simulated| / simulated (1.0 when simulated is 0 but
-    predicted is not; 0.0 when both are 0). *)
-
 type validation = {
   v_predicted : int;
   v_simulated : int;

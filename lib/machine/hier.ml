@@ -106,8 +106,6 @@ let tlb_stats t = Cache.stats t.tlb
 
 let reuse t = Cache.reuse t.levels.(0).cache
 
-let l1 t = t.levels.(0).cache
-
 (* Per-level latency model: an access pays the hit cycles of every level
    it probes (the walk stops at the first hit), a full miss additionally
    pays the memory latency, and each TLB miss its refill cost.  With the
@@ -127,7 +125,3 @@ let cycles t =
   let tlb_misses = (Cache.stats t.tlb).Cache.misses in
   per_level + (mem_fetches * t.spec.s_mem_cycles)
   + (tlb_misses * t.spec.s_tlb_miss_cycles)
-
-let reset t =
-  Array.iter (fun l -> Cache.reset l.cache) t.levels;
-  Cache.reset t.tlb

@@ -63,11 +63,7 @@ val reuse : t -> Reuse.t option
 (** The L1's reuse-distance engine (in L1-line granularity); [None]
     when created with [~classify:false]. *)
 
-val l1 : t -> Cache.t
-
 val cycles : t -> int
 (** Memory cycles under the per-level latency model: each access pays
     the hit cycles of every level it probes, plus memory latency per
     full miss and the refill cost per TLB miss. *)
-
-val reset : t -> unit

@@ -728,38 +728,7 @@ module Metrics = struct
   let gauge_value g = Atomic.get g.gvalue
   let gauge_peak g = Atomic.get g.gpeak
 
-  let quantiles = [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
-
-  let snapshot () =
-    let cs = List.map (fun c -> (c.cname, Atomic.get c.n)) !counters in
-    let ts =
-      List.concat_map
-        (fun t -> [ (t.tname ^ ".ns", total_ns t); (t.tname ^ ".calls", calls t) ])
-        !timers
-    in
-    let hs =
-      List.concat_map
-        (fun h ->
-          if hist_count h = 0 then []
-          else
-            List.map
-              (fun (bound, n) -> (Printf.sprintf "%s.le_%d" h.hname bound, n))
-              (buckets h)
-            @ List.map (fun (k, q) -> (h.hname ^ "." ^ k, percentile h q)) quantiles
-            @ [
-                (h.hname ^ ".count", hist_count h);
-                (h.hname ^ ".sum", hist_sum h);
-                (h.hname ^ ".max", hist_max h);
-              ])
-        !histograms
-    in
-    let gs =
-      List.concat_map
-        (fun g ->
-          [ (g.gname ^ ".value", gauge_value g); (g.gname ^ ".peak", gauge_peak g) ])
-        !gauges
-    in
-    List.sort (fun (a, _) (b, _) -> String.compare a b) (cs @ ts @ hs @ gs)
+  let quantiles = [ 0.5; 0.9; 0.99 ]
 
   (* ---- Prometheus text exposition ---- *)
 
@@ -842,7 +811,7 @@ module Metrics = struct
           let fam, labels = family h.hname "" in
           typeline ~base:(base_of h.hname) fam "summary";
           List.iter
-            (fun (_, q) ->
+            (fun q ->
               let ql = merge_label labels (Printf.sprintf "quantile=\"%g\"" q) in
               line fam ql (percentile h q))
             quantiles;
@@ -853,41 +822,6 @@ module Metrics = struct
           line fam_max labels (hist_max h)
         end)
       (List.sort (by_name (fun h -> h.hname)) !histograms);
-    Buffer.contents buf
-
-  let report () =
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf "runtime metrics:\n";
-    List.iter
-      (fun c -> Buffer.add_string buf (Printf.sprintf "  %-32s %12d\n" c.cname (Atomic.get c.n)))
-      (List.sort (fun a b -> String.compare a.cname b.cname) !counters);
-    List.iter
-      (fun t ->
-        let calls = calls t and ns = total_ns t in
-        Buffer.add_string buf
-          (Printf.sprintf "  %-32s %12dns over %d call(s)%s\n" t.tname ns calls
-             (if calls > 0 then Printf.sprintf " (%.0fns/call)" (float_of_int ns /. float_of_int calls)
-              else "")))
-      (List.sort (fun a b -> String.compare a.tname b.tname) !timers);
-    List.iter
-      (fun g ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %-32s %12d (peak %d)\n" g.gname (gauge_value g)
-             (gauge_peak g)))
-      (List.sort (fun a b -> String.compare a.gname b.gname) !gauges);
-    List.iter
-      (fun h ->
-        if hist_count h > 0 then begin
-          Buffer.add_string buf
-            (Printf.sprintf "  %s: count %d  p50 %d  p90 %d  p99 %d  max %d\n"
-               h.hname (hist_count h) (percentile h 0.5) (percentile h 0.9)
-               (percentile h 0.99) (hist_max h));
-          List.iter
-            (fun (bound, n) ->
-              Buffer.add_string buf (Printf.sprintf "    <= %-10d %12d\n" bound n))
-            (buckets h)
-        end)
-      (List.sort (fun a b -> String.compare a.hname b.hname) !histograms);
     Buffer.contents buf
 
   let reset () =

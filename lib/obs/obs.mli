@@ -276,13 +276,6 @@ module Metrics : sig
   val gauge_value : gauge -> int
   val gauge_peak : gauge -> int
 
-  val snapshot : unit -> (string * int) list
-  (** Flat view of everything: ["name"] for counters,
-      ["name.ns"]/["name.calls"] for timers, ["name.le_N"] buckets plus
-      ["name.p50"/".p90"/".p99"/".count"/".sum"/".max"] for non-empty
-      histograms, ["name.value"]/["name.peak"] for gauges.  Sorted by
-      key. *)
-
   val prometheus : unit -> string
   (** Prometheus text exposition of the full registry: counters as
       [blockc_<name>_total], timers as [_ns_total]/[_calls_total]
@@ -293,10 +286,6 @@ module Metrics : sig
       shares a family and a single [# TYPE] line.  Families whose base
       name was registered with [?help] get a [# HELP] line before
       their [# TYPE]. *)
-
-  val report : unit -> string
-  (** Human-readable multi-line rendering of the registry with derived
-      rates (mean ns/call for timers) and histogram quantiles. *)
 
   val reset : unit -> unit
   (** Zero all registered metrics (the registry itself persists). *)

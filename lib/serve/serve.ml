@@ -483,10 +483,6 @@ let handle_simulate ?id req =
   match (kernel_of req, bindings_field req) with
   | Error m, _ | _, Error m -> errorf ?id "%s" m
   | Ok entry, Ok bindings -> (
-      let bindings =
-        if bindings = [] then entry.Blockability.default_bindings
-        else bindings
-      in
       match
         Blockability.simulate ~bindings ~seed:(seed_field req)
           ~machine:Arch.rs6000_540 entry

@@ -48,8 +48,13 @@
       [Marshal.to_string [(name, float array); ...] []], computed
       without building that string ({!Marshal_digest}).  Digests are
       backend-independent: both code generators are bitwise-checked
-      against the interpreter.  Bindings the kernel cannot set up
-      (a missing parameter, an empty array) are request errors.
+      against the interpreter.  ["bindings"] sizes the run by
+      {!Blockability.env}'s rule, as on the command line: names in any
+      case, each one the request leaves unbound taken from the
+      kernel's defaults (and, transformed, its block size), so [{}]
+      or no field is the default problem.  A name the kernel does not
+      take, and sizes it cannot set up (an empty array), are request
+      errors.
     - [batch
        {"kernel","variant","seed","backend"?,"bindings_list"|"sizes"}] —
       many executions of one blueprint as a single dispatch: compile
@@ -65,7 +70,8 @@
       ["promoted_words"], ["allocated_words"]) measured on the
       executing lane.
     - [simulate {"kernel","bindings","seed"}] — what [blockc simulate]
-      runs: cache-simulate both variants on the paper's RS/6000-540
+      runs, sized as [execute] is: cache-simulate both variants on the
+      paper's RS/6000-540
       model; replies with per-variant miss and memory-cycle counts
       (["point_misses"], ["transformed_misses"], ["point_cycles"],
       ["transformed_cycles"]).

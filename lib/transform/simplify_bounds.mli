@@ -6,7 +6,5 @@
     Only universally valid facts may be in [ctx] — the simplification is
     applied to emitted code. *)
 
-val expr : ctx:Symbolic.t -> Expr.t -> Expr.t
-
 val block : ctx:Symbolic.t -> Stmt.t list -> Stmt.t list
 (** Simplify every loop bound (and subscript) in the block. *)

@@ -334,6 +334,82 @@ let setup_is_bitwise_stable () =
         [ Blockability.Point; Blockability.Transformed ])
     setup_golden
 
+(* One rule sizes every run ([Blockability.env]): a request binds any
+   name the entry takes, in any case, and every name it leaves unbound
+   comes from the entry's defaults (and, transformed, its extra ones).
+   Each request is checked against the set-up run directly at the
+   bindings it stands for: the traced arrays' digest, and which of the
+   entry's names are bound, to what. *)
+let sizing_rule () =
+  let seed = 7 in
+  List.iter
+    (fun (e : Blockability.entry) ->
+      let takes = e.default_bindings @ e.extra_bindings in
+      check_bool (e.name ^ ": the defaults bind every parameter") true
+        (List.sort compare (List.map fst e.default_bindings)
+        = List.sort compare e.kernel.Kernel_def.params);
+      List.iter
+        (fun variant ->
+          let what m =
+            Printf.sprintf "%s %s: %s" e.name
+              (Blockability.variant_name variant) m
+          in
+          let seen env =
+            ( Digest.to_hex
+                (Digest.string
+                   (Marshal.to_string
+                      (List.map
+                         (fun a -> (a, Env.farray_data env a))
+                         e.kernel.Kernel_def.traced)
+                      [])),
+              List.map
+                (fun (p, _) ->
+                  if Env.has_iscalar env p then Some (Env.iscalar env p)
+                  else None)
+                takes )
+          in
+          let direct bindings =
+            let env = Kernel_def.make_env e.kernel ~bindings ~seed in
+            e.extra_setup env ~bindings;
+            seen env
+          in
+          let same name request full =
+            let digest, scalars =
+              seen
+                (ok_or_fail (what name)
+                   (Blockability.env e variant ~bindings:request ~seed))
+            and want_digest, want_scalars = direct full in
+            check_string (what (name ^ ": digest")) want_digest digest;
+            Alcotest.(check (list (option int)))
+              (what (name ^ ": names bound")) want_scalars scalars
+          in
+          let defaults =
+            match variant with
+            | Blockability.Point -> e.default_bindings
+            | Blockability.Transformed -> takes
+          in
+          same "[]" [] defaults;
+          List.iter
+            (fun (p, v) ->
+              let full = (p, v + 1) :: List.remove_assoc p defaults in
+              same (p ^ " alone") [ (p, v + 1) ] full;
+              same (p ^ " in lowercase")
+                [ (String.lowercase_ascii p, v + 1) ]
+                full;
+              same (p ^ " bound twice, the last binding winning")
+                [ (p, v + 7); (String.lowercase_ascii p, v + 1) ]
+                full)
+            takes;
+          match Blockability.env e variant ~bindings:[ ("KZ", 3) ] ~seed with
+          | Ok _ -> Alcotest.fail (what "KZ was bound")
+          | Error m ->
+              check_string (what "KZ is refused")
+                (Printf.sprintf "no parameter KZ (takes %s)"
+                   (String.concat ", " (List.map fst takes)))
+                m)
+        [ Blockability.Point; Blockability.Transformed ])
+    Blockability.entries
+
 (* Cholesky's set-up computes M^T M + n*I four rows at a time; the
    one-row loop it replaced is the reference, bit for bit, at sizes with
    every remainder of four. *)
@@ -451,6 +527,7 @@ let suite =
         matmul_if_equiv;
       case "whole registry verifies" registry_verifies;
       case "registry set-up golden digests" setup_is_bitwise_stable;
+      case "one rule sizes every registry environment" sizing_rule;
       case "Cholesky set-up equals the one-row reference bitwise"
         cholesky_setup_matches_reference;
       case "registry derivations and keys match the golden"

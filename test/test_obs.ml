@@ -438,11 +438,10 @@ let metrics_basics () =
   check_int "timer passes value through" 3 v;
   check_int "timer calls" 2 (Obs.Metrics.calls t);
   check_bool "timer total includes both" true (Obs.Metrics.total_ns t >= 500);
-  check_bool "snapshot sees all three" true
-    (let keys = List.map fst (Obs.Metrics.snapshot ()) in
-     List.mem "test.c" keys
-     && List.exists (fun k -> String.length k > 6 && String.sub k 0 6 = "test.h") keys
-     && List.mem "test.t.ns" keys)
+  let exposition = String.split_on_char '\n' (Obs.Metrics.prometheus ()) in
+  List.iter
+    (fun line -> check_bool ("exposition has " ^ line) true (List.mem line exposition))
+    [ "blockc_test_c_total 5"; "blockc_test_h_count 4"; "blockc_test_t_calls_total 2" ]
 
 let pool_metrics_recorded () =
   Obs.Metrics.set_enabled true;

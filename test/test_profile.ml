@@ -54,9 +54,7 @@ let profile_of name ?(bindings = []) ?machine () =
   let e = entry name in
   let machine = Option.value machine ~default:Arch.rs6000_540 in
   ok_or_fail "profile"
-    (Blockability.profile
-       ?bindings:(if bindings = [] then None else Some bindings)
-       ~machine e)
+    (Blockability.profile ~bindings ~machine e)
 
 let counts_sum_to_totals () =
   let point, transformed = profile_of "lu" () in

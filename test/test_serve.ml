@@ -681,7 +681,7 @@ let suite =
           let r = parsed {|{"op":"profile","kernel":"lu"}|} in
           check_bool "profile refused" false (bool_field "ok" r);
           check_string "one name per op" {|unknown op "profile"|} (str "error" r));
-      case "simulate answers a missing parameter as execute does" (fun () ->
+      case "simulate answers an unknown parameter as execute does" (fun () ->
           Obs.Metrics.set_enabled true;
           Fun.protect ~finally:(fun () ->
               Obs.Metrics.set_enabled false;
@@ -695,8 +695,8 @@ let suite =
           in
           let execute = answer "execute" and simulate = answer "simulate" in
           check_bool "simulate refused" false (bool_field "ok" simulate);
-          check_string "execute names the parameter"
-            "kernel aconv: missing parameter N1" (str "error" execute);
+          check_string "execute names what the kernel takes"
+            "no parameter N (takes N1, N2, N3)" (str "error" execute);
           check_string "simulate, the same" (str "error" execute)
             (str "error" simulate);
           check_int "no internal error"
@@ -704,6 +704,37 @@ let suite =
             (Obs.Metrics.count
                (Obs.Metrics.counter
                   (Obs.Metrics.labelled "serve.errors" [ ("class", "internal") ]))));
+      case "bindings are sized as on the command line" (fun () ->
+          require_native ();
+          with_metrics @@ fun () ->
+          let labelled cls =
+            Obs.Metrics.count
+              (Obs.Metrics.counter
+                 (Obs.Metrics.labelled "serve.errors" [ ("class", cls) ]))
+          in
+          let execute kernel bindings =
+            parsed
+              (Printf.sprintf
+                 {|{"op":"execute","kernel":"%s","variant":"transformed","bindings":%s}|}
+                 kernel bindings)
+          in
+          let r = execute "lu" {|{"N":24,"KZ":3}|} in
+          check_bool "an unknown name is refused" false (bool_field "ok" r);
+          check_string "naming what lu takes" "no parameter KZ (takes N, KS)"
+            (str "error" r);
+          check_int "as a request error" 1 (labelled "request");
+          check_int "not an internal one" 0 (labelled "internal");
+          check_string "a lowercase name binds as its uppercase"
+            (str "digest" (execute "lu" {|{"N":24}|}))
+            (str "digest" (execute "lu" {|{"n":24}|}));
+          check_string "KS alone takes N from the defaults"
+            (str "digest" (execute "lu" {|{"N":24,"KS":4}|}))
+            (str "digest" (execute "lu" {|{"KS":4}|}));
+          let r = execute "aconv" {|{"N1":100}|} in
+          check_bool "a partial binding runs" true (bool_field "ok" r);
+          check_string "with the other sizes' defaults"
+            (str "digest" (execute "aconv" {|{"N1":100,"N2":9,"N3":50}|}))
+            (str "digest" r));
       case "simulate answers an empty-array size as execute does" (fun () ->
           Obs.Metrics.set_enabled true;
           Fun.protect ~finally:(fun () ->

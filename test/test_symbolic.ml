@@ -209,9 +209,12 @@ let work_is_counted () =
     [ "symbolic.queries"; "symbolic.cache_hits"; "symbolic.searches";
       "symbolic.search_steps" ]
   in
-  let registered = List.map fst (Obs.Metrics.snapshot ()) in
+  let exposition = String.split_on_char '\n' (Obs.Metrics.prometheus ()) in
   List.iter
-    (fun n -> check_bool (n ^ " registered") true (List.mem n registered))
+    (fun n ->
+      let family = "blockc_" ^ String.map (function '.' -> '_' | c -> c) n in
+      check_bool (n ^ " registered") true
+        (List.mem ("# TYPE " ^ family ^ "_total counter") exposition))
     names;
   let count n = Obs.Metrics.count (Obs.Metrics.counter n) in
   let mem, events = Obs.memory () in
