@@ -138,10 +138,11 @@ let compiled ?(backend = (module Backend.Ocaml : Backend.S)) ?verify_bindings
       drop "%s (%s): %s" name B.tag m;
       None
 
-(* A §6 block lowered at [block] and packaged by [kernel] with its data
-   and shapes, compiled on the OCaml backend as the registry's arms are. *)
-let lowered kernel ~block ext =
-  let* stmt = Lower.lower ~block_size:block ~machine:Arch.rs6000_540 ext in
+(* A §6 program lowered (its block size the parameter KS) and packaged
+   by [kernel] with its data and shapes, compiled once on the OCaml
+   backend as the registry's arms are; each run binds KS as it binds N. *)
+let lowered kernel source =
+  let* stmt = Lower.lower (List.hd (Parser.program source)) in
   let (k : Kernel_def.t) = kernel [ stmt ] in
   let bp = Blueprint.of_block ~shapes:k.shapes k.block in
   let* cm = Backend.Ocaml.compile_blueprint ~name:k.name bp in
@@ -246,35 +247,37 @@ let t3 () =
       ]
   in
   let sizes = if quick then [ (200, [ 32 ]) ] else [ (300, [ 32; 64 ]); (500, [ 32; 64 ]) ] in
+  (* "1" is the paper's block LU source (Figure 11), one artifact for
+     every block size; "Rec", the one hand-written kernel, is
+     cache-oblivious, with no block parameter to tune (its base panels
+     are 16 columns wide) *)
+  let fig11 =
+    lowered (fun block -> { K_lu.kernel with name = "fig11_lu"; block }) Ext.fig11_blocked_lu
+  in
   List.iter
     (fun (n, blocks) ->
       let bindings = [ ("N", n) ] in
       List.iter
         (fun b ->
-          let verify_bindings = [ ("N", verify_n b) ] in
-          (* "1" is the paper's block LU source (Figure 11) lowered at
-             this block size; "Rec", the one hand-written kernel, is
-             cache-oblivious, with no block parameter to tune (its base
-             panels are 16 columns wide) *)
+          let verify_bindings = [ ("N", verify_n b) ] and ks bs = ("KS", b) :: bs in
           let one_and_rec =
-            let fig11 block = { K_lu.kernel with name = "fig11_lu"; block } in
-            let* _, one = lowered fig11 ~block:b Ext.fig11_blocked_lu in
+            let* _, one = fig11 in
             let rec_ env =
               Hand_kernels.lu_recursive ~n:(Env.iscalar env "N") (Env.farray_data env "A");
               Ok ()
             in
-            let check name run verify =
+            let check name run verify bindings =
               verified name run ~verify ~bindings
                 (fun bindings -> Kernel_def.make_env K_lu.kernel ~bindings ~seed)
                 ~reference:(Kernel_def.run K_lu.kernel ~bindings:verify ~seed)
             in
-            let* one = check "Figure 11" one verify_bindings in
-            let* rec_ = check "Rec" rec_ [ ("N", verify_n 16) ] in
+            let* one = check "Figure 11" one (ks verify_bindings) (ks bindings) in
+            let* rec_ = check "Rec" rec_ [ ("N", verify_n 16) ] bindings in
             Measure.run [ one; rec_ ]
           in
           match
-            ( compiled ~verify_bindings "lu" (("KS", b) :: bindings),
-              compiled ~verify_bindings "lu_opt" (("KS", b) :: bindings),
+            ( compiled ~verify_bindings "lu" (ks bindings),
+              compiled ~verify_bindings "lu_opt" (ks bindings),
               one_and_rec )
           with
           | Some r2, Some r2p, Ok [ t_1; t_rec ] ->
@@ -353,9 +356,9 @@ let t5 () =
 which reproduces the factor on the simulated 64KB cache)\n";
   (* §5.3: Householder QR, which no compiler derives.  Point is the
      registry's point kernel; Blocked is its compact-WY form, written in
-     the §6 language and lowered at KS = 32.  Each is compiled and
-     checked bitwise against its interpreted IR, and the WY against
-     point to rounding (it reassociates), before the clock. *)
+     the §6 language and run at KS = 32.  Each is compiled and checked
+     bitwise against its interpreted IR, and the WY against point to
+     rounding (it reassociates), before the clock. *)
   let tbl2 =
     Table.create
       ~title:"Householder QR (§5.3, not compiler-blockable): point vs WY block"
@@ -365,14 +368,14 @@ which reproduces the factor on the simulated 64KB cache)\n";
       ]
   in
   let hh = entry "householder" in
-  let wy_source = List.hd (Parser.program Ext.compact_wy) in
+  let wy = lowered K_householder.wy Ext.compact_wy in
   let verify = [ ("M", verify_n 32); ("N", verify_n 32) ] and ks b = ("KS", 32) :: b in
   List.iter
     (fun n ->
       let bindings = [ ("M", n); ("N", n) ] in
       match
         let* point = Blockability.compile ~backend:(module Backend.Ocaml) hh Point in
-        let* wy, blocked = lowered K_householder.wy ~block:32 wy_source in
+        let* wy, blocked = wy in
         let reference = Kernel_def.run hh.kernel ~bindings:verify ~seed
         and wy_reference = Kernel_def.run wy ~bindings:(ks verify) ~seed in
         let* () =
@@ -484,9 +487,9 @@ let figures () =
     [ "trisolve"; "cholesky" ];
 
   banner "F11 (block LU in the extended language, and its lowering)";
-  print_string (Ext.to_string Ext.fig11_blocked_lu);
-  print_endline "-- lowered with the RS/6000-540 block-size choice:";
-  match Lower.lower ~machine:Arch.rs6000_540 Ext.fig11_blocked_lu with
+  print_string Ext.fig11_blocked_lu;
+  print_endline "-- lowered, the block size the parameter KS:";
+  match Lower.lower (List.hd (Parser.program Ext.fig11_blocked_lu)) with
   | Ok stmt -> print_string (Stmt.to_string stmt)
   | Error e -> Printf.printf "FAILED: %s\n" e
 

@@ -802,10 +802,7 @@ let parse_cmd =
     Term.(const run $ file_arg)
 
 let lower_cmd =
-  let block_arg =
-    Arg.(value & opt (some int) None & info [ "block-size" ] ~doc:"Override the block size.")
-  in
-  let run path machine block_size =
+  let run path =
     match Parser.program (read_file path) with
     | exception Parser.Parse_error { line; message } ->
         Printf.eprintf "%s:%d: %s\n" path line message;
@@ -816,7 +813,7 @@ let lower_cmd =
     | prog ->
         List.iter
           (fun s ->
-            match Lower.lower ?block_size ~machine s with
+            match Lower.lower s with
             | Ok stmt -> print_string (Stmt.to_string stmt)
             | Error m ->
                 prerr_endline m;
@@ -825,9 +822,11 @@ let lower_cmd =
   in
   Cmd.v
     (Cmd.info "lower"
-       ~doc:"Lower BLOCK DO / IN DO extensions, choosing the block size."
+       ~doc:
+         "Lower BLOCK DO / IN DO extensions to plain loops; every BLOCK DO \
+          steps by the block-size parameter KS."
        ~exits)
-    Term.(const run $ file_arg $ machine_arg $ block_arg)
+    Term.(const run $ file_arg)
 
 (* ---- compile ---- *)
 

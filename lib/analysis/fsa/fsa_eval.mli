@@ -32,8 +32,6 @@ type state = {
   arrays : (string * upd list) list;  (** update lists, newest first *)
 }
 
-val empty : state
-
 val eval_block : ctx:Symbolic.t -> Stmt.t list -> state
 (** Evaluate a fragment from the generic initial store.  Raises
     {!Unsupported} on anything outside the symbolic fragment language

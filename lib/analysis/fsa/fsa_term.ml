@@ -99,25 +99,3 @@ let rec equal_under ctx a b =
       && equal_under ctx a1 a2 && equal_under ctx b1 b2
   | _ -> false
 
-let op_str = function
-  | Stmt.FAdd -> "+"
-  | Stmt.FSub -> "-"
-  | Stmt.FMul -> "*"
-  | Stmt.FDiv -> "/"
-
-let rec to_string = function
-  | Init (a, subs) ->
-      Printf.sprintf "%s0(%s)" a
-        (String.concat ", " (List.map Affine.to_string subs))
-  | Sinit x -> x ^ "0"
-  | Const c -> Printf.sprintf "%g" c
-  | Neg t -> "-" ^ to_string t
-  | Bin (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (to_string a) (op_str op) (to_string b)
-  | Call (f, args) ->
-      Printf.sprintf "%s(%s)" f (String.concat ", " (List.map to_string args))
-  | Of_int a -> "real(" ^ Affine.to_string a ^ ")"
-  | Ite (conds, t1, t2) ->
-      Printf.sprintf "[%s ? %s : %s]"
-        (String.concat " & " (List.map atom_to_string conds))
-        (to_string t1) (to_string t2)

@@ -54,5 +54,3 @@ val equal_under : Symbolic.t -> t -> t -> bool
     [Symbolic.prove_eq] under the context, and float constants compared
     bitwise.  Sound for bitwise result equality: no reassociation or
     other float algebra is applied. *)
-
-val to_string : t -> string

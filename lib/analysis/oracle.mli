@@ -16,12 +16,6 @@ type real_dep = {
   has_write : bool;
 }
 
-val run : bindings:(string * int) list -> Stmt.t list -> real_dep list
-(** All (source-occurrence, sink-occurrence) pairs with a common address
-    and source executing strictly before sink, plus same-statement pairs
-    at the same time step in textual order.  [bindings] closes symbolic
-    parameters. *)
-
 val agrees :
   bindings:(string * int) list ->
   ctx:Symbolic.t ->

@@ -364,8 +364,3 @@ let compare_ t a b =
   else Unknown
 
 let facts t = t.facts
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter (fun f -> Format.fprintf fmt "%s >= 0@ " (Affine.to_string f)) t.facts;
-  Format.fprintf fmt "@]"

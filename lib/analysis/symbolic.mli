@@ -96,5 +96,3 @@ val work_since : work -> work
 
 val facts : t -> Affine.t list
 (** The facts, newest first. *)
-
-val pp : Format.formatter -> t -> unit

@@ -229,13 +229,17 @@ let base_ctx ~tainted ~shapes blk =
    subscripts. *)
 type ref_key = string * string * Expr.t list
 
+type proofs = {
+  unsafe : bool;
+  shapes : shapes;
+  mutable proved : SS.t; (* arrays with at least one unchecked access *)
+}
+
 type st = {
   d : decls;
-  shapes : shapes;
-  unsafe : bool;
+  proofs : proofs;
   tainted : SS.t; (* INTEGER scalars the block assigns *)
   body : Buffer.t;
-  mutable proved : SS.t; (* arrays with at least one unchecked access *)
   mutable assumed : SS.t; (* parameters whose positivity a proof used *)
   mutable offsets : (ref_key * string) list;
       (* the current loop body's hoisted flat offsets *)
@@ -288,26 +292,26 @@ let flat_index pe ~ipfx name subs =
   in
   match terms with [ t ] -> t | _ -> "(" ^ String.concat " + " terms ^ ")"
 
-let in_bounds st ctx name subs =
-  st.unsafe
+let in_bounds p ctx name subs =
+  p.unsafe
   &&
   match ctx with
   | None -> false
   | Some ctx -> (
-      match List.assoc_opt name st.shapes with
+      match List.assoc_opt name p.shapes with
       | Some dims when List.length dims = List.length subs ->
           let ok =
             List.for_all2
               (fun (lo, hi) s -> ple ctx lo s && ple ctx s hi)
               dims subs
           in
-          if ok then st.proved <- SS.add name st.proved;
+          if ok then p.proved <- SS.add name p.proved;
           ok
       | _ -> false)
 
 (* [in_bounds] at a site that renders the access, counted. *)
 let unchecked st ctx name subs =
-  let ok = in_bounds st ctx name subs in
+  let ok = in_bounds st.proofs ctx name subs in
   if ok then st.n_unchecked <- st.n_unchecked + 1;
   ok
 
@@ -551,7 +555,7 @@ let promote st ctx offsets ind ~guard (l : Stmt.loop) =
       (fun (a : Ir_util.access) -> a.subs <> [])
       (Ir_util.accesses l.body)
   in
-  let proven (a : Ir_util.access) = in_bounds st ctx a.array a.subs in
+  let proven (a : Ir_util.access) = in_bounds st.proofs ctx a.array a.subs in
   if !nested || may_raise l.body || not (List.for_all proven accs) then []
   else
     let reals =
@@ -687,11 +691,9 @@ let render ~unsafe ~shapes d blk =
   let st =
     {
       d;
-      shapes;
-      unsafe;
+      proofs = { unsafe; shapes; proved = SS.empty };
       tainted = d.isc_w;
       body = Buffer.create 4096;
-      proved = SS.empty;
       assumed = SS.empty;
       offsets = [];
       promoted = [];
@@ -767,7 +769,7 @@ let source ?(unsafe = true) ?(shapes = []) ~name blk =
       SS.iter (fun v -> out "  let f_%s = ref (getf %S) in\n" (low v) v) d.fsc;
       (* Everything the in-bounds proofs assumed, re-checked: declared
          shapes match the actual dims, assumed parameters are >= 1. *)
-      if not (SS.is_empty st.proved) then begin
+      if not (SS.is_empty st.proofs.proved) then begin
         SS.iter
           (fun v ->
             out

@@ -103,14 +103,31 @@ val collect : shapes:shapes -> Stmt.t list -> decls
     [shapes] of arrays the block accesses count as INTEGER scalars too:
     the emitted shape re-check reads them. *)
 
-val ple : Symbolic.t -> Expr.t -> Expr.t -> bool
-(** [a <= b] at the [Expr] level, decomposing MIN/MAX into the affine
-    queries {!Symbolic} can answer.  Sound, not complete. *)
-
 val enter_loop : tainted:SS.t -> Symbolic.t -> Stmt.loop -> Symbolic.t
 (** Facts available inside a loop body: for a provably positive step,
     [lo <= index <= hi].  Facts mentioning a name in [tainted] (an
     INTEGER scalar the block assigns) are never admitted. *)
+
+val flat_index :
+  (Expr.t -> string) -> ipfx:string -> string -> Expr.t list -> string
+(** [flat_index render ~ipfx name subs]: the column-major offset of
+    [name(subs)] as target text, each subscript rendered by [render];
+    [ipfx] prefixes the names of the array's lows and strides
+    ([""] REAL, ["i"] INTEGER).  The OCaml and C spellings agree. *)
+
+(** Which accesses go unchecked, decided in one place for every backend. *)
+type proofs = {
+  unsafe : bool;  (** [false]: prove nothing, check every access *)
+  shapes : shapes;
+  mutable proved : SS.t;
+      (** arrays with at least one unchecked access: their shapes and
+          the assumed parameters are re-checked when the kernel starts *)
+}
+
+val in_bounds : proofs -> Symbolic.t option -> string -> Expr.t list -> bool
+(** [in_bounds p ctx name subs]: every subscript provably within its
+    declared dimension under [ctx] ([None]: no facts, so no proof).  A
+    proved access records its array in [p.proved]. *)
 
 val base_ctx :
   tainted:SS.t -> shapes:shapes -> Stmt.t list -> Symbolic.t * SS.t

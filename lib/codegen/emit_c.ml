@@ -7,7 +7,7 @@
    with the interpreter's once-evaluated bounds and trip count, and the
    same name mangling by prefix.  The analysis — which names exist,
    which accesses are provably in bounds, which parameters the proofs
-   assumed positive — is Emit's own ([Emit.collect], [Emit.ple],
+   assumed positive — is Emit's own ([Emit.collect], [Emit.in_bounds],
    [Emit.base_ctx]), so the two backends can never disagree about
    safety.
 
@@ -94,11 +94,9 @@ let scalar_slot names name =
 
 type st = {
   d : Emit.decls;
-  shapes : shapes;
-  unsafe : bool;
+  proofs : Emit.proofs;
   tainted : SS.t;
   body : Buffer.t;
-  mutable proved : SS.t;
   mutable assumed : SS.t;
   mutable n_raw : int;
 }
@@ -131,38 +129,11 @@ let float_lit x =
     let s = Printf.sprintf "%h" x in
     if s.[0] = '-' then "(" ^ s ^ ")" else s
 
-let flat_index pe ~ipfx name subs =
-  let nm = low name in
-  let terms =
-    List.mapi
-      (fun k sub ->
-        if k = 0 then Printf.sprintf "(%s - %sl0_%s)" (pe sub) ipfx nm
-        else
-          Printf.sprintf "((%s - %sl%d_%s) * %st%d_%s)" (pe sub) ipfx k nm ipfx
-            k nm)
-      subs
-  in
-  match terms with [ t ] -> t | _ -> "(" ^ String.concat " + " terms ^ ")"
-
+(* Emit's proof, with the raw-pointer accesses it grants counted. *)
 let in_bounds st ctx name subs =
-  st.unsafe
-  &&
-  match ctx with
-  | None -> false
-  | Some ctx -> (
-      match List.assoc_opt name st.shapes with
-      | Some dims when List.length dims = List.length subs ->
-          let ok =
-            List.for_all2
-              (fun (lo, hi) s -> Emit.ple ctx lo s && Emit.ple ctx s hi)
-              dims subs
-          in
-          if ok then begin
-            st.proved <- SS.add name st.proved;
-            st.n_raw <- st.n_raw + 1
-          end;
-          ok
-      | _ -> false)
+  let ok = Emit.in_bounds st.proofs ctx name subs in
+  if ok then st.n_raw <- st.n_raw + 1;
+  ok
 
 let rec pe st scope ctx (e : Expr.t) =
   match e with
@@ -182,7 +153,7 @@ let rec pe st scope ctx (e : Expr.t) =
   | Expr.Max (a, b) ->
       Printf.sprintf "imax(%s, %s)" (pe st scope ctx a) (pe st scope ctx b)
   | Expr.Idx (name, subs) ->
-      let idx = flat_index (pe st scope ctx) ~ipfx:"i" name subs in
+      let idx = Emit.flat_index (pe st scope ctx) ~ipfx:"i" name subs in
       if in_bounds st ctx name subs then
         Printf.sprintf "ia_%s[%s]" (low name) idx
       else
@@ -194,7 +165,7 @@ let rec pf st scope ctx (fe : Stmt.fexpr) =
   | Stmt.Fconst x -> float_lit x
   | Stmt.Fvar v -> "f_" ^ low v
   | Stmt.Ref (name, subs) ->
-      let idx = flat_index (pe st scope ctx) ~ipfx:"" name subs in
+      let idx = Emit.flat_index (pe st scope ctx) ~ipfx:"" name subs in
       if in_bounds st ctx name subs then
         Printf.sprintf "a_%s[%s]" (low name) idx
       else
@@ -249,7 +220,7 @@ let rec stmt st scope ctx ind (s : Stmt.t) =
       line st ind "f_%s = %s;" (low name) (pf st scope ctx rhs)
   | Stmt.Assign (name, subs, rhs) ->
       let rhs = pf st scope ctx rhs in
-      let idx = flat_index (pe st scope ctx) ~ipfx:"" name subs in
+      let idx = Emit.flat_index (pe st scope ctx) ~ipfx:"" name subs in
       if in_bounds st ctx name subs then
         line st ind "a_%s[%s] = %s;" (low name) idx rhs
       else
@@ -259,7 +230,7 @@ let rec stmt st scope ctx ind (s : Stmt.t) =
       line st ind "s_%s = %s;" (low name) (pe st scope ctx rhs)
   | Stmt.Iassign (name, subs, rhs) ->
       let rhs = pe st scope ctx rhs in
-      let idx = flat_index (pe st scope ctx) ~ipfx:"i" name subs in
+      let idx = Emit.flat_index (pe st scope ctx) ~ipfx:"i" name subs in
       if in_bounds st ctx name subs then
         line st ind "ia_%s[%s] = %s;" (low name) idx rhs
       else
@@ -389,11 +360,9 @@ let render ~unsafe ~shapes d blk =
   let st =
     {
       d;
-      shapes;
-      unsafe;
+      proofs = { Emit.unsafe; shapes; proved = SS.empty };
       tainted = d.Emit.isc_w;
       body = Buffer.create 4096;
-      proved = SS.empty;
       assumed = SS.empty;
       n_raw = 0;
     }
@@ -476,7 +445,7 @@ let source ?(unsafe = true) ?(shapes = []) ~name blk =
         mf.m_fscalars;
       (* Everything the in-bounds proofs assumed, re-checked: declared
          shapes match the actual dims, assumed parameters are >= 1. *)
-      if not (SS.is_empty st.proved) then begin
+      if not (SS.is_empty st.proofs.proved) then begin
         SS.iter
           (fun v ->
             out
@@ -513,7 +482,7 @@ let source ?(unsafe = true) ?(shapes = []) ~name blk =
                   \    return 1;\n\
                   \  }\n"
                   (String.concat " && " checks) name arr)
-          st.shapes
+          st.proofs.shapes
       end;
       Buffer.add_buffer b st.body;
       (* Write scalars back so the host environment sees the kernel's

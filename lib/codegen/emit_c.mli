@@ -4,7 +4,7 @@
     Env-binding preamble, the same once-evaluated DO bounds and trip
     count, the same zero-step and negative-SQRT guards — and the same
     {!Symbolic} in-bounds proofs (shared through {!Emit.base_ctx} /
-    {!Emit.ple}), under which proven accesses compile to raw pointer
+    {!Emit.in_bounds}), under which proven accesses compile to raw pointer
     arithmetic instead of the checked accessors.  The emitted unit
     re-checks at run time everything the proofs assumed: declared
     shapes match the actual dims, assumed parameters are positive.

@@ -3,7 +3,7 @@ type entry = {
   paper_ref : string;
   kernel : Kernel_def.t;
   register : bool;
-  facts : (string * int) list;
+  facts : (string * Affine.t) list;
   extra_bindings : (string * int) list;
   extra_setup : Env.t -> bindings:(string * int) list -> unit;
   default_bindings : (string * int) list;
@@ -28,6 +28,9 @@ let givens_scratch env ~bindings =
   Env.add_farray env "C" [ (1, m) ];
   Env.add_farray env "S" [ (1, m) ]
 
+(* [p >= lo], for a constant [lo]. *)
+let at_least p lo = (p, Affine.const lo)
+
 (* The LU-shaped kernels: blocked by KS over an N x N matrix, every size
    and the block size at least 1. *)
 let cache_blocked ?(register = false) name paper_ref kernel =
@@ -36,7 +39,7 @@ let cache_blocked ?(register = false) name paper_ref kernel =
     paper_ref;
     kernel;
     register;
-    facts = [ ("KS", 1); ("N", 1) ];
+    facts = [ at_least "KS" 1; at_least "N" 1 ];
     extra_bindings = [ ("KS", 8) ];
     extra_setup = no_extra;
     default_bindings = [ ("N", 24) ];
@@ -51,7 +54,7 @@ let convolution name paper_ref kernel =
     paper_ref;
     kernel;
     register = true;
-    facts = [ ("N1", 1); ("N2", 3); ("N3", 1) ];
+    facts = [ at_least "N1" 1; at_least "N2" 3; at_least "N3" 1 ];
     extra_bindings = [];
     extra_setup = no_extra;
     default_bindings = [ ("N1", 40); ("N2", 9); ("N3", 50) ];
@@ -83,7 +86,9 @@ let entries =
       paper_ref = "§5.4, Figures 9-10";
       kernel = K_givens.kernel;
       register = false;
-      facts = [ ("M", 1); ("N", 1) ];
+      (* the executor reads and writes A(L, K) for every L < N, rotation or
+         none *)
+      facts = [ at_least "M" 1; at_least "N" 1; ("M", Affine.var "N") ];
       extra_bindings = [];
       extra_setup = givens_scratch;
       default_bindings = [ ("M", 16); ("N", 12) ];
@@ -96,7 +101,7 @@ let entries =
       paper_ref = "§5.3 (non-blockable)";
       kernel = K_householder.kernel;
       register = false;
-      facts = [ ("KS", 1); ("M", 1); ("N", 1) ];
+      facts = [ at_least "KS" 1; at_least "M" 1; at_least "N" 1 ];
       extra_bindings = [ ("KS", 8) ];
       extra_setup = no_extra;
       default_bindings = [ ("M", 16); ("N", 12) ];
@@ -176,11 +181,15 @@ let env entry variant ~bindings ~seed =
   | env -> (
       (* The derivation proved the transformed block for the sizes its
          facts allow, and for no others. *)
-      let broken (p, lo) = Env.has_iscalar env p && Env.iscalar env p < lo in
-      match (variant, List.find_opt broken entry.facts) with
-      | Transformed, Some (p, lo) ->
-          Error (Printf.sprintf "the derivation assumes %s >= %d" p lo)
-      | _ -> Ok env)
+      let broken (p, lo) = Env.iscalar env p < Affine.eval (Env.iscalar env) lo in
+      match variant with
+      | Point -> Ok env
+      | Transformed -> (
+          match List.find_opt broken entry.facts with
+          | Some (p, lo) ->
+              Error
+                (Printf.sprintf "the derivation assumes %s >= %s" p (Affine.to_string lo))
+          | None -> Ok env))
 
 (* ---- derived IR, from the artifact cache ------------------------ *)
 
@@ -408,16 +417,24 @@ let profile ?(bindings = []) ?(seed = 42) ?(machine = Arch.rs6000_540) ?spec
   in
   Ok (point, transformed)
 
+(* A row profiles the transformed variant alone: the point variant does
+   not take KS. *)
 let profile_sweep ?(bindings = []) ?(seed = 42) ?(machine = Arch.rs6000_540)
     ?spec ~blocks entry =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | b :: rest ->
-        let bindings = bindings @ [ ("KS", b) ] in
-        let* _, transformed = profile ~bindings ~seed ~machine ?spec entry in
-        go ((b, transformed) :: acc) rest
-  in
-  if blocks = [] then Error "empty block-size sweep" else go [] blocks
+  if blocks = [] then Error "empty block-size sweep"
+  else
+    let* transformed = transformed_block entry in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | b :: rest ->
+          let* env_t = env entry Transformed ~bindings:(bindings @ [ ("KS", b) ]) ~seed in
+          let* kp =
+            profile_block ~machine ~spec ~kernel_name:entry.name ~variant:"transformed"
+              ~block:(Some b) env_t ~arrays:entry.kernel.Kernel_def.traced transformed
+          in
+          go ((b, kp) :: acc) rest
+    in
+    go [] blocks
 
 let traced_run machine env ~arrays block =
   let t = Trace.create machine env ~arrays in

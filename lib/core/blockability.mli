@@ -22,10 +22,11 @@ type entry = {
   register : bool;
       (** whether the pipeline register-blocks too (the paper's "2+"
           and "1+", and the convolutions) *)
-  facts : (string * int) list;
+  facts : (string * Affine.t) list;
       (** lower bounds [(p, lo)], meaning [p >= lo], on the parameters
-          (block sizes included) that the derivation assumes: the
-          transformed variant is correct for these sizes only, and
+          (block sizes included) that the derivation assumes, [lo] a
+          constant or affine in the other parameters (Givens: [M >= N]):
+          the transformed variant is correct for these sizes only, and
           {!env} refuses others *)
   extra_bindings : (string * int) list;
       (** parameters only the transformed code uses (block sizes) *)

@@ -249,8 +249,3 @@ and exec_block st block = List.iter (exec st) block
 let run ?refs ?hook env block =
   let st = { env; scope = Hashtbl.create 8; hook; refs } in
   exec_block st block
-
-let eval_expr env bindings e =
-  let st = { env; scope = Hashtbl.create 8; hook = None; refs = None } in
-  List.iter (fun (k, v) -> Hashtbl.replace st.scope k v) bindings;
-  eval_i st e

@@ -17,12 +17,9 @@ exception Error of string
 type hook = ref_id:int -> string -> int list -> Ir_util.kind -> unit
 (** [hook ~ref_id array indices kind]; [indices] are the subscript
     values.  [ref_id] identifies the static reference site the touch
-    came from (see {!refmap}); it is {!no_ref} when [run] was given no
+    came from (see {!refmap}); it is [-1] when [run] was given no
     reference map, so hooks that do not care about attribution just
     ignore it. *)
-
-val no_ref : int
-(** The [ref_id] passed when no {!refmap} is installed (-1). *)
 
 (** One static array-reference site of a block: the [ref_id]-th place in
     the program text (textual order) that reads or writes an array
@@ -55,6 +52,3 @@ val run : ?refs:refmap -> ?hook:hook -> Env.t -> Stmt.t list -> unit
     every hook call carries the touching site's [ref_id]; without it
     (the default) attribution is off and costs nothing. *)
 
-val eval_expr : Env.t -> (string * int) list -> Expr.t -> int
-(** Evaluate an integer expression under loop-index bindings (exposed
-    for the analysis oracle). *)

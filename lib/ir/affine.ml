@@ -95,4 +95,3 @@ let to_expr a =
   simplify body
 
 let to_string a = Expr.to_string (to_expr a)
-let pp fmt a = Format.pp_print_string fmt (to_string a)

@@ -50,4 +50,3 @@ val split_on : string -> t -> int * t
 (** [split_on v t] is [(coeff t v, t without v)]. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

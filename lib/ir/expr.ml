@@ -21,8 +21,6 @@ let rec equal a b =
       && List.for_all2 equal l1 l2
   | (Int _ | Var _ | Bin _ | Min _ | Max _ | Idx _), _ -> false
 
-let compare = Stdlib.compare
-
 let int n = Int n
 let var v = Var v
 let idx name subs = Idx (name, subs)
@@ -139,4 +137,3 @@ let rec to_string_prec prec e =
       name ^ "(" ^ String.concat ", " (List.map (to_string_prec 0) subs) ^ ")"
 
 let to_string e = to_string_prec 0 e
-let pp fmt e = Format.pp_print_string fmt (to_string e)

@@ -21,7 +21,6 @@ type t =
   | Idx of string * t list  (** integer array element, e.g. [KLB(KN)] *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (* Smart constructors performing light constant folding. *)
 
@@ -62,5 +61,3 @@ val eval : (string -> int) -> (string -> int list -> int) -> t -> int
 
 val to_string : t -> string
 (** Fortran-like rendering, e.g. ["MIN(J + JS - 1, N)"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,3 @@
-let listing block = Stmt.block_to_string block
-
 let subroutine ~name ~params block =
   let buf = Buffer.create 512 in
   Buffer.add_string buf

@@ -4,9 +4,6 @@
     adds subroutine framing with declarations inferred from the body,
     producing listings comparable to the paper's figures. *)
 
-val listing : Stmt.t list -> string
-(** Just the executable statements, 0-indented. *)
-
 val subroutine : name:string -> params:string list -> Stmt.t list -> string
 (** A full SUBROUTINE with REAL*8 / INTEGER declarations inferred from
     the body's accesses (arrays declared with assumed shape). *)

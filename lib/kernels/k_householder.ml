@@ -31,8 +31,10 @@ let point =
       if_ (fne (fv "B") (fc 0.0)) [ apply_loop ];
     ]
 
+(* Column K's reflector starts at A(K, K), so every K <= N needs a row. *)
 let setup env ~bindings ~seed =
   let m = List.assoc "M" bindings and n = List.assoc "N" bindings in
+  if n > m then invalid_arg (Printf.sprintf "needs M >= N (M = %d, N = %d)" m n);
   Env.add_farray env "A" [ (1, m); (1, n) ];
   Env.add_farray env "V" [ (1, m) ];
   Lcg.fill (Lcg.create seed) (Env.farray_data env "A") ~scale:2.0 ~shift:1.0

@@ -11,81 +11,29 @@ type stmt =
 
 let last k = Expr.idx "LAST" [ Expr.var k ]
 
-(* Figure 11 verbatim:
-
-   BLOCK DO K = 1,N-1
-     IN K DO KK
-       DO I = KK+1,N           A(I,KK) = A(I,KK)/A(KK,KK)
-       DO J = KK+1,LAST(K)
-         DO I = KK+1,N         A(I,J) = A(I,J) - A(I,KK)*A(KK,J)
-     DO J = LAST(K)+1,N
-       DO I = K+1,N
-         IN K DO KK = K,MIN(LAST(K),I-1)
-                               A(I,J) = A(I,J) - A(I,KK)*A(KK,J)
-*)
+(* Figure 11: the paper's block LU with the block size left to the
+   compiler. *)
 let fig11_blocked_lu =
-  let open Builder in
-  let vn = v "N" and vk = v "K" and vkk = v "KK" and vi = v "I" and vj = v "J" in
-  let scale =
-    Exec (do_ "I" (vkk +! i 1) vn [ set2 "A" vi vkk (a2 "A" vi vkk /. a2 "A" vkk vkk) ])
-  in
-  let panel_update =
-    Exec
-      (do_ "J" (vkk +! i 1) (last "K")
-         [
-           do_ "I" (vkk +! i 1) vn
-             [ set2 "A" vi vj (a2 "A" vi vj -. (a2 "A" vi vkk *. a2 "A" vkk vj)) ];
-         ])
-  in
-  let trailing =
-    Do
-      {
-        index = "J";
-        lo = last "K" +! i 1;
-        hi = vn;
-        body =
-          [
-            Do
-              {
-                index = "I";
-                lo = vk +! i 1;
-                hi = vn;
-                body =
-                  [
-                    In_do
-                      {
-                        block_index = "K";
-                        index = "KK";
-                        bounds = Some (vk, Expr.min_ (last "K") (vi -! i 1));
-                        body =
-                          [
-                            Exec
-                              (set2 "A" vi vj
-                                 (a2 "A" vi vj -. (a2 "A" vi vkk *. a2 "A" vkk vj)));
-                          ];
-                      };
-                  ];
-              };
-          ];
-      }
-  in
-  Block_do
-    {
-      index = "K";
-      lo = i 1;
-      hi = vn -! i 1;
-      body =
-        [
-          In_do
-            {
-              block_index = "K";
-              index = "KK";
-              bounds = None;
-              body = [ scale; panel_update ];
-            };
-          trailing;
-        ];
-    }
+  {|BLOCK DO K = 1, N - 1
+  IN K DO KK
+    DO I = KK + 1, N
+      A(I, KK) = A(I, KK)/A(KK, KK)
+    END DO
+    DO J = KK + 1, LAST(K)
+      DO I = KK + 1, N
+        A(I, J) = A(I, J) - A(I, KK)*A(KK, J)
+      END DO
+    END DO
+  END DO
+  DO J = LAST(K) + 1, N
+    DO I = K + 1, N
+      IN K DO KK = K, MIN(LAST(K), I - 1)
+        A(I, J) = A(I, J) - A(I, KK)*A(KK, J)
+      END DO
+    END DO
+  END DO
+END DO
+|}
 
 (* The registry's point Householder (same reflectors) on a panel of KS
    columns, then W = Y^T C, Z = T^T W, C := C - Y Z on each trailing

@@ -29,8 +29,9 @@ type stmt =
 val last : string -> Expr.t
 (** [last k] is the [LAST(k)] pseudo-expression. *)
 
-val fig11_blocked_lu : stmt
-(** Figure 11: block LU decomposition written in the extended language. *)
+val fig11_blocked_lu : string
+(** Figure 11: block LU decomposition as extended-language text, one
+    [BLOCK DO] for [Parser.program]. *)
 
 val compact_wy : string
 (** §5.3's compact-WY Householder QR as extended-language text, one

@@ -1,10 +1,12 @@
-(* Environment: for each enclosing BLOCK DO index, its (block size, hi). *)
-type blocks = (string * (int * Expr.t)) list
+(* The block size every BLOCK DO steps by, a parameter like N. *)
+let ks = Expr.var "KS"
+
+(* Environment: for each enclosing BLOCK DO index, its upper bound. *)
+type blocks = (string * Expr.t) list
 
 let last_of (blocks : blocks) k =
   match List.assoc_opt k blocks with
-  | Some (ks, hi) ->
-      Ok (Expr.min_ (Expr.add (Expr.var k) (Expr.Int (ks - 1))) hi)
+  | Some hi -> Ok (Expr.min_ (Expr.add (Expr.var k) (Expr.pred ks)) hi)
   | None -> Error ("LAST(" ^ k ^ ") outside BLOCK DO " ^ k)
 
 (* Replace LAST(k) pseudo-references in an expression. *)
@@ -36,11 +38,8 @@ let rec subst_last blocks (e : Expr.t) =
       in
       Ok (Expr.Idx (name, subs))
 
-let lower ?block_size ~machine ext =
+let lower ext =
   let ( let* ) = Result.bind in
-  let ks_default =
-    match block_size with Some b -> b | None -> Arch.block_size machine ()
-  in
   let rec go blocks (s : Ext.stmt) =
     match s with
     | Ext.Exec stmt ->
@@ -66,13 +65,12 @@ let lower ?block_size ~machine ext =
     | Ext.Block_do { index; lo; hi; body } ->
         let* lo = subst_last blocks lo in
         let* hi = subst_last blocks hi in
-        let blocks = (index, (ks_default, hi)) :: blocks in
-        let* body = go_block blocks body in
-        Ok (Stmt.loop ~step:(Expr.Int ks_default) index lo hi body)
+        let* body = go_block ((index, hi) :: blocks) body in
+        Ok (Stmt.loop ~step:ks index lo hi body)
     | Ext.In_do { block_index; index; bounds; body } -> (
         match List.assoc_opt block_index blocks with
         | None -> Error ("IN " ^ block_index ^ " DO outside its BLOCK DO")
-        | Some (_ks, _hi) ->
+        | Some _ ->
             let* lo, hi =
               match bounds with
               | None ->

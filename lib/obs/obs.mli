@@ -73,9 +73,6 @@ type sink
 val null : sink
 (** Drops everything.  The default; [enabled] is [false] under it. *)
 
-val text : out_channel -> sink
-(** One indented human-readable line per event. *)
-
 val json_of_event : event -> Json_min.t
 (** The one JSON form of an event, written by the [json] sink and
     embedded by serve's [dump] op: [name], [cat], [kind] (["begin"],

@@ -51,12 +51,12 @@ let strip_mine_and_interchange ~block_size ~new_index ~levels (l : Stmt.loop) =
   | _ -> Error "strip mining did not produce a strip loop"
 
 (* The facts a kernel's parameters satisfy: [p >= lo] for each
-   [(p, lo)].  Built afresh for each derivation: a context's proof
+   [(p, lo)], [lo] affine in the other parameters.  Built afresh for each derivation: a context's proof
    cache belongs to the domain that first queried it, and serve lanes
    derive concurrently. *)
 let facts_ctx facts =
   List.fold_left
-    (fun ctx (p, lo) -> Symbolic.assume_ge ctx (Affine.var p) (Affine.const lo))
+    (fun ctx (p, lo) -> Symbolic.assume_ge ctx (Affine.var p) lo)
     Symbolic.empty facts
 
 (* ------------------------------------------------------------------ *)

@@ -29,12 +29,12 @@ val strip_mine_and_interchange :
 
 val auto :
   register:bool ->
-  facts:(string * int) list ->
+  facts:(string * Affine.t) list ->
   Stmt.t list ->
   (Stmt.t traced, string) result
 (** Derive the block algorithm of a kernel, one loop nest.  [facts]
-    are lower bounds [(p, lo)], meaning [p >= lo], that the kernel's
-    parameters satisfy; every step proves under them, so the result is
+    are lower bounds [(p, lo)], meaning [p >= lo] with [lo] affine in
+    the other parameters, that the kernel's parameters satisfy; every step proves under them, so the result is
     correct for the sizes they allow.  Each step runs on the previous
     step's output, applies where its own legality check accepts it,
     and records one [pipeline.<step>] [Obs] decision, applied or

@@ -2,12 +2,15 @@ open Helpers
 
 (* ---- lowering ---- *)
 
+let fig11 () = List.hd (Parser.program Ext.fig11_blocked_lu)
+
 let fig11_lowers_and_matches (n, ks, seed) =
   let ks = max 1 ks in
-  match Lower.lower ~machine:Arch.rs6000_540 ~block_size:ks Ext.fig11_blocked_lu with
+  match Lower.lower (fig11 ()) with
   | Error _ -> false
   | Ok stmt ->
-      Kernel_def.equivalent K_lu.kernel [ stmt ] ~bindings:[ ("N", n) ] ~seed
+      Kernel_def.equivalent K_lu.kernel [ stmt ] ~extra:[ ("KS", ks) ]
+        ~bindings:[ ("N", n) ] ~seed
       = Ok ()
 
 let lowering_errors () =
@@ -15,7 +18,7 @@ let lowering_errors () =
     Ext.In_do { block_index = "K"; index = "KK"; bounds = None; body = [] }
   in
   check_bool "IN DO outside BLOCK DO" true
-    (Result.is_error (Lower.lower ~machine:Arch.rs6000_540 bad));
+    (Result.is_error (Lower.lower bad));
   let bad_last =
     Ext.Do
       {
@@ -26,14 +29,18 @@ let lowering_errors () =
       }
   in
   check_bool "LAST outside BLOCK DO" true
-    (Result.is_error (Lower.lower ~machine:Arch.rs6000_540 bad_last))
+    (Result.is_error (Lower.lower bad_last))
 
-let machine_chooses_block () =
-  match Lower.lower ~machine:Arch.rs6000_540 Ext.fig11_blocked_lu with
-  | Ok (Stmt.Loop l) -> (
-      match l.step with
-      | Expr.Int ks -> check_bool "sane block size" true (ks >= 8 && ks <= 256)
-      | _ -> Alcotest.fail "constant step expected")
+(* The block size stays the parameter KS: a BLOCK DO steps by it and
+   LAST(K) is the strip-mined bound, as in the derived kernels. *)
+let block_do_steps_by_ks () =
+  match Lower.lower (fig11 ()) with
+  | Ok (Stmt.Loop l) ->
+      check_string "step" "KS" (Expr.to_string l.step);
+      (match l.body with
+      | Stmt.Loop kk :: _ ->
+          check_string "IN K DO KK" "MIN(K + (KS - 1), N - 1)" (Expr.to_string kk.hi)
+      | _ -> Alcotest.fail "IN K DO KK expected first")
   | _ -> Alcotest.fail "lowering failed"
 
 (* ---- frontend ---- *)
@@ -86,7 +93,7 @@ let parse_logicals () =
   | _ -> Alcotest.fail "logical operators"
 
 let parse_block_do_roundtrip () =
-  let src = Ext.to_string Ext.fig11_blocked_lu in
+  let src = Ext.fig11_blocked_lu in
   match Parser.program src with
   | [ ext ] -> check_string "round trip" src (Ext.to_string ext)
   | _ -> Alcotest.fail "expected one statement"
@@ -125,7 +132,7 @@ let suite =
         QCheck2.Gen.(triple (int_range 1 20) (int_range 1 9) (int_range 0 99))
         fig11_lowers_and_matches;
       case "lowering error cases" lowering_errors;
-      case "machine chooses the block size" machine_chooses_block;
+      case "BLOCK DO steps by KS" block_do_steps_by_ks;
       case "parse LU" parse_lu_matches_builder;
       case "parse guard and intrinsics" parse_guard_and_intrinsics;
       case "parse integer statements" parse_integer_statements;

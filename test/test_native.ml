@@ -60,20 +60,22 @@ let compiled_matches_point name ?(extra = []) ~bindings ~seed () =
       | None -> true
       | Some m -> QCheck2.Test.fail_reportf "%s: %s" name m)
 
-let lower_at ext ~block =
-  ok_or_fail "lower" (Lower.lower ~block_size:block ~machine:Arch.rs6000_540 ext)
+(* A §6 source, lowered with its block size the parameter KS. *)
+let lower_at source =
+  ok_or_fail "lower" (Lower.lower (List.hd (Parser.program source)))
 
-(* A §6 source lowered at [block] and packaged by [kernel] with its data
-   and shapes, compiled on [backend]; the artifact cache's memo makes a
-   repeat a lookup. *)
-let lowered kernel ext ~block backend =
+let fig11 block = { K_lu.kernel with name = "fig11_lu"; block }
+
+(* A §6 source packaged by [kernel] with its data and shapes, compiled
+   on [backend]; the artifact cache's memo makes a repeat a lookup. *)
+let lowered kernel source backend =
   let module B = (val backend : Backend.S) in
-  let (k : Kernel_def.t) = kernel [ lower_at ext ~block ] in
+  let (k : Kernel_def.t) = kernel [ lower_at source ] in
   let bp = Blueprint.of_block ~shapes:k.shapes k.block in
   (k, ok_or_fail "compile" (B.compile_blueprint ~name:k.name bp))
 
-(* The compiled block run on its package's data at [bindings] leaves
-   [A] bitwise equal to [reference]'s. *)
+(* The compiled block run on its package's data at [bindings] (KS
+   among them) leaves [A] bitwise equal to [reference]'s. *)
 let lowered_matches ((k : Kernel_def.t), (c : Backend.compiled)) ~bindings ~seed
     reference =
   let env = Kernel_def.make_env k ~bindings ~seed in
@@ -90,7 +92,6 @@ let lu_variants_exact (n, b, seed) =
   let e = entry "lu" in
   let bindings = [ ("N", n) ] in
   let reference = interp_point e ~bindings ~seed in
-  let fig11 block = { K_lu.kernel with name = "fig11_lu"; block } in
   let hand =
     let env = Kernel_def.make_env e.kernel ~bindings ~seed in
     Hand_kernels.lu_recursive ~base:b ~n (Env.farray_data env "A");
@@ -102,8 +103,8 @@ let lu_variants_exact (n, b, seed) =
   && List.for_all
        (fun backend ->
          lowered_matches
-           (lowered fig11 Ext.fig11_blocked_lu ~block:b backend)
-           ~bindings ~seed reference)
+           (lowered fig11 Ext.fig11_blocked_lu backend)
+           ~bindings:(("KS", b) :: bindings) ~seed reference)
        Backend.all
   && List.for_all
        (fun name ->
@@ -304,14 +305,10 @@ let givens_triangularizes () =
 (* ---- Householder (§5.3): point and its compact-WY form --------- *)
 
 (* The WY form, written in the §6 language, on the point kernel's data
-   ([m >= n + 1]), with a random block size. *)
-let compact_wy = List.hd (Parser.program Ext.compact_wy)
-let gen_householder = QCheck2.Gen.(pair gen_cfg (int_range 1 8))
-
-let householder_block_matches_point ((m_extra, n, seed), ks) =
-  let bindings = [ ("M", n + m_extra); ("N", n) ] in
+   ([m >= n + 1]), at [ks]: within [wy_diff] of point, and each
+   compiled artifact bitwise equal to the interpreted WY. *)
+let wy_matches ~compiled ~bindings ~ks ~seed =
   let point = interp_point (entry "householder") ~bindings ~seed in
-  let compiled = List.map (lowered K_householder.wy compact_wy ~block:ks) Backend.all in
   let bindings = ("KS", ks) :: bindings in
   let wy = Kernel_def.run (fst (List.hd compiled)) ~bindings ~seed in
   (match K_householder.wy_diff point wy with
@@ -319,10 +316,53 @@ let householder_block_matches_point ((m_extra, n, seed), ks) =
   | Some m -> QCheck2.Test.fail_reportf "WY vs point (KS=%d): %s" ks m)
   && List.for_all (fun c -> lowered_matches c ~bindings ~seed wy) compiled
 
+let gen_householder = QCheck2.Gen.(pair gen_cfg (int_range 1 8))
+
+let householder_block_matches_point ((m_extra, n, seed), ks) =
+  wy_matches
+    ~compiled:(List.map (lowered K_householder.wy Ext.compact_wy) Backend.all)
+    ~bindings:[ ("M", n + m_extra); ("N", n) ]
+    ~ks ~seed
+
+(* Each §6 program is one artifact per backend, whatever the block
+   size: a compile for a run at any KS is the first compile's artifact
+   (same key, a memo hit), and it runs correctly at KS = 1, at KS
+   beyond N and at a KS that does not divide N. *)
+let section6_one_artifact () =
+  require_native ();
+  List.iter
+    (fun backend ->
+      let module B = (val backend : Backend.S) in
+      let first =
+        [
+          lowered fig11 Ext.fig11_blocked_lu backend;
+          lowered K_householder.wy Ext.compact_wy backend;
+        ]
+      in
+      List.iter
+        (fun (n, ks) ->
+          let at = Printf.sprintf "on %s at N=%d KS=%d" B.tag n ks in
+          let one = lowered fig11 Ext.fig11_blocked_lu backend
+          and wy = lowered K_householder.wy Ext.compact_wy backend in
+          List.iter2
+            (fun (_, (c : Backend.compiled)) (_, (again : Backend.compiled)) ->
+              check_string ("one key " ^ at) c.bk_key again.bk_key;
+              check_bool ("no second compile " ^ at) true
+                (again.bk_disposition = Artifact_cache.Memo))
+            first [ one; wy ];
+          let bindings = [ ("N", n) ] and seed = n + ks in
+          let reference = interp_point (entry "lu") ~bindings ~seed in
+          check_bool ("Figure 11 " ^ at) true
+            (lowered_matches one ~bindings:(("KS", ks) :: bindings) ~seed reference);
+          check_bool ("compact WY, M = N + 3, " ^ at) true
+            (wy_matches ~compiled:[ wy ] ~bindings:[ ("M", n + 3); ("N", n) ] ~ks ~seed))
+        [ (1, 1); (5, 1); (13, 4); (13, 16); (24, 8); (37, 3); (37, 64) ])
+    Backend.all
+
 let householder_norm_preserved () =
   let m = 40 and n = 25 in
   let bindings = [ ("KS", 8); ("M", m); ("N", n) ] in
-  let k = K_householder.wy [ lower_at compact_wy ~block:8 ] in
+  let k = K_householder.wy [ lower_at Ext.compact_wy ] in
   let a0 = Env.farray_data (Kernel_def.make_env k ~bindings ~seed:31) "A" in
   let h = Env.farray_data (Kernel_def.run k ~bindings ~seed:31) "A" in
   let below = ref 0.0 in
@@ -353,6 +393,7 @@ let suite =
           require_native ();
           householder_block_matches_point cfg);
       case "Householder norm preservation" householder_norm_preserved;
+      case "a BLOCK DO program is one artifact for every KS" section6_one_artifact;
       case "native_compare verifies every blockable entry on both backends"
         native_compare_registry;
       case "native_compare looks its derivation up once per call"

@@ -380,7 +380,7 @@ let pipeline_refuses_a_plain_loop () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  (match Blocker.auto ~register:true ~facts:[ ("N", 1) ] block with
+  (match Blocker.auto ~register:true ~facts:[ ("N", Affine.const 1) ] block with
   | Ok _ -> Alcotest.fail "a one-statement loop without a guard must not block"
   | Error m ->
       List.iter

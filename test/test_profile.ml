@@ -146,6 +146,31 @@ let sweep_and_chooser () =
     (Arch.block_size Arch.small_test ())
     (Blocker.choose_block_size ~machine:Arch.small_test ())
 
+(* A profile runs each variant once, and a sweep row the transformed
+   variant alone: [profile] then a three-row sweep is one point run and
+   four transformed runs. *)
+let sweep_profiles_transformed_only () =
+  let e = entry "lu" and bindings = [ ("N", 16) ] and machine = Arch.small_test in
+  let mem, events = Obs.memory () in
+  Obs.set_sink mem;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_sink Obs.null)
+    (fun () ->
+      ignore (ok_or_fail "profile" (Blockability.profile ~bindings ~machine e));
+      ignore
+        (ok_or_fail "sweep"
+           (Blockability.profile_sweep ~bindings ~machine ~blocks:[ 4; 8; 16 ] e)));
+  let runs variant =
+    List.length
+      (List.filter
+         (fun (ev : Obs.event) ->
+           ev.name = "profile.run" && ev.kind = Obs.Begin
+           && List.assoc_opt "variant" ev.args = Some (Obs.Str variant))
+         (events ()))
+  in
+  check_int "point runs" 1 (runs "point");
+  check_int "transformed runs" 4 (runs "transformed")
+
 let sweep_rejects_unblocked () =
   match
     Blockability.profile_sweep ~blocks:[ 4; 8 ] (entry "matmul")
@@ -193,5 +218,7 @@ let suite =
       case "blocking reduces LU misses" blocking_reduces_misses;
       case "sweep + block-size chooser" sweep_and_chooser;
       case "sweep refuses kernels without KS" sweep_rejects_unblocked;
+      case "a sweep row profiles the transformed variant alone"
+        sweep_profiles_transformed_only;
       case "hook without refmap is unattributed" unattributed_without_refmap;
     ] )

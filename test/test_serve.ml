@@ -782,6 +782,32 @@ let suite =
             (str "error" r);
           check_int "both counted as request errors" 2 (labelled "request");
           check_int "none counted as internal" 0 (labelled "internal"));
+      case "a QR with more columns than rows is a request error" (fun () ->
+          require_native ();
+          with_metrics @@ fun () ->
+          let labelled cls =
+            Obs.Metrics.count
+              (Obs.Metrics.counter
+                 (Obs.Metrics.labelled "serve.errors" [ ("class", cls) ]))
+          in
+          let execute kernel variant backend =
+            parsed
+              (Printf.sprintf
+                 {|{"op":"execute","kernel":"%s","variant":"%s","backend":"%s","bindings":{"M":3,"N":5}}|}
+                 kernel variant backend)
+          in
+          List.iter
+            (fun backend ->
+              check_bool ("givens point runs on " ^ backend) true
+                (bool_field "ok" (execute "givens" "point" backend));
+              check_string ("givens transformed on " ^ backend)
+                "the derivation assumes M >= N"
+                (str "error" (execute "givens" "transformed" backend));
+              check_string ("householder on " ^ backend) "needs M >= N (M = 3, N = 5)"
+                (str "error" (execute "householder" "point" backend)))
+            [ "ocaml"; "c" ];
+          check_int "counted as request errors" 4 (labelled "request");
+          check_int "none counted as internal" 0 (labelled "internal"));
       case "batch fan-out is one connected trace" (fun () ->
           require_native ();
           let mem, events = Obs.memory () in
